@@ -16,7 +16,6 @@ from .channel import (
 )
 from .mdp import (
     BatteryGrid,
-    DiscreteAction,
     DiscreteStateSpace,
     MdpModel,
     MultichainSuspectedError,
@@ -24,7 +23,6 @@ from .mdp import (
     PolicyIterationResult,
     build_mdp,
     default_initial_rule,
-    enumerate_actions,
     oracle_gain_bruteforce,
     policy_evaluate,
     policy_improve,

@@ -221,7 +221,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     for n_levels in config.n_levels:
         model = build_mdp(h_channel, g_channel, params, n_levels)
         result = policy_iteration(model)
-        bound = upper_bound(model, result, h_channel)
+        bound = upper_bound(model, result)
         print(f"{n_levels},{bound:.12g}")
     return 0
 

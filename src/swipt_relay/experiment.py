@@ -192,7 +192,7 @@ def _sweep_point(config: ExperimentConfig, index: int) -> list[SweepRow]:
         try:
             model = build_mdp(h_channel, g_channel, params, n_levels)
             result = policy_iteration(model)
-            bound = upper_bound(model, result, h_channel)
+            bound = upper_bound(model, result)
             rows.append(
                 SweepRow(
                     config.sweep,

@@ -8,6 +8,12 @@ decodable ratio, and the transmit energy to the values that land the
 residual exactly on a grid level, without lowering the optimum. The
 resulting finite average-reward decision problem is solved by policy
 iteration; its gain is the bound.
+
+The source-relay channel is redrawn independently every block, so a
+transition depends on the action only through the post-top-up battery
+level. Evaluation, improvement and the recurrent-class check therefore
+work on the chain of the L battery levels rather than on all L x C
+(level, channel) states (Puterman, Markov Decision Processes, 1994, ch. 8).
 """
 
 import itertools
@@ -17,25 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .channel import FiniteChannel
-from .relay import (
-    Action,
-    State,
-    StateClass,
-    SystemParams,
-    classify_state,
-    energy_after_harvest,
-    max_ps_ratio,
-    success_prob,
-)
+from .relay import SystemParams
 
 __all__ = [
     "BatteryGrid",
-    "DiscreteAction",
     "DiscreteStateSpace",
     "MdpModel",
     "MultichainSuspectedError",
@@ -43,7 +37,6 @@ __all__ = [
     "PolicyIterationResult",
     "build_mdp",
     "default_initial_rule",
-    "enumerate_actions",
     "oracle_gain_bruteforce",
     "policy_evaluate",
     "policy_improve",
@@ -52,12 +45,14 @@ __all__ = [
     "upper_bound",
 ]
 
-# Dense linear solves up to this many states; sparse factorization above.
-_DENSE_LIMIT = 5000
 # Condition-number estimates beyond 1e12 are treated as a singular
 # evaluation system, the numerical signature of multiple recurrent classes.
 _RCOND_MIN = 1e-12
 _RESIDUAL_TOL = 1e-9
+# Improvement leaves the incumbent action only for a candidate better by
+# more than this, so floating-point near-ties cannot make the rule cycle.
+# The converged gain then falls short of the optimum by at most this much.
+_IMPROVE_TOL = 1e-13
 
 
 class MultichainSuspectedError(RuntimeError):
@@ -93,6 +88,12 @@ class BatteryGrid:
         return self.capacity / (self.n_levels - 1)
 
 
+def _round_up(energy, grid: BatteryGrid, exact_up: bool):
+    side = "right" if exact_up else "left"
+    index = np.searchsorted(grid.levels, energy, side=side)
+    return np.minimum(index, grid.n_levels - 1)
+
+
 def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> int:
     """Level index the hypothetical source tops the battery up to.
 
@@ -106,9 +107,7 @@ def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> i
         raise ValueError(
             f"energy must lie in [0, {grid.capacity}], got {energy}"
         )
-    side = "right" if exact_up else "left"
-    idx = int(np.searchsorted(grid.levels, energy, side=side))
-    return min(idx, grid.n_levels - 1)
+    return int(_round_up(energy, grid, exact_up))
 
 
 @dataclass(frozen=True)
@@ -139,96 +138,63 @@ class DiscreteStateSpace:
         return divmod(flat, self.channel.count)
 
 
-@dataclass(frozen=True)
-class DiscreteAction:
-    """One reduced action: a splitting branch and a grid target.
-
-    transmit_energy is what the relay really radiates (the reward is
-    computed from it); target_level is the grid level the residual lands
-    on exactly; post_level is the level after the end-of-block top-up.
-    """
-
-    ps_ratio: float
-    transmit_energy: float
-    target_level: int
-    post_level: int
-    reward: float
-
-
-def enumerate_actions(
-    energy: float,
-    gain: float,
-    g_channel: FiniteChannel,
-    params: SystemParams,
-    grid: BatteryGrid,
-    exact_up: bool = True,
-) -> list[DiscreteAction]:
-    """Reduced action list for one discrete state.
-
-    One action per splitting branch and reachable grid target: harvest
-    everything (ratio 1) always, plus the largest decodable ratio when
-    the state can succeed at all; the transmit energy is whatever lands
-    the residual exactly on the target level. The full-harvest action
-    targeting the empty level is always present, so the list is never
-    empty. Rewards use the true transmit energy; the top-up happens only
-    after the block.
-    """
-    state = State(energy, gain)
-    branches = [1.0]
-    if classify_state(state, g_channel, params) is StateClass.CAN_SUCCEED:
-        branches.append(max_ps_ratio(gain, params))
-    actions: list[DiscreteAction] = []
-    seen: set[tuple[float, int]] = set()
-    for ratio in branches:
-        half = energy_after_harvest(energy, gain, ratio, params)
-        last_target = int(np.searchsorted(grid.levels, half, side="right")) - 1
-        for target in range(last_target + 1):
-            key = (ratio, target)
-            if key in seen:
-                continue
-            seen.add(key)
-            spend = float(half - grid.levels[target])
-            post = round_up_level(float(grid.levels[target]), grid, exact_up)
-            reward = success_prob(state, Action(ratio, spend), g_channel, params)
-            actions.append(DiscreteAction(ratio, spend, target, post, reward))
-    return actions
-
-
 @dataclass(frozen=True, eq=False)
 class MdpModel:
-    """Discrete decision problem: states, reduced action lists, rewards
-    and the block-structured transition law.
+    """Discrete decision problem: states, reduced actions and rewards as
+    padded per-state arrays.
 
-    The transition row of an action places the source-relay channel pmf
-    in the block of columns belonging to its post-top-up level; rows
-    therefore depend on the action only through post_level.
+    rewards[s, k] is the success probability of action k in flat state s
+    and posts[s, k] the battery level after the end-of-block top-up; the
+    next state is that level with a fresh channel draw, so transitions
+    depend on the action only through its post level. Only the first
+    n_actions[s] entries of a row are actions; the padding reads -inf in
+    rewards (and 0 in posts). In models from build_mdp the first
+    n_full[s] actions harvest everything and target levels 0, 1, ...;
+    the rest split at the largest decodable ratio and target levels
+    0, 1, ... again.
     """
 
     space: DiscreteStateSpace
     g_channel: FiniteChannel
     params: SystemParams
-    actions: tuple[tuple[DiscreteAction, ...], ...]
+    rewards: np.ndarray
+    posts: np.ndarray
+    n_actions: np.ndarray
+    n_full: np.ndarray
     exact_up: bool = True
-    _rewards: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _posts: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.actions) != self.space.n_states:
+        rewards = np.array(self.rewards, dtype=float)
+        posts = np.array(self.posts, dtype=np.intp)
+        n_actions = np.array(self.n_actions, dtype=np.intp)
+        n_full = np.array(self.n_full, dtype=np.intp)
+        n = self.space.n_states
+        if rewards.ndim != 2 or posts.shape != rewards.shape or len(rewards) != n:
             raise ValueError(
-                f"need one action list per state: {len(self.actions)} lists "
-                f"for {self.space.n_states} states"
+                f"rewards and posts must both have shape ({n}, max actions), "
+                f"got {rewards.shape} and {posts.shape}"
             )
-        if any(len(acts) == 0 for acts in self.actions):
-            raise ValueError("every state needs at least one action")
-        rewards = tuple(
-            np.array([a.reward for a in acts]) for acts in self.actions
-        )
-        posts = tuple(
-            np.array([a.post_level for a in acts], dtype=np.intp)
-            for acts in self.actions
-        )
-        object.__setattr__(self, "_rewards", rewards)
-        object.__setattr__(self, "_posts", posts)
+        if n_actions.shape != (n,) or n_full.shape != (n,):
+            raise ValueError(f"need one action count per state ({n} states)")
+        if np.any(n_actions < 1) or np.any(n_actions > rewards.shape[1]):
+            raise ValueError(
+                f"every state needs between 1 and {rewards.shape[1]} actions"
+            )
+        if np.any(n_full < 0) or np.any(n_full > n_actions):
+            raise ValueError("n_full must lie in [0, n_actions]")
+        padding = np.arange(rewards.shape[1]) >= n_actions[:, None]
+        if np.any(((posts < 0) | (posts >= self.space.grid.n_levels)) & ~padding):
+            raise ValueError("post levels must index the battery grid")
+        rewards[padding] = -np.inf
+        posts[padding] = 0
+        for name, value in (
+            ("rewards", rewards),
+            ("posts", posts),
+            ("n_actions", n_actions),
+            ("n_full", n_full),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
@@ -244,41 +210,47 @@ class MdpModel:
             raise ValueError(
                 f"rule must assign one action per state, got shape {rule.shape}"
             )
-        for s, k in enumerate(rule):
-            if not 0 <= k < len(self.actions[s]):
-                raise ValueError(f"state {s}: action index {k} out of range")
+        bad = np.flatnonzero((rule < 0) | (rule >= self.n_actions))
+        if bad.size:
+            s = int(bad[0])
+            raise ValueError(f"state {s}: action index {rule[s]} out of range")
         return rule
 
     def reward_vector(self, rule: np.ndarray) -> np.ndarray:
         """Per-state reward of the rule's chosen actions."""
         rule = self._check_rule(rule)
-        return np.array([self._rewards[s][k] for s, k in enumerate(rule)])
+        return self.rewards[np.arange(self.n_states), rule]
 
     def post_levels(self, rule: np.ndarray) -> np.ndarray:
         """Per-state post-top-up level of the rule's chosen actions."""
         rule = self._check_rule(rule)
-        return np.array(
-            [self._posts[s][k] for s, k in enumerate(rule)], dtype=np.intp
-        )
+        return self.posts[np.arange(self.n_states), rule]
 
-    def transition_row(self, state: int, action: DiscreteAction) -> np.ndarray:
-        """Dense transition row of one state under one of its actions."""
-        del state  # the row depends on the action's post level only
-        n_channels = self.space.channel.count
-        row = np.zeros(self.n_states)
-        start = action.post_level * n_channels
-        row[start : start + n_channels] = self.h_pmf
-        return row
 
-    def transition_matrix(self, rule: np.ndarray) -> np.ndarray:
-        """Dense transition matrix of a stationary rule."""
-        posts = self.post_levels(rule)
-        n_channels = self.space.channel.count
-        matrix = np.zeros((self.n_states, self.n_states))
-        for s, post in enumerate(posts):
-            start = post * n_channels
-            matrix[s, start : start + n_channels] = self.h_pmf
-        return matrix
+def _delivery_probs(
+    energies: np.ndarray, g_channel: FiniteChannel, params: SystemParams
+) -> np.ndarray:
+    """relay.delivery_success_prob for an array of positive or zero
+    transmit energies, with the same boundary decisions and sums."""
+    gains, pmf = g_channel.gains, g_channel.pmf
+    count = g_channel.count
+    threshold = params.delivery_threshold
+    # tail[k] is the mass of gains k, k+1, ..., summed as the scalar
+    # function sums that (contiguous) selection.
+    tail = np.zeros(count + 1)
+    tail[:count] = [pmf[k:].sum() for k in range(count)]
+    with np.errstate(divide="ignore"):
+        first = np.searchsorted(gains, threshold / energies)
+    # The quotient can round across a gain; decide in product form
+    # (u g >= threshold), which is monotone in g, until no index moves.
+    while True:
+        below = gains[np.maximum(first - 1, 0)] * energies >= threshold
+        above = gains[np.minimum(first, count - 1)] * energies < threshold
+        down = (first > 0) & below
+        up = (first < count) & above
+        if not (down.any() or up.any()):
+            return tail[first]
+        first = first - down + up
 
 
 def build_mdp(
@@ -289,32 +261,84 @@ def build_mdp(
     exact_up: bool = True,
 ) -> MdpModel:
     """Assemble the discrete model over (battery level, channel state)
-    pairs, with per-state action lists from enumerate_actions."""
+    pairs in one vectorised pass.
+
+    Each state gets one action per splitting branch and reachable grid
+    target: harvest everything (ratio 1) always, plus the largest
+    decodable ratio when the state can succeed at all (dropped when that
+    ratio rounds to 1, where it would repeat the first branch); the
+    transmit energy is whatever lands the residual exactly on the target
+    level. The full-harvest action targeting the empty level is always
+    present. Rewards use the true transmit energy and the arithmetic of
+    relay.success_prob; the top-up happens only after the block.
+    """
     if n_levels < 2:
         raise ValueError(f"n_levels must be at least 2, got {n_levels}")
     grid = BatteryGrid(n_levels, params.battery_capacity)
-    space = DiscreteStateSpace(grid, h_channel)
-    actions = []
-    for level in range(n_levels):
-        level_energy = float(grid.levels[level])
-        for i in range(h_channel.count):
-            actions.append(
-                tuple(
-                    enumerate_actions(
-                        level_energy,
-                        float(h_channel.gains[i]),
-                        g_channel,
-                        params,
-                        grid,
-                        exact_up=exact_up,
-                    )
-                )
-            )
+    levels = grid.levels
+    gains = h_channel.gains
+    shape = (n_levels, h_channel.count)
+
+    # relay.max_ps_ratio per channel state
+    received = gains * params.source_power
+    noise_margin = params.noise_power * params.threshold_snr
+    decodable = received >= 2.0 * noise_margin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.where(
+            decodable,
+            (received - 2.0 * noise_margin) / (received - noise_margin),
+            0.0,
+        )
+
+    def mid_block(ratio):  # relay.energy_after_harvest at every state
+        harvested = (
+            0.5
+            * params.conversion_efficiency
+            * params.source_power
+            * gains
+            * ratio
+            * params.block_duration
+        )
+        return np.minimum(levels[:, None] + harvested, params.battery_capacity)
+
+    half_full = mid_block(1.0)
+    half_split = mid_block(cap)
+    # relay.classify_state decides whether the decodable branch exists
+    split = (
+        decodable
+        & (half_split * g_channel.max_gain >= params.delivery_threshold)
+        & (cap != 1.0)
+    )
+    n_full = np.searchsorted(levels, half_full, side="right")
+    n_split = np.where(split, np.searchsorted(levels, half_split, side="right"), 0)
+    n_actions = n_full + n_split
+    # A full-harvest action pays only where the decodable ratio rounds to 1.
+    full_pays = np.broadcast_to(decodable & (cap == 1.0), shape)
+
+    # Fill each action with its transmit energy (0 where the relay cannot
+    # decode), then map every energy to its delivery probability at once.
+    rewards = np.full(shape + (int(n_actions.max()),), -np.inf)
+    posts = np.zeros(rewards.shape, dtype=np.intp)
+    post_of_target = _round_up(levels, grid, exact_up)
+    for half, n_targets, offset, pays in (
+        (half_full, n_full, np.zeros(shape, dtype=np.intp), full_pays),
+        (half_split, n_split, n_full, split),
+    ):
+        j, i, target = np.nonzero(np.arange(n_levels) < n_targets[..., None])
+        column = offset[j, i] + target
+        rewards[j, i, column] = np.where(pays[j, i], half[j, i] - levels[target], 0.0)
+        posts[j, i, column] = post_of_target[target]
+    actions = np.isfinite(rewards)
+    rewards[actions] = _delivery_probs(rewards[actions], g_channel, params)
+    n_states = n_levels * h_channel.count
     return MdpModel(
-        space=space,
+        space=DiscreteStateSpace(grid, h_channel),
         g_channel=g_channel,
         params=params,
-        actions=tuple(actions),
+        rewards=rewards.reshape(n_states, -1),
+        posts=posts.reshape(n_states, -1),
+        n_actions=n_actions.ravel(),
+        n_full=n_full.ravel(),
         exact_up=exact_up,
     )
 
@@ -325,19 +349,37 @@ def _expected_bias_by_level(model: MdpModel, bias: np.ndarray) -> np.ndarray:
     return bias.reshape(model.space.grid.n_levels, n_channels) @ model.h_pmf
 
 
-def _evaluation_residual(
-    model: MdpModel, rule: np.ndarray, gain: float, bias: np.ndarray
-) -> float:
-    posts = model.post_levels(rule)
-    rewards = model.reward_vector(rule)
-    theta_bias = _expected_bias_by_level(model, bias)[posts]
-    return float(np.max(np.abs(rewards + theta_bias - gain - bias)))
+def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-pmf averaged reward of each battery level under the rule,
+    and the rule's level-to-level transition matrix."""
+    n_levels = model.space.grid.n_levels
+    posts = model.post_levels(rule).reshape(n_levels, -1)
+    mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ model.h_pmf
+    edges = (np.arange(n_levels)[:, None] * n_levels + posts).ravel()
+    weights = np.broadcast_to(model.h_pmf, posts.shape).ravel()
+    transitions = np.bincount(edges, weights, minlength=n_levels * n_levels)
+    return mean_reward, transitions.reshape(n_levels, n_levels)
 
 
-def _solve_dense(model: MdpModel, rule: np.ndarray, rewards: np.ndarray):
-    matrix = -model.transition_matrix(rule)
-    matrix[np.diag_indices(model.n_states)] += 1.0
-    # bias[0] = 0 frees the first column for the gain unknown.
+def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gain and bias of a stationary rule.
+
+    Solves the unichain average-reward evaluation equations of the
+    battery-level chain,
+
+        gain + W = mean_reward + level_transitions @ W,    W[0] = 0,
+
+    where W[j] is the pmf-weighted bias of level j up to a constant, then
+    recovers the per-state bias as reward - gain + W[post], shifted so
+    that bias[0] = 0, and checks the residual of the full per-state
+    equations. A numerically singular level system (condition estimate
+    beyond 1e12) raises MultichainSuspectedError, the signature of a
+    chain with more than one recurrent class.
+    """
+    rule = model._check_rule(rule)
+    mean_reward, transitions = _level_chain(model, rule)
+    matrix = np.eye(len(mean_reward)) - transitions
+    # W[0] = 0 frees the first column for the gain unknown.
     matrix[:, 0] = 1.0
     norm = np.linalg.norm(matrix, 1)
     with warnings.catch_warnings():
@@ -350,64 +392,14 @@ def _solve_dense(model: MdpModel, rule: np.ndarray, rewards: np.ndarray):
             f"evaluation system has reciprocal condition {rcond:.3e}; the "
             f"rule's chain is probably not unichain (rule head {rule[:8]})"
         )
-    return scipy.linalg.lu_solve((lu, piv), rewards)
-
-
-def _solve_sparse(model: MdpModel, rule: np.ndarray, rewards: np.ndarray):
-    n = model.n_states
-    n_channels = model.space.channel.count
-    posts = model.post_levels(rule)
-    rows = np.repeat(np.arange(n), n_channels)
-    cols = (posts[:, None] * n_channels + np.arange(n_channels)).ravel()
-    data = -np.tile(model.h_pmf, n)
-    matrix = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tolil()
-    matrix.setdiag(matrix.diagonal() + 1.0)
-    matrix[:, 0] = 1.0
-    matrix = matrix.tocsc()
-    try:
-        lu = scipy.sparse.linalg.splu(matrix)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise MultichainSuspectedError(
-            f"sparse evaluation factorization failed ({exc}); the rule's "
-            f"chain is probably not unichain"
-        ) from exc
-    inv_op = scipy.sparse.linalg.LinearOperator(
-        (n, n),
-        matvec=lu.solve,
-        rmatvec=lambda v: lu.solve(v, trans="T"),
-    )
-    norm = scipy.sparse.linalg.onenormest(matrix)
-    inv_norm = scipy.sparse.linalg.onenormest(inv_op)
-    rcond = 1.0 / (norm * inv_norm)
-    if not np.isfinite(rcond) or rcond < _RCOND_MIN:
-        raise MultichainSuspectedError(
-            f"evaluation system has reciprocal condition {rcond:.3e}; the "
-            f"rule's chain is probably not unichain (rule head {rule[:8]})"
-        )
-    return lu.solve(rewards)
-
-
-def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain and bias of a stationary rule.
-
-    Solves the unichain average-reward evaluation equations
-
-        gain + bias = rewards + transitions @ bias,    bias[0] = 0,
-
-    and checks their residual. A numerically singular system (condition
-    estimate beyond 1e12) raises MultichainSuspectedError, the signature
-    of a chain with more than one recurrent class.
-    """
-    rule = model._check_rule(rule)
-    rewards = model.reward_vector(rule)
-    if model.n_states <= _DENSE_LIMIT:
-        solution = _solve_dense(model, rule, rewards)
-    else:
-        solution = _solve_sparse(model, rule, rewards)
-    gain = float(solution[0])
-    bias = solution.copy()
-    bias[0] = 0.0
-    residual = _evaluation_residual(model, rule, gain, bias)
+    level_bias = scipy.linalg.lu_solve((lu, piv), mean_reward)
+    gain = float(level_bias[0])
+    level_bias[0] = 0.0
+    rewards, posts = model.reward_vector(rule), model.post_levels(rule)
+    bias = rewards - gain + level_bias[posts]
+    bias -= bias[0]
+    successor_bias = _expected_bias_by_level(model, bias)[posts]
+    residual = float(np.max(np.abs(rewards + successor_bias - gain - bias)))
     if residual > _RESIDUAL_TOL:
         raise MultichainSuspectedError(
             f"evaluation equations solved to residual {residual:.3e} "
@@ -422,25 +414,24 @@ def policy_improve(
     bias: np.ndarray,
     incumbent: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One improvement sweep over the action lists.
+    """One improvement sweep over every state's actions.
 
     Per state, picks the action maximizing immediate reward plus the
     expected bias of the successor block (the gain shifts every candidate
     equally, so it cannot affect the argmax). The incumbent action is
-    kept when it ties the maximum, the standard anti-cycling rule;
-    without an incumbent, ties go to the smallest action index.
+    kept unless the best candidate beats it by more than a fixed
+    tolerance of 1e-13, the anti-cycling rule; without an incumbent, ties
+    go to the smallest action index.
     """
     del gain
-    block_bias = _expected_bias_by_level(model, np.asarray(bias, dtype=float))
+    level_bias = _expected_bias_by_level(model, np.asarray(bias, dtype=float))
+    values = model.rewards + level_bias[model.posts]
+    rule = np.argmax(values, axis=1)  # first maximum = smallest index
     if incumbent is not None:
         incumbent = model._check_rule(incumbent)
-    rule = np.empty(model.n_states, dtype=np.intp)
-    for s in range(model.n_states):
-        values = model._rewards[s] + block_bias[model._posts[s]]
-        best = int(np.argmax(values))  # first maximum = smallest index
-        if incumbent is not None and values[incumbent[s]] == values[best]:
-            best = int(incumbent[s])
-        rule[s] = best
+        states = np.arange(model.n_states)
+        better = values[states, rule] > values[states, incumbent] + _IMPROVE_TOL
+        rule = np.where(better, rule, incumbent)
     return rule
 
 
@@ -448,11 +439,7 @@ def default_initial_rule(model: MdpModel) -> np.ndarray:
     """Drain-to-empty starting rule: the action that empties the battery
     on the decodable branch when one exists, else on the full-harvest
     branch (the discrete analogue of the battery-draining heuristic)."""
-    rule = np.empty(model.n_states, dtype=np.intp)
-    for s, acts in enumerate(model.actions):
-        drains = [(a.ps_ratio, k) for k, a in enumerate(acts) if a.target_level == 0]
-        rule[s] = min(drains)[1]
-    return rule
+    return np.where(model.n_full < model.n_actions, model.n_full, 0).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -497,29 +484,24 @@ def policy_iteration(
 
 
 def _recurrent_class_count(model: MdpModel, rule: np.ndarray) -> int:
-    """Exact number of recurrent classes of the rule's chain (sink
-    components of the strongly-connected-component condensation)."""
-    n = model.n_states
-    n_channels = model.space.channel.count
-    posts = model.post_levels(rule)
-    rows = np.repeat(np.arange(n), n_channels)
-    cols = (posts[:, None] * n_channels + np.arange(n_channels)).ravel()
-    graph = scipy.sparse.coo_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    """Exact number of recurrent classes of the rule's chain.
+
+    Every channel state has positive probability, so the (level, channel)
+    chain has one recurrent class per sink component of the
+    strongly-connected-component condensation of the level graph.
+    """
+    _, transitions = _level_chain(model, rule)
     n_comp, labels = scipy.sparse.csgraph.connected_components(
-        graph, directed=True, connection="strong"
+        transitions, directed=True, connection="strong"
     )
-    has_exit = np.zeros(n_comp, dtype=bool)
+    rows, cols = np.nonzero(transitions)
     crossing = labels[rows] != labels[cols]
-    has_exit[labels[rows[crossing]]] = True
-    return int(n_comp - has_exit.sum())
+    return n_comp - np.unique(labels[rows[crossing]]).size
 
 
 def upper_bound(
     model: MdpModel,
     result: PolicyIterationResult,
-    h_channel: FiniteChannel,
     *,
     check: str = "structural",
     check_blocks: int = 20_000,
@@ -538,12 +520,9 @@ def upper_bound(
       state and require agreement with the gain within Monte Carlo error;
     - check="none": trust the caller.
     """
-    if h_channel.count != model.space.channel.count:
-        raise ValueError(
-            "h_channel does not match the model's source-relay alphabet"
-        )
+    rule = model._check_rule(result.rule)
     if check == "structural":
-        classes = _recurrent_class_count(model, result.rule)
+        classes = _recurrent_class_count(model, rule)
         if classes != 1:
             raise MultichainSuspectedError(
                 f"optimal rule's chain has {classes} recurrent classes; the "
@@ -552,11 +531,11 @@ def upper_bound(
     elif check == "simulate":
         from .simulate import SimulationConfig, simulate_discrete
 
-        for i in range(h_channel.count):
+        for i in range(model.space.channel.count):
             config = SimulationConfig(
                 blocks=check_blocks, seed=check_seed + i, initial_energy=0.0
             )
-            sim = simulate_discrete(model, result.rule, config, initial_channel=i)
+            sim = simulate_discrete(model, rule, config, initial_channel=i)
             slack = 3.0 * sim.stderr + 1e-9
             if abs(sim.mean - result.gain) > slack:
                 raise MultichainSuspectedError(
@@ -565,9 +544,7 @@ def upper_bound(
                 )
     elif check != "none":
         raise ValueError(f"unknown check mode {check!r}")
-    # With a state-independent long-run average the pmf-weighted sum over
-    # the empty-battery start states collapses to the gain itself.
-    return float(h_channel.pmf @ np.full(h_channel.count, result.gain))
+    return float(result.gain)
 
 
 def oracle_gain_bruteforce(
@@ -580,29 +557,26 @@ def oracle_gain_bruteforce(
     deterministic rule, for cross-checking policy iteration on tiny
     models.
 
-    Each rule's chain is driven to its limiting occupancy from the
-    empty-battery start (channel drawn from its pmf) by repeatedly
-    squaring the half-lazy operator (I + transitions) / 2, which has the
-    same limit as the plain chain's time averages but converges
-    geometrically even through periodic structure; iteration stops once
-    one more squaring moves no entry by more than tol.
+    Each rule's battery-level chain is driven to its limiting occupancy
+    from the empty level (the channel is drawn from its pmf every block,
+    so the level chain carries the whole law) by repeatedly squaring the
+    half-lazy operator (I + transitions) / 2, which has the same limit as
+    the plain chain's time averages but converges geometrically even
+    through periodic structure; iteration stops once one more squaring
+    moves no entry by more than tol.
     """
-    counts = [len(acts) for acts in model.actions]
+    counts = [int(c) for c in model.n_actions]
     n_rules = math.prod(counts)
     if n_rules > max_rules:
         raise ValueError(
             f"{n_rules} stationary deterministic rules exceed the "
             f"enumeration budget of {max_rules}"
         )
-    n = model.n_states
-    n_channels = model.space.channel.count
-    start = np.zeros(n)
-    start[:n_channels] = model.h_pmf
+    identity = np.eye(model.space.grid.n_levels)
     best = -np.inf
-    identity = np.eye(n)
     for combo in itertools.product(*(range(c) for c in counts)):
-        rule = np.array(combo, dtype=np.intp)
-        lazy = 0.5 * (identity + model.transition_matrix(rule))
+        mean_reward, transitions = _level_chain(model, np.array(combo, dtype=np.intp))
+        lazy = 0.5 * (identity + transitions)
         for _ in range(max_doublings):
             squared = lazy @ lazy
             done = np.max(np.abs(squared - lazy)) < tol
@@ -613,6 +587,5 @@ def oracle_gain_bruteforce(
             raise NonConvergenceError(
                 f"chain limit not reached within {max_doublings} doublings"
             )
-        gain = float(start @ lazy @ model.reward_vector(rule))
-        best = max(best, gain)
+        best = max(best, float(lazy[0] @ mean_reward))
     return best

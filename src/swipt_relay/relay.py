@@ -127,17 +127,17 @@ def relay_snr(gain: float, ps_ratio: float, params: SystemParams) -> float:
     """SNR at the relay's decoder for the source transmission.
 
     The decoder sees the (1 - lam) share of the signal against antenna
-    plus conversion noise: (1 - lam) h Ps / ((2 - lam) sigma^2).
+    plus conversion noise: (1 - lam) h Ps / ((2 - lam) sigma^2). It is
+    evaluated as (1 - 1 / (2 - lam)) times the lam-free factor, so that
+    every rounded step is monotone in lam and the result never increases
+    with the ratio.
     """
     if not 0.0 <= ps_ratio <= 1.0:
         raise ValueError(f"ps_ratio must lie in [0, 1], got {ps_ratio}")
     if gain < 0.0:
         raise ValueError(f"gain must be non-negative, got {gain}")
-    return (
-        (1.0 - ps_ratio)
-        * gain
-        * params.source_power
-        / ((2.0 - ps_ratio) * params.noise_power)
+    return (1.0 - 1.0 / (2.0 - ps_ratio)) * (
+        gain * params.source_power / params.noise_power
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from swipt_relay import (
     BatteryGrid,
-    DiscreteAction,
     DiscreteStateSpace,
     MdpModel,
     SystemParams,
@@ -67,24 +66,21 @@ def hand_model():
         channel = channel_from_table(gains, pmf)
         space = DiscreteStateSpace(BatteryGrid(n_levels, capacity), channel)
         assert len(layout) == space.n_states
-        actions = tuple(
-            tuple(
-                DiscreteAction(
-                    ps_ratio=1.0,
-                    transmit_energy=0.0,
-                    target_level=0,
-                    post_level=post,
-                    reward=reward,
-                )
-                for reward, post in state_actions
-            )
-            for state_actions in layout
-        )
+        n_actions = np.array([len(state_actions) for state_actions in layout])
+        rewards = np.full((space.n_states, n_actions.max()), -np.inf)
+        posts = np.zeros(rewards.shape, dtype=int)
+        for s, state_actions in enumerate(layout):
+            for k, (reward, post) in enumerate(state_actions):
+                rewards[s, k] = reward
+                posts[s, k] = post
         return MdpModel(
             space=space,
             g_channel=channel,
             params=DEFAULT_PARAMS,
-            actions=actions,
+            rewards=rewards,
+            posts=posts,
+            n_actions=n_actions,
+            n_full=n_actions,
         )
 
     return build

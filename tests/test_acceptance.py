@@ -35,6 +35,7 @@ from swipt_relay import (
     upper_bound,
 )
 from swipt_relay.cli import main as cli_main
+from oracles import model_actions, state_transition_matrix
 
 POWER_GRID = (0.5, 1.0, 2.0)
 
@@ -216,7 +217,7 @@ def test_a7_structural_invariants(channel200, default_params):
         residual = half - spend
         assert 0.0 <= residual <= default_params.battery_capacity
     model = build_mdp(channel200, channel200, default_params, 5)
-    for s, acts in enumerate(model.actions):
+    for s in range(model.n_states):
         level, channel_idx = model.space.level_channel(s)
         state = State(
             float(model.space.grid.levels[level]),
@@ -226,11 +227,14 @@ def test_a7_structural_invariants(channel200, default_params):
             classify_state(state, channel200, default_params)
             is StateClass.ALWAYS_FAIL
         )
-        for a in acts:
-            row = model.transition_row(s, a)
-            assert abs(row.sum() - 1.0) <= 1e-12
+        for a in model_actions(model, s):
+            assert 0.0 <= a.reward <= 1.0
             if hopeless:
                 assert a.reward == 0.0
+    for k in range(model.rewards.shape[1]):
+        rule = np.minimum(k, model.n_actions - 1)
+        rows = state_transition_matrix(model, rule).sum(axis=1)
+        assert np.max(np.abs(rows - 1.0)) <= 1e-12
     elapsed = time.perf_counter() - start
     report(
         "A7 structural invariants",

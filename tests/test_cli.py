@@ -73,6 +73,17 @@ class TestBoundCommand:
             assert 0.0 <= float(line.split(",")[1]) <= 1.0
 
 
+    def test_fine_grid_bound_succeeds(self, capsys):
+        # 33 levels x 200 channel states; the bound the full-chain dense
+        # solve gives for this cell is 0.9728992138156156
+        assert run_cli(["bound", "--levels", "33"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1].startswith("33,")
+        assert float(lines[1].split(",")[1]) == pytest.approx(
+            0.9728992138156156, abs=1e-12
+        )
+
+
 class TestSimulateCommand:
     def test_matches_library_run(self, capsys):
         assert (

@@ -16,8 +16,8 @@ from swipt_relay import (
     channel_from_table,
     classify_state,
     default_initial_rule,
+    delivery_success_prob,
     energy_after_harvest,
-    enumerate_actions,
     heuristic_average_success,
     max_ps_ratio,
     oracle_gain_bruteforce,
@@ -30,6 +30,13 @@ from swipt_relay import (
     upper_bound,
 )
 import swipt_relay.mdp as mdp_module
+from oracles import (
+    dense_evaluate,
+    model_actions,
+    recurrent_class_count,
+    reference_actions,
+    state_transition_matrix,
+)
 
 
 class TestBatteryGrid:
@@ -95,77 +102,135 @@ class TestRoundUpLevel:
 
 
 class TestEnumerateActions:
+    """The per-state actions build_mdp stores, decoded from its arrays."""
+
     def test_hopeless_state_only_full_harvest_zero_reward(self, default_params, channel2):
-        grid = BatteryGrid(3, default_params.battery_capacity)
         hopeless_gain = 0.001
+        h_channel = channel_from_table([hopeless_gain, 1.0], [0.5, 0.5])
         state = State(0.0, hopeless_gain)
         assert classify_state(state, channel2, default_params) is StateClass.ALWAYS_FAIL
-        actions = enumerate_actions(
-            0.0, hopeless_gain, channel2, default_params, grid
-        )
+        model = build_mdp(h_channel, channel2, default_params, 3)
+        actions = model_actions(model, model.space.flat_index(0, 0))
         assert all(a.ps_ratio == 1.0 for a in actions)
         assert all(a.reward == 0.0 for a in actions)
 
     def test_saturated_harvest_reaches_every_level(self, default_params, channel2):
-        grid = BatteryGrid(4, default_params.battery_capacity)
         # from a full battery both branches saturate at capacity
-        full = default_params.battery_capacity
-        actions = enumerate_actions(full, 1.0, channel2, default_params, grid)
+        h_channel = channel_from_table([1.0, 2.0], [0.5, 0.5])
+        model = build_mdp(h_channel, channel2, default_params, 4)
+        actions = model_actions(model, model.space.flat_index(3, 0))
         per_branch = {}
         for a in actions:
             per_branch.setdefault(a.ps_ratio, []).append(a.target_level)
         assert len(per_branch) == 2
         for targets in per_branch.values():
-            assert sorted(targets) == list(range(grid.n_levels))
+            assert sorted(targets) == list(range(4))
 
     def test_partial_harvest_targets_and_energies(self):
         # full-harvest mid-block level of 1.2 uJ on a {0, 1, 2} grid
         params = SystemParams(4.8, 0.001, 1.0, 0.5, 1.5, 2.0)
-        grid = BatteryGrid(3, 2.0)
         gain = 1.0
         assert energy_after_harvest(0.0, gain, 1.0, params) == pytest.approx(1.2)
         g_channel = channel_from_table([0.5, 1.5], [0.5, 0.5])
-        actions = enumerate_actions(0.0, gain, g_channel, params, grid)
+        h_channel = channel_from_table([gain], [1.0])
+        model = build_mdp(h_channel, g_channel, params, 3)
+        actions = model_actions(model, 0)
+        assert model.n_full[0] == 2
         full_branch = [a for a in actions if a.ps_ratio == 1.0]
         assert [a.target_level for a in full_branch] == [0, 1]
         assert [a.transmit_energy for a in full_branch] == pytest.approx([1.2, 0.2])
+        assert [a.post_level for a in full_branch] == [1, 2]
 
     def test_structure_invariants(self, default_params, channel2):
-        grid = BatteryGrid(4, default_params.battery_capacity)
-        for level_energy in grid.levels:
-            for gain in channel2.gains:
-                state = State(float(level_energy), float(gain))
-                actions = enumerate_actions(
-                    float(level_energy), float(gain), channel2, default_params, grid
+        model = build_mdp(channel2, channel2, default_params, 4)
+        grid = model.space.grid
+        for s in range(model.n_states):
+            level, channel = model.space.level_channel(s)
+            level_energy = float(grid.levels[level])
+            gain = float(channel2.gains[channel])
+            state = State(level_energy, gain)
+            actions = model_actions(model, s)
+            assert actions, "action list must never be empty"
+            assert np.all(np.isneginf(model.rewards[s, len(actions) :]))
+            cap = max_ps_ratio(gain, default_params)
+            allowed = {1.0} if cap is None else {1.0, cap}
+            seen = set()
+            for a in actions:
+                assert a.ps_ratio in allowed
+                assert (a.ps_ratio, a.target_level) not in seen
+                seen.add((a.ps_ratio, a.target_level))
+                half = energy_after_harvest(
+                    level_energy, gain, a.ps_ratio, default_params
                 )
-                assert actions, "action list must never be empty"
-                cap = max_ps_ratio(float(gain), default_params)
-                allowed = {1.0} if cap is None else {1.0, cap}
-                seen = set()
-                for a in actions:
-                    assert a.ps_ratio in allowed
-                    assert (a.ps_ratio, a.target_level) not in seen
-                    seen.add((a.ps_ratio, a.target_level))
-                    half = energy_after_harvest(
-                        float(level_energy), float(gain), a.ps_ratio, default_params
-                    )
-                    assert a.transmit_energy == pytest.approx(
-                        half - grid.levels[a.target_level]
-                    )
-                    assert a.transmit_energy >= 0.0
-                    assert a.post_level == round_up_level(
-                        float(grid.levels[a.target_level]), grid
-                    )
-                    assert a.reward == success_prob(
-                        state,
-                        Action(a.ps_ratio, a.transmit_energy),
-                        channel2,
-                        default_params,
-                    )
-                if classify_state(state, channel2, default_params) is (
-                    StateClass.ALWAYS_FAIL
-                ):
-                    assert all(a.reward == 0.0 for a in actions)
+                assert a.transmit_energy == pytest.approx(
+                    half - grid.levels[a.target_level]
+                )
+                assert a.transmit_energy >= 0.0
+                assert a.post_level == round_up_level(
+                    float(grid.levels[a.target_level]), grid
+                )
+                assert a.reward == success_prob(
+                    state,
+                    Action(a.ps_ratio, a.transmit_energy),
+                    channel2,
+                    default_params,
+                )
+            if classify_state(state, channel2, default_params) is (
+                StateClass.ALWAYS_FAIL
+            ):
+                assert all(a.reward == 0.0 for a in actions)
+
+    @pytest.mark.parametrize(
+        "power, noise, battery, n_states, n_levels, exact_up",
+        [
+            (0.5, 0.02, 0.5, 2, 3, True),
+            (0.35, 0.02, 0.5, 2, 6, True),
+            (0.5, 0.02, 0.5, 5, 7, False),
+            (1.0, 0.001, 10.0, 25, 5, True),
+            (1.0, 0.001, 2.0, 25, 9, False),
+            (2.0, 0.001, 16.0, 40, 9, True),
+            # the largest decodable ratio rounds to 1 in every state
+            (1.0, 1e-20, 10.0, 7, 4, True),
+        ],
+    )
+    def test_arrays_match_loop_enumeration(
+        self, power, noise, battery, n_states, n_levels, exact_up
+    ):
+        params = SystemParams(power, noise, 1.0, 0.5, 1.5, battery)
+        channel = quantize_equiprobable_exponential(n_states)
+        model = build_mdp(channel, channel, params, n_levels, exact_up=exact_up)
+        grid = model.space.grid
+        for s in range(model.n_states):
+            level, i = model.space.level_channel(s)
+            expected = reference_actions(
+                float(grid.levels[level]),
+                float(channel.gains[i]),
+                channel,
+                params,
+                grid,
+                exact_up=exact_up,
+            )
+            assert model_actions(model, s) == expected
+
+
+    def test_delivery_boundary_matches_scalar(self, default_params, channel200):
+        threshold = default_params.delivery_threshold
+        on_boundary = threshold / channel200.gains
+        energies = np.concatenate(
+            [
+                [0.0, 1e-300, 1e300],
+                on_boundary,
+                np.nextafter(on_boundary, 0.0),
+                np.nextafter(on_boundary, np.inf),
+                np.random.default_rng(5).uniform(0.0, 0.1, 500),
+            ]
+        )
+        probs = mdp_module._delivery_probs(energies, channel200, default_params)
+        expected = [
+            delivery_success_prob(float(u), channel200, default_params)
+            for u in energies
+        ]
+        assert probs.tolist() == expected
 
 
 class TestBuildMdp:
@@ -184,25 +249,36 @@ class TestBuildMdp:
             ]
         )
         rule = default_initial_rule(model)
-        assert np.array_equal(model.transition_matrix(rule), expected)
+        assert np.array_equal(state_transition_matrix(model, rule), expected)
+        _, levels = mdp_module._level_chain(model, rule)
+        assert np.array_equal(levels, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_three_level_rows_follow_post_level(self, default_params, channel2):
         model = build_mdp(channel2, channel2, default_params, 3)
         f = channel2.pmf
-        for s, acts in enumerate(model.actions):
-            for a in acts:
-                row = model.transition_row(s, a)
-                start = a.post_level * 2
-                assert np.array_equal(row[start : start + 2], f)
+        for k in range(model.rewards.shape[1]):
+            rule = np.minimum(k, model.n_actions - 1)
+            posts = model.post_levels(rule)
+            matrix = state_transition_matrix(model, rule)
+            for s, post in enumerate(posts):
+                row = matrix[s]
+                assert np.array_equal(row[post * 2 : post * 2 + 2], f)
                 assert np.count_nonzero(row) == 2
                 assert abs(row.sum() - 1.0) <= 1e-12
+            # level chain: row j is the pmf-weighted mix of its states' rows
+            _, levels = mdp_module._level_chain(model, rule)
+            to_levels = matrix.reshape(3, 2, 3, 2).sum(axis=3)
+            lumped = np.einsum("i,jil->jl", f, to_levels)
+            assert np.max(np.abs(levels - lumped)) <= 1e-15
 
     def test_rows_sum_to_one(self, default_params, channel200):
         model = build_mdp(channel200, channel200, default_params, 3)
         rule = default_initial_rule(model)
-        matrix = model.transition_matrix(rule)
+        matrix = state_transition_matrix(model, rule)
         assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-12
         assert np.all((matrix != 0).sum(axis=1) == channel200.count)
+        _, levels = mdp_module._level_chain(model, rule)
+        assert np.max(np.abs(levels.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_flat_index_convention(self, default_params, channel2):
         model = build_mdp(channel2, channel2, default_params, 3)
@@ -262,27 +338,61 @@ class TestPolicyEvaluate:
 
     def test_multichain_rule_is_detected(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        rule = np.zeros(model.n_states, dtype=int)
-        for s, acts in enumerate(model.actions):
-            level, _ = model.space.level_channel(s)
-            want = 0 if level <= 1 else 1  # level-1 loop and level-2 loop
-            for k, a in enumerate(acts):
-                if a.target_level == want and a.ps_ratio == 1.0:
-                    rule[s] = k
-                    break
         with pytest.raises(MultichainSuspectedError):
-            policy_evaluate(model, rule)
+            policy_evaluate(model, _two_loop_rule(model))
 
-    def test_sparse_solver_agrees_with_dense(
-        self, channel2, hard_tiny_params, monkeypatch
+    @pytest.mark.parametrize(
+        "n_states, power, battery, n_levels, exact_up",
+        [
+            (2, 0.5, 0.5, 3, True),
+            (2, 0.35, 0.5, 6, True),
+            (5, 0.5, 0.5, 7, False),
+            (25, None, 10.0, 5, True),
+            (25, None, 2.0, 9, False),
+            (200, None, 10.0, 5, True),
+        ],
+    )
+    def test_level_solver_agrees_with_dense_oracle(
+        self, n_states, power, battery, n_levels, exact_up
     ):
-        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        rule = default_initial_rule(model)
-        gain_dense, bias_dense = policy_evaluate(model, rule)
-        monkeypatch.setattr(mdp_module, "_DENSE_LIMIT", 1)
-        gain_sparse, bias_sparse = policy_evaluate(model, rule)
-        assert gain_sparse == pytest.approx(gain_dense, abs=1e-12)
-        assert np.max(np.abs(bias_sparse - bias_dense)) <= 1e-10
+        if power is None:
+            params = SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, battery)
+        else:
+            params = SystemParams(power, 0.02, 1.0, 0.5, 1.5, battery)
+        channel = quantize_equiprobable_exponential(n_states)
+        model = build_mdp(channel, channel, params, n_levels, exact_up=exact_up)
+        rng = np.random.default_rng(n_states * 100 + n_levels)
+        rules = [default_initial_rule(model), policy_iteration(model).rule]
+        rules += [rng.integers(model.n_actions) for _ in range(12)]
+        if n_states == 2 and n_levels == 3 and exact_up:
+            rules.append(_two_loop_rule(model))
+        for rule in rules:
+            classes = recurrent_class_count(model, rule)
+            assert mdp_module._recurrent_class_count(model, rule) == classes
+            if classes == 1:
+                gain, bias = policy_evaluate(model, rule)
+                oracle_gain, oracle_bias = dense_evaluate(model, rule)
+                assert abs(gain - oracle_gain) <= 1e-12
+                assert np.max(np.abs(bias - oracle_bias)) <= 1e-10
+            else:
+                with pytest.raises(MultichainSuspectedError):
+                    policy_evaluate(model, rule)
+                with pytest.raises(MultichainSuspectedError):
+                    dense_evaluate(model, rule)
+
+
+def _two_loop_rule(model):
+    """Full-harvest rule of the three-level tiny model whose chain has a
+    level-1 loop and a level-2 loop."""
+    rule = np.zeros(model.n_states, dtype=int)
+    for s in range(model.n_states):
+        level, _ = model.space.level_channel(s)
+        want = 0 if level <= 1 else 1
+        for k, a in enumerate(model_actions(model, s)):
+            if a.target_level == want and a.ps_ratio == 1.0:
+                rule[s] = k
+                break
+    return rule
 
 
 class TestPolicyImprove:
@@ -347,7 +457,7 @@ class TestPolicyIteration:
         history = np.array(result.gain_history)
         assert np.all(np.diff(history) >= -1e-12)
         assert 0.0 <= result.gain <= 1.0
-        n_rules = int(np.prod([len(acts) for acts in model.actions]))
+        n_rules = int(np.prod(model.n_actions))
         assert result.iterations <= n_rules
 
     def test_iteration_cap_raises(self, channel2, hard_tiny_params):
@@ -359,7 +469,7 @@ class TestPolicyIteration:
         model = build_mdp(channel2, channel2, default_params, 3)
         rule = default_initial_rule(model)
         for s, k in enumerate(rule):
-            action = model.actions[s][int(k)]
+            action = model_actions(model, s)[int(k)]
             assert action.target_level == 0
             level, channel = model.space.level_channel(s)
             state = State(
@@ -373,33 +483,43 @@ class TestPolicyIteration:
             else:
                 assert action.ps_ratio == 1.0
 
+    def test_near_tie_cannot_cycle(self):
+        # Two rules whose evaluations differ only by rounding kept
+        # swapping actions here; the improvement tolerance stops that.
+        # Relative value iteration on the full chain puts the optimal gain
+        # in [0.34999999999997, 0.35000000000006].
+        params = SystemParams(0.35, 0.02, 1.0, 0.5, 1.5, 0.5)
+        channel = quantize_equiprobable_exponential(2)
+        model = build_mdp(channel, channel, params, 6)
+        result = policy_iteration(model, max_iterations=100)
+        assert result.gain == pytest.approx(0.35, abs=1e-12)
+        assert upper_bound(model, result) == result.gain
+
 
 class TestUpperBound:
     def test_all_fail_bound_is_zero(self, channel2):
         deaf = SystemParams(1.0, 10.0, 1.0, 0.5, 1.5, 10.0)
         model = build_mdp(channel2, channel2, deaf, 3)
         result = policy_iteration(model)
-        assert upper_bound(model, result, channel2) == 0.0
+        assert upper_bound(model, result) == 0.0
 
     def test_bound_dominates_heuristic(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
-        bound = upper_bound(model, result, channel2)
+        bound = upper_bound(model, result)
         heuristic = heuristic_average_success(channel2, channel2, hard_tiny_params)
         assert heuristic - 1e-9 <= bound <= 1.0
 
     def test_bound_equals_oracle_on_tiny_model(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
-        bound = upper_bound(model, result, channel2)
+        bound = upper_bound(model, result)
         assert abs(bound - oracle_gain_bruteforce(model)) <= 1e-9
 
     def test_simulate_check_passes_on_unichain(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
-        bound = upper_bound(
-            model, result, channel2, check="simulate", check_blocks=4000
-        )
+        bound = upper_bound(model, result, check="simulate", check_blocks=4000)
         assert bound == pytest.approx(result.gain)
 
     def test_structural_check_rejects_multichain(self, hand_model):
@@ -411,27 +531,45 @@ class TestUpperBound:
             gain=0.5, bias=np.zeros(4), rule=rule, iterations=1, gain_history=(0.5,)
         )
         with pytest.raises(MultichainSuspectedError):
-            upper_bound(model, fake, model.space.channel)
+            upper_bound(model, fake)
 
     def test_unknown_check_mode_rejected(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
         with pytest.raises(ValueError):
-            upper_bound(model, result, channel2, check="vibes")
+            upper_bound(model, result, check="vibes")
 
     def test_mismatched_channel_rejected(self, channel2, hard_tiny_params):
+        # a result solved over another source-relay alphabet does not fit
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        result = policy_iteration(model)
         other = quantize_equiprobable_exponential(3)
+        other_model = build_mdp(other, channel2, hard_tiny_params, 3)
         with pytest.raises(ValueError):
-            upper_bound(model, result, other)
+            upper_bound(model, policy_iteration(other_model))
 
     def test_nested_grids_tighten_the_bound(self, channel2, hard_tiny_params):
         coarse = build_mdp(channel2, channel2, hard_tiny_params, 3)
         fine = build_mdp(channel2, channel2, hard_tiny_params, 5)
-        bound_coarse = upper_bound(coarse, policy_iteration(coarse), channel2)
-        bound_fine = upper_bound(fine, policy_iteration(fine), channel2)
+        bound_coarse = upper_bound(coarse, policy_iteration(coarse))
+        bound_fine = upper_bound(fine, policy_iteration(fine))
         assert bound_fine <= bound_coarse + 1e-9
+
+    def test_large_nested_grids_tighten_the_bound(self, default_params, channel200):
+        bounds = []
+        for n_levels in (5, 9, 17, 33, 129):
+            model = build_mdp(channel200, channel200, default_params, n_levels)
+            bounds.append(upper_bound(model, policy_iteration(model)))
+        assert np.all(np.diff(bounds) <= 1e-12)
+        assert bounds == pytest.approx(
+            [0.98167, 0.98027, 0.97685, 0.97290, 0.96440], abs=1e-5
+        )
+
+    def test_fine_channel_alphabet_solves(self, default_params):
+        channel = quantize_equiprobable_exponential(5000)
+        model = build_mdp(channel, channel, default_params, 9)
+        bound = upper_bound(model, policy_iteration(model))
+        heuristic = heuristic_average_success(channel, channel, default_params)
+        assert heuristic - 1e-9 <= bound <= 1.0
 
     def test_bound_dominates_arbitrary_original_policy(
         self, channel2, hard_tiny_params
@@ -441,7 +579,7 @@ class TestUpperBound:
         from swipt_relay import Action, SimulationConfig, simulate_original
 
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        bound = upper_bound(model, policy_iteration(model), channel2)
+        bound = upper_bound(model, policy_iteration(model))
 
         def half_drain(energy, gain):
             cap = max_ps_ratio(gain, hard_tiny_params)
