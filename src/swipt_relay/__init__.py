@@ -47,14 +47,11 @@ from .relay import (
     SystemParams,
     classify_state,
     delivery_success_prob,
-    destination_snr,
     energy_after_harvest,
-    energy_after_transmit,
     heuristic_average_success,
     heuristic_rule,
     make_heuristic_policy,
     max_ps_ratio,
-    relay_snr,
     success_prob,
 )
 from .simulate import (

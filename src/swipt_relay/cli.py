@@ -10,6 +10,8 @@ import argparse
 import sys
 
 from .experiment import (
+    CONFIG_PARSERS,
+    SWEEP_AXES,
     ExperimentConfig,
     parse_config,
     report_gains,
@@ -25,21 +27,30 @@ __all__ = ["main"]
 _DEFAULTS = ExperimentConfig()
 
 _PHYSICS_FLAGS = (
-    ("source_power", float, "source transmit power in mW"),
-    ("noise_power", float, "noise power in mW"),
-    ("block_duration", float, "block duration in ms"),
-    ("conversion_efficiency", float, "harvester conversion efficiency in (0,1)"),
-    ("rate", float, "information rate in bits/s/Hz"),
-    ("battery_capacity", float, "relay battery capacity in uJ"),
+    ("source_power", "source transmit power in mW"),
+    ("noise_power", "noise power in mW"),
+    ("block_duration", "block duration in ms"),
+    ("conversion_efficiency", "harvester conversion efficiency in (0,1)"),
+    ("rate", "information rate in bits/s/Hz"),
+    ("battery_capacity", "relay battery capacity in uJ"),
 )
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+def _config_flag(
+    parser: argparse.ArgumentParser, name: str, help_text: str, flag: str = "", **kwargs
+) -> None:
+    """Flag overriding the config key `name`, parsed as a config file
+    value is parsed; it defaults to --name with dashes."""
+    default = getattr(_DEFAULTS, name)
+    if isinstance(default, tuple):
+        default = ",".join(format(v, "g") for v in default)
+    parser.add_argument(
+        flag or "--" + name.replace("_", "-"),
+        dest=name,
+        type=CONFIG_PARSERS[name],
+        help=f"{help_text} (default: {default})",
+        **kwargs,
+    )
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -49,26 +60,10 @@ def _common_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="key = value configuration file; flags override its values",
     )
-    for name, kind, help_text in _PHYSICS_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(
-            flag,
-            dest=name,
-            type=kind,
-            help=f"{help_text} (default: {getattr(_DEFAULTS, name)})",
-        )
-    parser.add_argument(
-        "--channel-states",
-        dest="n_channel_states",
-        type=int,
-        help=f"channel alphabet size (default: {_DEFAULTS.n_channel_states})",
-    )
-    parser.add_argument(
-        "--seed",
-        dest="seed",
-        type=int,
-        help=f"base random seed (default: {_DEFAULTS.seed})",
-    )
+    for name, help_text in _PHYSICS_FLAGS:
+        _config_flag(parser, name, help_text)
+    _config_flag(parser, "n_channel_states", "channel alphabet size", "--channel-states")
+    _config_flag(parser, "seed", "base random seed")
     return parser
 
 
@@ -102,25 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="print the finite-state upper bound per grid resolution",
     )
-    p_bound.add_argument(
-        "--levels",
-        dest="n_levels",
-        type=_int_list,
-        help=f"battery level counts, comma separated (default: "
-        f"{','.join(str(n) for n in _DEFAULTS.n_levels)})",
-    )
+    levels_help = "battery level counts, comma separated"
+    _config_flag(p_bound, "n_levels", levels_help, "--levels")
 
     p_sim = sub.add_parser(
         "simulate",
         parents=[common],
         help="Monte Carlo of the heuristic policy (CSV: seed,M,mean,stderr)",
     )
-    p_sim.add_argument(
-        "--blocks",
-        dest="blocks",
-        type=int,
-        help=f"number of simulated blocks (default: {_DEFAULTS.blocks})",
-    )
+    _config_flag(p_sim, "blocks", "number of simulated blocks")
     p_sim.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p_sweep = sub.add_parser(
@@ -128,50 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="run the full sweep and write the experiment CSV",
     )
-    p_sweep.add_argument(
-        "--sweep",
-        dest="sweep",
-        choices=("battery", "power"),
-        help=f"sweep axis (default: {_DEFAULTS.sweep})",
-    )
-    p_sweep.add_argument(
-        "--levels",
-        dest="n_levels",
-        type=_int_list,
-        help=f"battery level counts, comma separated (default: "
-        f"{','.join(str(n) for n in _DEFAULTS.n_levels)})",
-    )
-    p_sweep.add_argument(
-        "--blocks",
-        dest="blocks",
-        type=int,
-        help=f"simulated blocks per sweep point (default: {_DEFAULTS.blocks})",
-    )
-    p_sweep.add_argument(
-        "--battery-sweep",
-        dest="battery_sweep",
-        type=_float_list,
-        help="battery capacities in uJ, comma separated (default: "
-        + ",".join(format(v, "g") for v in _DEFAULTS.battery_sweep),
-    )
-    p_sweep.add_argument(
-        "--power-sweep",
-        dest="power_sweep",
-        type=_float_list,
-        help="source powers in mW, comma separated (default: "
-        + ",".join(format(v, "g") for v in _DEFAULTS.power_sweep),
-    )
-    p_sweep.add_argument(
-        "--workers",
-        dest="workers",
-        type=int,
-        help=f"parallel sweep workers (default: {_DEFAULTS.workers})",
-    )
-    p_sweep.add_argument(
-        "--out",
-        dest="out",
-        help=f"output CSV path (default: {_DEFAULTS.out})",
-    )
+    _config_flag(p_sweep, "sweep", "sweep axis", choices=tuple(SWEEP_AXES))
+    _config_flag(p_sweep, "n_levels", levels_help, "--levels")
+    _config_flag(p_sweep, "blocks", "simulated blocks per sweep point")
+    _config_flag(p_sweep, "battery_sweep", "battery capacities in uJ, comma separated")
+    _config_flag(p_sweep, "power_sweep", "source powers in mW, comma separated")
+    _config_flag(p_sweep, "workers", "parallel sweep workers")
+    _config_flag(p_sweep, "out", "output CSV path")
     return parser
 
 

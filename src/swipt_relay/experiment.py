@@ -8,7 +8,8 @@ Identical configuration and seed reproduce the CSV byte for byte.
 """
 
 import concurrent.futures
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, replace
 
 from .channel import FiniteChannel, quantize_equiprobable_exponential
 from .mdp import build_mdp, policy_iteration, upper_bound
@@ -16,6 +17,7 @@ from .relay import SystemParams, heuristic_average_success, make_heuristic_polic
 from .simulate import SimulationConfig, simulate_original
 
 __all__ = [
+    "CONFIG_PARSERS",
     "ExperimentConfig",
     "GainReport",
     "SWEEP_CSV_HEADER",
@@ -31,7 +33,11 @@ SWEEP_CSV_HEADER = (
     "p_heuristic_sim,p_heuristic_sim_stderr,p_upper_bound,status"
 )
 
-SWEEP_AXES = ("battery", "power")
+# sweep axis -> (its list of values, the SystemParams field they replace)
+SWEEP_AXES = {
+    "battery": ("battery_sweep", "battery_capacity"),
+    "power": ("power_sweep", "source_power"),
+}
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,10 @@ class ExperimentConfig:
 
     battery_capacity and source_power act as the scalar operating point;
     whichever of them is being swept is replaced point by point from the
-    corresponding sweep list.
+    corresponding sweep list. Construction validates every value before
+    any work starts: the physics by building SystemParams at the operating
+    point and at every value of both sweep lists, blocks and seed by
+    building SimulationConfig.
     """
 
     source_power: float = 1.0  # mW
@@ -60,60 +69,48 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_levels", tuple(self.n_levels))
-        object.__setattr__(self, "battery_sweep", tuple(self.battery_sweep))
-        object.__setattr__(self, "power_sweep", tuple(self.power_sweep))
-        for name in (
-            "source_power",
-            "noise_power",
-            "block_duration",
-            "conversion_efficiency",
-            "rate",
-            "battery_capacity",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.conversion_efficiency < 1.0:
-            raise ValueError("conversion_efficiency must lie in (0, 1)")
+        for name in ("n_levels", "battery_sweep", "power_sweep"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if self.sweep not in SWEEP_AXES:
+            raise ValueError(
+                f"sweep must be one of {tuple(SWEEP_AXES)}, got {self.sweep!r}"
+            )
         if self.n_channel_states < 1:
             raise ValueError("n_channel_states must be at least 1")
         if not self.n_levels or any(n < 2 for n in self.n_levels):
             raise ValueError("n_levels needs at least one entry, each >= 2")
-        if self.sweep not in SWEEP_AXES:
-            raise ValueError(f"sweep must be one of {SWEEP_AXES}, got {self.sweep!r}")
-        for name in ("battery_sweep", "power_sweep"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"{name} must not be empty")
-            if any(v <= 0.0 for v in values):
-                raise ValueError(f"{name} values must be positive")
-        if self.blocks < 1:
-            raise ValueError("blocks must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        SimulationConfig(self.blocks, self.seed)
+        params = self.system_params()
+        for values_name, field_name in SWEEP_AXES.values():
+            values = getattr(self, values_name)
+            if not values:
+                raise ValueError(f"{values_name} must not be empty")
+            for value in values:
+                try:
+                    replace(params, **{field_name: value})
+                except ValueError as exc:
+                    raise ValueError(f"{values_name}: {exc}") from None
 
     @property
     def sweep_values(self) -> tuple[float, ...]:
-        return self.battery_sweep if self.sweep == "battery" else self.power_sweep
+        return getattr(self, SWEEP_AXES[self.sweep][0])
 
     def system_params(self, sweep_value: float | None = None) -> SystemParams:
         """SystemParams at the scalar operating point, or at one sweep
         point when sweep_value is given."""
-        battery = self.battery_capacity
-        power = self.source_power
-        if sweep_value is not None:
-            if self.sweep == "battery":
-                battery = sweep_value
-            else:
-                power = sweep_value
-        return SystemParams(
-            source_power=power,
+        params = SystemParams(
+            source_power=self.source_power,
             noise_power=self.noise_power,
             block_duration=self.block_duration,
             conversion_efficiency=self.conversion_efficiency,
             rate=self.rate,
-            battery_capacity=battery,
+            battery_capacity=self.battery_capacity,
         )
+        if sweep_value is None:
+            return params
+        return replace(params, **{SWEEP_AXES[self.sweep][1]: sweep_value})
 
     def channels(self) -> tuple[FiniteChannel, FiniteChannel]:
         """Source-relay and relay-destination alphabets (both default to
@@ -326,43 +323,22 @@ def report_gains(rows: list[SweepRow]) -> GainReport:
     return GainReport(tuple(bound_gains), tuple(gaps))
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
+def _field_parser(kind):
+    """Text parser of one config field type: the type itself for a
+    scalar, comma-separated items for tuple[item, ...]."""
+    if typing.get_origin(kind) is not tuple:
+        return kind
+    item = typing.get_args(kind)[0]
+
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(",") if part.strip())
+
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in errors
+    return parse
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-_CONFIG_PARSERS = {
-    "source_power": _parse_float,
-    "noise_power": _parse_float,
-    "block_duration": _parse_float,
-    "conversion_efficiency": _parse_float,
-    "rate": _parse_float,
-    "battery_capacity": _parse_float,
-    "n_channel_states": _parse_int,
-    "n_levels": _parse_int_list,
-    "sweep": _parse_str,
-    "battery_sweep": _parse_float_list,
-    "power_sweep": _parse_float_list,
-    "blocks": _parse_int,
-    "seed": _parse_int,
-    "out": _parse_str,
-    "workers": _parse_int,
-}
+# One parser per ExperimentConfig key, shared by config files and CLI flags.
+CONFIG_PARSERS = {f.name: _field_parser(f.type) for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -385,16 +361,16 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
                         f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}"
                     )
                 key, text = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_PARSERS:
+                if key not in CONFIG_PARSERS:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_PARSERS[key](text)
+                    values[key] = CONFIG_PARSERS[key](text)
                 except ValueError as exc:
                     raise ValueError(
                         f"{path}:{lineno}: could not parse {key} = {text!r}"
                     ) from exc
     if overrides:
-        unknown = set(overrides) - set(_CONFIG_PARSERS)
+        unknown = set(overrides) - set(CONFIG_PARSERS)
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         values.update(overrides)

@@ -272,8 +272,6 @@ def build_mdp(
     present. Rewards use the true transmit energy and the arithmetic of
     relay.success_prob; the top-up happens only after the block.
     """
-    if n_levels < 2:
-        raise ValueError(f"n_levels must be at least 2, got {n_levels}")
     grid = BatteryGrid(n_levels, params.battery_capacity)
     levels = grid.levels
     gains = h_channel.gains
@@ -409,21 +407,17 @@ def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarra
 
 
 def policy_improve(
-    model: MdpModel,
-    gain: float,
-    bias: np.ndarray,
-    incumbent: np.ndarray | None = None,
+    model: MdpModel, bias: np.ndarray, incumbent: np.ndarray | None = None
 ) -> np.ndarray:
     """One improvement sweep over every state's actions.
 
     Per state, picks the action maximizing immediate reward plus the
-    expected bias of the successor block (the gain shifts every candidate
-    equally, so it cannot affect the argmax). The incumbent action is
+    expected bias of the successor block (the gain would shift every
+    candidate equally, so it is not needed). The incumbent action is
     kept unless the best candidate beats it by more than a fixed
     tolerance of 1e-13, the anti-cycling rule; without an incumbent, ties
     go to the smallest action index.
     """
-    del gain
     level_bias = _expected_bias_by_level(model, np.asarray(bias, dtype=float))
     values = model.rewards + level_bias[model.posts]
     rule = np.argmax(values, axis=1)  # first maximum = smallest index
@@ -468,7 +462,7 @@ def policy_iteration(
     for iteration in range(1, max_iterations + 1):
         gain, bias = policy_evaluate(model, rule)
         gains.append(gain)
-        improved = policy_improve(model, gain, bias, incumbent=rule)
+        improved = policy_improve(model, bias, incumbent=rule)
         if np.array_equal(improved, rule):
             return PolicyIterationResult(
                 gain=gain,

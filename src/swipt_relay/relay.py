@@ -22,14 +22,11 @@ __all__ = [
     "SystemParams",
     "classify_state",
     "delivery_success_prob",
-    "destination_snr",
     "energy_after_harvest",
-    "energy_after_transmit",
     "heuristic_average_success",
     "heuristic_rule",
     "make_heuristic_policy",
     "max_ps_ratio",
-    "relay_snr",
     "success_prob",
 ]
 
@@ -123,41 +120,16 @@ class StateClass(enum.Enum):
     CAN_SUCCEED = "can_succeed"
 
 
-def relay_snr(gain: float, ps_ratio: float, params: SystemParams) -> float:
-    """SNR at the relay's decoder for the source transmission.
-
-    The decoder sees the (1 - lam) share of the signal against antenna
-    plus conversion noise: (1 - lam) h Ps / ((2 - lam) sigma^2). It is
-    evaluated as (1 - 1 / (2 - lam)) times the lam-free factor, so that
-    every rounded step is monotone in lam and the result never increases
-    with the ratio.
-    """
-    if not 0.0 <= ps_ratio <= 1.0:
-        raise ValueError(f"ps_ratio must lie in [0, 1], got {ps_ratio}")
-    if gain < 0.0:
-        raise ValueError(f"gain must be non-negative, got {gain}")
-    return (1.0 - 1.0 / (2.0 - ps_ratio)) * (
-        gain * params.source_power / params.noise_power
-    )
-
-
-def destination_snr(gain: float, transmit_energy: float, params: SystemParams) -> float:
-    """SNR at the destination for the relay transmission: u g / (T sigma^2)."""
-    if gain < 0.0:
-        raise ValueError(f"gain must be non-negative, got {gain}")
-    if transmit_energy < 0.0:
-        raise ValueError(
-            f"transmit_energy must be non-negative, got {transmit_energy}"
-        )
-    return transmit_energy * gain / (params.block_duration * params.noise_power)
-
-
 def max_ps_ratio(gain: float, params: SystemParams) -> float | None:
     """Largest power-splitting ratio that still lets the relay decode.
 
-    Returns (h Ps - 2 sigma^2 g_t) / (h Ps - sigma^2 g_t), which lies in
-    [0, 1), or None when no ratio in [0, 1] gives the decoder enough SNR
-    (h Ps < 2 sigma^2 g_t with g_t the threshold SNR).
+    The relay's decoder sees the (1 - lam) share of the source signal
+    against antenna plus conversion noise, an SNR of
+    (1 - lam) h Ps / ((2 - lam) sigma^2). It reaches the threshold SNR g_t
+    for every lam up to (h Ps - 2 sigma^2 g_t) / (h Ps - sigma^2 g_t),
+    which is returned and lies in [0, 1); None when no ratio in [0, 1]
+    gives the decoder enough SNR (h Ps < 2 sigma^2 g_t). Every code path
+    decides decodability as ps_ratio <= max_ps_ratio(gain).
     """
     received = gain * params.source_power
     noise_margin = params.noise_power * params.threshold_snr
@@ -189,24 +161,6 @@ def energy_after_harvest(
         * params.block_duration
     )
     return min(energy + harvested, params.battery_capacity)
-
-
-def energy_after_transmit(
-    energy: float, gain: float, action: Action, params: SystemParams
-) -> float:
-    """Battery level at the block end, after the relay transmission.
-
-    The transmit energy must fit inside the mid-block level; spending
-    more than the battery holds raises InfeasibleActionError rather than
-    clamping, so infeasible policies cannot hide.
-    """
-    half = energy_after_harvest(energy, gain, action.ps_ratio, params)
-    if action.transmit_energy > half:
-        raise InfeasibleActionError(
-            f"transmit energy {action.transmit_energy} uJ exceeds the "
-            f"mid-block level {half} uJ"
-        )
-    return half - action.transmit_energy
 
 
 def delivery_success_prob(

@@ -48,6 +48,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.blocks < 1:
             raise ValueError(f"blocks must be at least 1, got {self.blocks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_energy < 0.0:
             raise ValueError(
                 f"initial_energy must be non-negative, got {self.initial_energy}"
@@ -70,23 +72,12 @@ class SimulationResult:
         return f"{self.seed},{self.blocks},{self.mean:.12g},{self.stderr:.12g}"
 
 
-def _cumulative(channel: FiniteChannel) -> np.ndarray:
-    return np.cumsum(channel.pmf)
-
-
-def sample_channel(channel: FiniteChannel, rng: np.random.Generator) -> int:
-    """One channel-state index drawn by inverse-cdf lookup on a uniform."""
-    cumulative = _cumulative(channel)
-    idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(idx, channel.count - 1)
-
-
-def _sample_indices(
+def sample_channel(
     channel: FiniteChannel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Vectorized inverse-cdf sampling (same law as sample_channel)."""
-    cumulative = _cumulative(channel)
-    idx = np.searchsorted(cumulative, rng.random(size), side="right")
+    """size i.i.d. channel-state indices, drawn by inverse-cdf lookup on
+    uniforms."""
+    idx = np.searchsorted(np.cumsum(channel.pmf), rng.random(size), side="right")
     return np.minimum(idx, channel.count - 1)
 
 
@@ -122,8 +113,8 @@ def simulate_original(
         )
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
-    h_gains = h_channel.gains[_sample_indices(h_channel, rng, blocks)]
-    g_gains = g_channel.gains[_sample_indices(g_channel, rng, blocks)]
+    h_gains = h_channel.gains[sample_channel(h_channel, rng, blocks)]
+    g_gains = g_channel.gains[sample_channel(g_channel, rng, blocks)]
     needed = params.delivery_threshold
     energy = float(config.initial_energy)
     trace = np.zeros(blocks, dtype=np.uint8) if keep_trace else None
@@ -183,7 +174,7 @@ def simulate_discrete(
     post_table = model.post_levels(rule).reshape(n_levels, n_channels)
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
-    h_idx = _sample_indices(model.space.channel, rng, blocks)
+    h_idx = sample_channel(model.space.channel, rng, blocks)
     if initial_channel is not None:
         if not 0 <= initial_channel < n_channels:
             raise ValueError(f"initial_channel {initial_channel} out of range")

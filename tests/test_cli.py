@@ -1,5 +1,6 @@
 import pytest
 
+import swipt_relay.experiment as experiment_module
 from swipt_relay import (
     SimulationConfig,
     heuristic_average_success,
@@ -181,8 +182,6 @@ class TestSweepCommand:
         assert out.read_bytes() == reference.read_bytes()
 
     def test_failed_rows_flip_exit_code(self, tmp_path, capsys, monkeypatch):
-        import swipt_relay.experiment as experiment_module
-
         def broken_build(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
@@ -202,3 +201,56 @@ class TestSweepCommand:
     def test_missing_config_file_exits_two(self, capsys):
         assert run_cli(["sweep", "--config", "/nonexistent/path.cfg"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags, file_text",
+        [
+            (
+                ["--levels", "3,4", "--battery-sweep", "2,4"],
+                "n_levels = 3,4\nbattery_sweep = 2,4\n",
+            ),
+            (
+                ["--sweep", "power", "--levels", "3", "--power-sweep", "0.5,1"],
+                "sweep = power\nn_levels = 3\npower_sweep = 0.5,1\n",
+            ),
+        ],
+    )
+    def test_flags_match_config_file(self, tmp_path, capsys, flags, file_text):
+        by_flags = tmp_path / "flags.csv"
+        by_file = tmp_path / "file.csv"
+        flag_args = ["--channel-states", "15", "--blocks", "1500", "--seed", "5"]
+        assert run_cli(["sweep", *flag_args, *flags, "--out", str(by_flags)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"n_channel_states = 15\nblocks = 1500\nseed = 5\nout = {by_file}\n"
+            + file_text,
+            encoding="utf-8",
+        )
+        assert run_cli(["sweep", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert by_flags.read_bytes() == by_file.read_bytes()
+
+    def test_negative_seed_exits_two_before_work(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(SWEEP_ARGS + ["--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+        assert not out.exists()
+
+    def test_nan_sweep_value_exits_two_before_work(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def no_simulation(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("simulate_original must not run")
+
+        monkeypatch.setattr(experiment_module, "simulate_original", no_simulation)
+        out = tmp_path / "sweep.csv"
+        args = SWEEP_ARGS + ["--battery-sweep", "2,nan", "--out", str(out)]
+        assert run_cli(args) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "battery_sweep" in err
+        assert not out.exists()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ class TestExperimentConfig:
             dict(blocks=0),
             dict(workers=0),
             dict(n_channel_states=0),
+            dict(source_power=float("nan")),
+            dict(rate=float("inf")),
+            dict(battery_sweep=(2.0, float("nan"))),
+            dict(power_sweep=(float("inf"),)),
+            dict(sweep="power", battery_sweep=(-1.0,)),
+            dict(seed=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -112,6 +120,18 @@ class TestParseConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration keys"):
             parse_config(None, {"volts": 3})
+
+    def test_every_key_parses_back_to_its_default(self, tmp_path):
+        defaults = ExperimentConfig()
+        lines = []
+        for field in fields(ExperimentConfig):
+            value = getattr(defaults, field.name)
+            text = ",".join(map(repr, value)) if isinstance(value, tuple) else value
+            lines.append(f"{field.name} = {text}\n")
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(lines), encoding="utf-8")
+        # repr tells 2 from 2.0, so each value also keeps its type
+        assert repr(parse_config(str(path))) == repr(defaults)
 
     def test_empty_sweep_axis_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -404,28 +404,26 @@ class TestPolicyImprove:
             [(0.7, 1)],
         ]
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = policy_improve(model, 0.0, np.zeros(4))
+        rule = policy_improve(model, np.zeros(4))
         assert rule.tolist() == [1, 0, 1, 0]
 
     def test_tie_prefers_smallest_index(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = policy_improve(model, 0.0, np.zeros(4))
+        rule = policy_improve(model, np.zeros(4))
         assert rule.tolist() == [0, 0, 0, 0]
 
     def test_tie_keeps_incumbent(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
         incumbent = np.array([1, 0, 1, 0])
-        rule = policy_improve(model, 0.0, np.zeros(4), incumbent=incumbent)
+        rule = policy_improve(model, np.zeros(4), incumbent=incumbent)
         assert rule.tolist() == incumbent.tolist()
 
     def test_optimal_rule_is_fixed_point(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
-        again = policy_improve(
-            model, result.gain, result.bias, incumbent=result.rule
-        )
+        again = policy_improve(model, result.bias, incumbent=result.rule)
         assert np.array_equal(again, result.rule)
 
 

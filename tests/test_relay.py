@@ -12,24 +12,12 @@ from swipt_relay import (
     channel_from_table,
     classify_state,
     delivery_success_prob,
-    destination_snr,
     energy_after_harvest,
-    energy_after_transmit,
     heuristic_average_success,
     heuristic_rule,
     max_ps_ratio,
     quantize_equiprobable_exponential,
-    relay_snr,
     success_prob,
-)
-
-UNIT_NOISE = SystemParams(
-    source_power=2.0,
-    noise_power=1.0,
-    block_duration=1.0,
-    conversion_efficiency=0.5,
-    rate=1.5,
-    battery_capacity=10.0,
 )
 
 # All-fail scenario: noise so large that no gain in a unit-mean alphabet
@@ -80,39 +68,33 @@ class TestSystemParams:
 
 
 class TestSnrs:
+    """The two decode decisions through the SNR each compares with the
+    threshold: the relay's by max_ps_ratio, the destination's in product
+    form by delivery_success_prob."""
+
     def test_full_split_kills_relay_snr(self, default_params):
-        assert relay_snr(1.0, 1.0, default_params) == 0.0
+        # full battery, strong gain, delivery certain: ratio 1 still fails
+        capacity = default_params.battery_capacity
+        state = State(capacity, 50.0)
+        action = Action(1.0, capacity)
+        assert success_prob(state, action, two_point_channel(), default_params) == 0.0
 
-    def test_relay_snr_substitution(self):
-        assert relay_snr(1.0, 0.0, UNIT_NOISE) == pytest.approx(1.0)
-        assert relay_snr(1.0, 0.5, UNIT_NOISE) == pytest.approx(2.0 / 3.0)
-
-    def test_relay_snr_domain_errors(self, default_params):
-        with pytest.raises(ValueError):
-            relay_snr(1.0, 1.2, default_params)
-        with pytest.raises(ValueError):
-            relay_snr(-1.0, 0.5, default_params)
-
-    def test_destination_snr_substitution(self):
-        assert destination_snr(1.0, 0.0, UNIT_NOISE) == 0.0
-        assert destination_snr(2.0, 3.0, UNIT_NOISE) == pytest.approx(6.0)
+    def test_relay_snr_substitution(self, default_params):
+        # (1 - lam) h Ps / ((2 - lam) sigma^2) meets the threshold at the cap
+        for h in (0.015, 0.1, 1.0, 50.0):
+            lam = max_ps_ratio(h, default_params)
+            snr = (1.0 - lam) * h * default_params.source_power / (
+                (2.0 - lam) * default_params.noise_power
+            )
+            assert snr == pytest.approx(default_params.threshold_snr, rel=1e-12)
 
     def test_destination_snr_inverts_at_threshold(self, default_params):
-        g_max = 6.0
-        u = (
-            default_params.block_duration
-            * default_params.noise_power
-            * default_params.threshold_snr
-            / g_max
-        )
-        snr = destination_snr(g_max, u, default_params)
-        assert snr == pytest.approx(default_params.threshold_snr, rel=1e-12)
-
-    def test_destination_snr_domain_errors(self, default_params):
-        with pytest.raises(ValueError):
-            destination_snr(-1.0, 1.0, default_params)
-        with pytest.raises(ValueError):
-            destination_snr(1.0, -1.0, default_params)
+        # u g = T sigma^2 g_t exactly (a power-of-two gain keeps u exact)
+        channel = channel_from_table([0.5, 4.0], [0.5, 0.5])
+        u = default_params.delivery_threshold / 4.0
+        assert delivery_success_prob(u, channel, default_params) == 0.5
+        below = float(np.nextafter(u, 0.0))
+        assert delivery_success_prob(below, channel, default_params) == 0.0
 
 
 class TestMaxPsRatio:
@@ -170,20 +152,13 @@ class TestBatteryEvolution:
         with pytest.raises(ValueError):
             energy_after_harvest(1.0, 1.0, 1.5, default_params)
 
-    def test_full_depletion_leaves_zero(self, default_params):
-        half = energy_after_harvest(1.0, 2.0, 1.0, default_params)
-        action = Action(1.0, half)
-        assert energy_after_transmit(1.0, 2.0, action, default_params) == 0.0
-
-    def test_no_transmission_keeps_harvest(self, default_params):
-        half = energy_after_harvest(1.0, 2.0, 0.7, default_params)
-        action = Action(0.7, 0.0)
-        assert energy_after_transmit(1.0, 2.0, action, default_params) == half
-
     def test_overspend_is_infeasible(self, default_params):
         half = energy_after_harvest(1.0, 2.0, 1.0, default_params)
         with pytest.raises(InfeasibleActionError):
-            energy_after_transmit(1.0, 2.0, Action(1.0, half * 1.01), default_params)
+            success_prob(
+                State(1.0, 2.0), Action(1.0, half * 1.01), two_point_channel(),
+                default_params,
+            )
 
 
 class TestDeliverySuccess:
@@ -317,9 +292,8 @@ class TestHeuristic:
             for energy in (0.0, 3.3, 10.0):
                 state = State(energy, h)
                 action = heuristic_rule(state, channel2, default_params)
-                assert (
-                    energy_after_transmit(energy, h, action, default_params) == 0.0
-                )
+                half = energy_after_harvest(energy, h, action.ps_ratio, default_params)
+                assert half - action.transmit_energy == 0.0
 
     def test_rule_harvests_fully_when_hopeless(self, default_params, channel2):
         h = 0.001  # cannot decode
@@ -358,13 +332,19 @@ energies = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_subno
 
 
 class TestProperties:
-    @given(gain=gains, lo=ratios, hi=ratios)
+    @given(energy=energies, gain=gains, lo=ratios, hi=ratios, frac=ratios)
     @settings(max_examples=200, deadline=None)
-    def test_relay_snr_non_increasing_in_split(self, default_params, gain, lo, hi):
+    def test_relay_snr_non_increasing_in_split(
+        self, default_params, energy, gain, lo, hi, frac
+    ):
+        # a smaller split never decodes worse at the same transmit energy
         lo, hi = sorted((lo, hi))
-        assert relay_snr(gain, lo, default_params) >= relay_snr(
-            gain, hi, default_params
-        )
+        u = frac * energy_after_harvest(energy, gain, lo, default_params)
+        state = State(energy, gain)
+        channel = two_point_channel()
+        assert success_prob(
+            state, Action(lo, u), channel, default_params
+        ) >= success_prob(state, Action(hi, u), channel, default_params)
 
     @given(
         u_lo=st.floats(min_value=0.0, max_value=5.0),
@@ -393,7 +373,7 @@ class TestProperties:
         action = Action(ratio, frac * half)
         channel = two_point_channel()
         reward = success_prob(State(energy, gain), action, channel, default_params)
-        residual = energy_after_transmit(energy, gain, action, default_params)
+        residual = half - action.transmit_energy
         assert 0.0 <= reward <= 1.0
         assert 0.0 <= residual <= default_params.battery_capacity
 

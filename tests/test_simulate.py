@@ -25,13 +25,13 @@ class TestSampleChannel:
     def test_single_state_always_zero(self):
         channel = channel_from_table([1.0], [1.0])
         rng = np.random.default_rng(0)
-        assert all(sample_channel(channel, rng) == 0 for _ in range(100))
+        assert not sample_channel(channel, rng, 100).any()
 
     def test_two_state_frequency_band(self):
         channel = channel_from_table([0.5, 1.5], [0.5, 0.5])
         rng = np.random.default_rng(314159)
         draws = 1_000_000
-        ones = sum(sample_channel(channel, rng) for _ in range(draws))
+        ones = int(sample_channel(channel, rng, draws).sum())
         assert abs(ones / draws - 0.5) <= 0.002  # binomial 3-sigma band
 
     def test_cumulative_table_reaches_one(self, channel200):
@@ -41,7 +41,7 @@ class TestSampleChannel:
         channel = channel_from_table([0.5, 1.5], [0.9, 0.1])
         rng = np.random.default_rng(7)
         draws = 200_000
-        ones = sum(sample_channel(channel, rng) for _ in range(draws))
+        ones = int(sample_channel(channel, rng, draws).sum())
         sigma = np.sqrt(0.1 * 0.9 / draws)
         assert abs(ones / draws - 0.1) <= 3.0 * sigma
 
@@ -54,6 +54,11 @@ class TestSimulationConfig:
     def test_rejects_negative_energy(self):
         with pytest.raises(ValueError):
             SimulationConfig(blocks=10, seed=1, initial_energy=-1.0)
+
+    def test_rejects_negative_seed(self):
+        # numpy's PCG64 takes only non-negative seeds
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationConfig(blocks=10, seed=-1)
 
 
 class TestSimulateOriginal:
