@@ -40,12 +40,10 @@ from .experiment import (
     run_sweep,
 )
 from .relay import (
-    Action,
     InfeasibleActionError,
-    State,
-    StateClass,
     SystemParams,
-    classify_state,
+    apply_action,
+    can_succeed,
     delivery_success_prob,
     energy_after_harvest,
     heuristic_average_success,
@@ -55,7 +53,6 @@ from .relay import (
     success_prob,
 )
 from .simulate import (
-    PolicyViolationError,
     SimulationConfig,
     SimulationResult,
     sample_channel,

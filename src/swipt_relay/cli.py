@@ -53,6 +53,14 @@ def _config_flag(
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line with exit code 2,
+    the way a bad configuration value is reported."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _common_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
@@ -69,7 +77,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swipt-relay",
         description=(
             "Average success probability of a battery-limited power-splitting "

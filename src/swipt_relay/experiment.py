@@ -159,7 +159,6 @@ def _sweep_point(config: ExperimentConfig, index: int) -> list[SweepRow]:
     value = config.sweep_values[index]
     h_channel, g_channel = config.channels()
     params = config.system_params(value)
-    rows: list[SweepRow] = []
     try:
         analytic = heuristic_average_success(h_channel, g_channel, params)
         sim = simulate_original(
@@ -169,53 +168,29 @@ def _sweep_point(config: ExperimentConfig, index: int) -> list[SweepRow]:
             params,
             SimulationConfig(blocks=config.blocks, seed=config.seed + index),
         )
-    except Exception as exc:  # noqa: BLE001 - the row records the failure
-        for n_levels in config.n_levels:
-            rows.append(
-                SweepRow(
-                    config.sweep,
-                    value,
-                    n_levels,
-                    float("nan"),
-                    float("nan"),
-                    float("nan"),
-                    float("nan"),
-                    "failed",
-                    error=str(exc),
-                )
-            )
-        return rows
+        heuristic, failure = (analytic, sim.mean, sim.stderr), None
+    except Exception as exc:  # noqa: BLE001 - the rows record the failure
+        heuristic, failure = (float("nan"),) * 3, exc
+    rows = []
     for n_levels in config.n_levels:
-        try:
-            model = build_mdp(h_channel, g_channel, params, n_levels)
-            result = policy_iteration(model)
-            bound = upper_bound(model, result)
-            rows.append(
-                SweepRow(
-                    config.sweep,
-                    value,
-                    n_levels,
-                    analytic,
-                    sim.mean,
-                    sim.stderr,
-                    bound,
-                    "ok",
-                )
+        bound, error = float("nan"), failure
+        if failure is None:
+            try:
+                model = build_mdp(h_channel, g_channel, params, n_levels)
+                bound = upper_bound(model, policy_iteration(model))
+            except Exception as exc:  # noqa: BLE001
+                error = exc
+        rows.append(
+            SweepRow(
+                config.sweep,
+                value,
+                n_levels,
+                *heuristic,
+                bound,
+                "ok" if error is None else "failed",
+                error=None if error is None else str(error),
             )
-        except Exception as exc:  # noqa: BLE001
-            rows.append(
-                SweepRow(
-                    config.sweep,
-                    value,
-                    n_levels,
-                    analytic,
-                    sim.mean,
-                    sim.stderr,
-                    float("nan"),
-                    "failed",
-                    error=str(exc),
-                )
-            )
+        )
     return rows
 
 

@@ -301,7 +301,7 @@ def build_mdp(
 
     half_full = mid_block(1.0)
     half_split = mid_block(cap)
-    # relay.classify_state decides whether the decodable branch exists
+    # relay.can_succeed decides whether the decodable branch exists
     split = (
         decodable
         & (half_split * g_channel.max_gain >= params.delivery_threshold)

@@ -6,21 +6,24 @@ harvester (ratio lam) and its decoder, then spends a chosen amount of
 battery energy to forward the message during the second half. Units are
 fixed to milliwatts, milliseconds and microjoules so the energy and SNR
 expressions need no conversion factors (mW x ms = uJ).
+
+A block is described by plain numbers: the battery energy and
+source-relay gain at its start, and the action, a power-splitting ratio
+and a transmit energy. A policy is any callable
+(energy, gain) -> (ps_ratio, transmit_energy).
 """
 
-import enum
+import functools
 import math
 from dataclasses import dataclass
 
 from .channel import FiniteChannel
 
 __all__ = [
-    "Action",
     "InfeasibleActionError",
-    "State",
-    "StateClass",
     "SystemParams",
-    "classify_state",
+    "apply_action",
+    "can_succeed",
     "delivery_success_prob",
     "energy_after_harvest",
     "heuristic_average_success",
@@ -82,44 +85,6 @@ class SystemParams:
         return self.block_duration * self.noise_power * self.threshold_snr
 
 
-@dataclass(frozen=True)
-class State:
-    """Battery energy (uJ) and current source-relay power gain at a block
-    start."""
-
-    energy: float
-    gain: float
-
-    def __post_init__(self) -> None:
-        if self.energy < 0.0:
-            raise ValueError(f"energy must be non-negative, got {self.energy}")
-        if self.gain < 0.0:
-            raise ValueError(f"gain must be non-negative, got {self.gain}")
-
-
-@dataclass(frozen=True)
-class Action:
-    """Power-splitting ratio and relay transmit energy (uJ) for one block."""
-
-    ps_ratio: float
-    transmit_energy: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ps_ratio <= 1.0:
-            raise ValueError(f"ps_ratio must lie in [0, 1], got {self.ps_ratio}")
-        if self.transmit_energy < 0.0:
-            raise ValueError(
-                f"transmit_energy must be non-negative, got {self.transmit_energy}"
-            )
-
-
-class StateClass(enum.Enum):
-    """Whether any feasible action can deliver the block end to end."""
-
-    ALWAYS_FAIL = "always_fail"
-    CAN_SUCCEED = "can_succeed"
-
-
 def max_ps_ratio(gain: float, params: SystemParams) -> float | None:
     """Largest power-splitting ratio that still lets the relay decode.
 
@@ -128,8 +93,9 @@ def max_ps_ratio(gain: float, params: SystemParams) -> float | None:
     (1 - lam) h Ps / ((2 - lam) sigma^2). It reaches the threshold SNR g_t
     for every lam up to (h Ps - 2 sigma^2 g_t) / (h Ps - sigma^2 g_t),
     which is returned and lies in [0, 1); None when no ratio in [0, 1]
-    gives the decoder enough SNR (h Ps < 2 sigma^2 g_t). Every code path
-    decides decodability as ps_ratio <= max_ps_ratio(gain).
+    gives the decoder enough SNR (h Ps < 2 sigma^2 g_t). apply_action
+    makes the decode decision, ps_ratio <= max_ps_ratio(gain), for every
+    scalar code path.
     """
     received = gain * params.source_power
     noise_margin = params.noise_power * params.threshold_snr
@@ -144,12 +110,15 @@ def energy_after_harvest(
     """Battery level mid-block, once harvesting has finished.
 
     min(eta Ps h lam T/2 + E, B): the harvested share of the source
-    signal tops up the battery, clamped at capacity.
+    signal tops up the battery, clamped at capacity. Rejects an energy
+    outside [0, B], a negative gain and a ratio outside [0, 1].
     """
     if not 0.0 <= energy <= params.battery_capacity:
         raise ValueError(
             f"energy must lie in [0, {params.battery_capacity}], got {energy}"
         )
+    if not gain >= 0.0:
+        raise ValueError(f"gain must be non-negative, got {gain}")
     if not 0.0 <= ps_ratio <= 1.0:
         raise ValueError(f"ps_ratio must lie in [0, 1], got {ps_ratio}")
     harvested = (
@@ -182,62 +151,89 @@ def delivery_success_prob(
     return float(g_channel.pmf[reaches].sum())
 
 
+def apply_action(
+    energy: float,
+    gain: float,
+    ps_ratio: float,
+    transmit_energy: float,
+    params: SystemParams,
+) -> tuple[bool, float]:
+    """Play one block's action: (relay decodes, residual battery energy).
+
+    The one place that validates a block and decides its feasibility and
+    the relay's decoding. Rejects a negative transmit energy here, and
+    through energy_after_harvest an energy outside [0, B], a negative
+    gain and a ratio outside [0, 1]; raises InfeasibleActionError when
+    the transmit energy exceeds the mid-block level. The relay decodes
+    when ps_ratio <= max_ps_ratio(gain).
+    """
+    if not transmit_energy >= 0.0:
+        raise ValueError(
+            f"transmit_energy must be non-negative, got {transmit_energy}"
+        )
+    half = energy_after_harvest(energy, gain, ps_ratio, params)
+    if transmit_energy > half:
+        raise InfeasibleActionError(
+            f"transmit energy {transmit_energy} uJ exceeds the "
+            f"mid-block level {half} uJ"
+        )
+    cap = max_ps_ratio(gain, params)
+    return cap is not None and ps_ratio <= cap, half - transmit_energy
+
+
 def success_prob(
-    state: State, action: Action, g_channel: FiniteChannel, params: SystemParams
+    energy: float,
+    gain: float,
+    ps_ratio: float,
+    transmit_energy: float,
+    g_channel: FiniteChannel,
+    params: SystemParams,
 ) -> float:
     """End-to-end success probability of one block.
 
-    The relay must decode (ps_ratio within the decodable range for the
-    current gain) and the destination must decode the forwarded message;
-    the action must be feasible for the state's battery level.
+    The action must be feasible at the block's battery energy, the relay
+    must decode at the chosen split, and the destination must decode the
+    forwarded message.
     """
-    half = energy_after_harvest(state.energy, state.gain, action.ps_ratio, params)
-    if action.transmit_energy > half:
-        raise InfeasibleActionError(
-            f"transmit energy {action.transmit_energy} uJ exceeds the "
-            f"mid-block level {half} uJ"
-        )
-    cap = max_ps_ratio(state.gain, params)
-    if cap is None or action.ps_ratio > cap:
+    decodes, _ = apply_action(energy, gain, ps_ratio, transmit_energy, params)
+    if not decodes:
         return 0.0
-    return delivery_success_prob(action.transmit_energy, g_channel, params)
+    return delivery_success_prob(transmit_energy, g_channel, params)
 
 
-def classify_state(
-    state: State, g_channel: FiniteChannel, params: SystemParams
-) -> StateClass:
-    """Tell whether the state admits an action with positive reward.
+def can_succeed(
+    energy: float, gain: float, g_channel: FiniteChannel, params: SystemParams
+) -> bool:
+    """Whether some feasible action has a positive reward in this state.
 
-    ALWAYS_FAIL when the relay cannot decode at any split, or when even
-    the largest feasible transmit energy (harvest at the maximum
-    decodable ratio, then drain) cannot reach the destination threshold
-    through the best relay-destination gain. Otherwise CAN_SUCCEED, and
-    draining at the maximum decodable ratio is one witness action.
+    False when the relay cannot decode at any split, or when even the
+    largest feasible transmit energy (harvest at the maximum decodable
+    ratio, then drain) cannot reach the destination threshold through the
+    best relay-destination gain. When True, draining at the maximum
+    decodable ratio is one witness action.
     """
-    cap = max_ps_ratio(state.gain, params)
+    cap = max_ps_ratio(gain, params)
     if cap is None:
-        return StateClass.ALWAYS_FAIL
-    half = energy_after_harvest(state.energy, state.gain, cap, params)
-    if half * g_channel.max_gain < params.delivery_threshold:
-        return StateClass.ALWAYS_FAIL
-    return StateClass.CAN_SUCCEED
+        return False
+    half = energy_after_harvest(energy, gain, cap, params)
+    return half * g_channel.max_gain >= params.delivery_threshold
 
 
 def heuristic_rule(
-    state: State, g_channel: FiniteChannel, params: SystemParams
-) -> Action:
-    """Battery-draining decision rule.
+    energy: float, gain: float, g_channel: FiniteChannel, params: SystemParams
+) -> tuple[float, float]:
+    """Battery-draining decision rule, as (ps_ratio, transmit_energy).
 
     Spend the whole mid-block level every block; harvest everything
     (ratio 1) when the block cannot succeed anyway, otherwise split at
     the largest still-decodable ratio. The residual battery energy is
     zero either way, which is what makes the long-run average tractable.
     """
-    if classify_state(state, g_channel, params) is StateClass.ALWAYS_FAIL:
-        ratio = 1.0
+    if can_succeed(energy, gain, g_channel, params):
+        ratio = max_ps_ratio(gain, params)
     else:
-        ratio = max_ps_ratio(state.gain, params)
-    return Action(ratio, energy_after_harvest(state.energy, state.gain, ratio, params))
+        ratio = 1.0
+    return ratio, energy_after_harvest(energy, gain, ratio, params)
 
 
 def heuristic_average_success(
@@ -251,17 +247,14 @@ def heuristic_average_success(
     """
     total = 0.0
     for gain, prob in zip(h_channel.gains, h_channel.pmf):
-        state = State(0.0, float(gain))
-        action = heuristic_rule(state, g_channel, params)
-        total += float(prob) * success_prob(state, action, g_channel, params)
+        gain = float(gain)
+        action = heuristic_rule(0.0, gain, g_channel, params)
+        total += float(prob) * success_prob(0.0, gain, *action, g_channel, params)
     return total
 
 
 def make_heuristic_policy(g_channel: FiniteChannel, params: SystemParams):
-    """Stationary policy callable (energy, gain) -> Action implementing
-    the battery-draining rule, for the block-level simulator."""
-
-    def policy(energy: float, gain: float) -> Action:
-        return heuristic_rule(State(energy, gain), g_channel, params)
-
-    return policy
+    """Stationary policy (energy, gain) -> (ps_ratio, transmit_energy)
+    implementing the battery-draining rule, for the block-level
+    simulator."""
+    return functools.partial(heuristic_rule, g_channel=g_channel, params=params)

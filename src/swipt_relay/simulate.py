@@ -14,11 +14,10 @@ import numpy as np
 
 from .channel import FiniteChannel
 from .mdp import MdpModel
-from .relay import SystemParams, energy_after_harvest, max_ps_ratio
+from .relay import SystemParams, apply_action
 
 __all__ = [
     "GENERATOR_NAME",
-    "PolicyViolationError",
     "RESULT_CSV_HEADER",
     "SimulationConfig",
     "SimulationResult",
@@ -31,10 +30,6 @@ __all__ = [
 GENERATOR_NAME = "pcg64"
 
 RESULT_CSV_HEADER = "seed,M,mean,stderr"
-
-
-class PolicyViolationError(RuntimeError):
-    """A policy returned an action its state cannot afford."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +45,10 @@ class SimulationConfig:
             raise ValueError(f"blocks must be at least 1, got {self.blocks}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.initial_energy < 0.0:
+        if not (math.isfinite(self.initial_energy) and self.initial_energy >= 0.0):
             raise ValueError(
-                f"initial_energy must be non-negative, got {self.initial_energy}"
+                f"initial_energy must be finite and non-negative, "
+                f"got {self.initial_energy}"
             )
 
 
@@ -100,11 +96,13 @@ def simulate_original(
 ) -> SimulationResult:
     """Block-by-block run of the continuous-energy system.
 
-    policy is a callable (energy, gain) -> Action. Every block draws the
-    two link gains independently, applies the policy (validating that the
-    transmit energy fits the mid-block battery level), scores a Bernoulli
-    success when the relay can decode at the chosen split and the
-    destination SNR reaches the threshold, and advances the battery.
+    policy is a callable (energy, gain) -> (ps_ratio, transmit_energy).
+    Every block draws the two link gains independently, plays the
+    policy's action through relay.apply_action (which validates it and
+    decides whether the relay decodes), scores a Bernoulli success when
+    the relay decodes and the destination SNR reaches the threshold, and
+    advances the battery. A rejected action raises its error with the
+    block and the state named.
     """
     if config.initial_energy > params.battery_capacity:
         raise ValueError(
@@ -121,24 +119,21 @@ def simulate_original(
     wins = 0
     for m in range(blocks):
         gain = float(h_gains[m])
-        action = policy(energy, gain)
-        half = energy_after_harvest(energy, gain, action.ps_ratio, params)
-        if action.transmit_energy > half:
-            raise PolicyViolationError(
-                f"block {m}: action (ps_ratio={action.ps_ratio}, "
-                f"u={action.transmit_energy}) infeasible in state "
-                f"(energy={energy}, gain={gain}): mid-block level {half}"
+        ps_ratio, transmit_energy = policy(energy, gain)
+        try:
+            decodes, residual = apply_action(
+                energy, gain, ps_ratio, transmit_energy, params
             )
-        cap = max_ps_ratio(gain, params)
-        success = (
-            cap is not None
-            and action.ps_ratio <= cap
-            and action.transmit_energy * float(g_gains[m]) >= needed
-        )
+        except ValueError as exc:
+            raise type(exc)(
+                f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
+                f"in state (energy={energy}, gain={gain}): {exc}"
+            ) from None
+        success = decodes and transmit_energy * float(g_gains[m]) >= needed
         wins += success
         if trace is not None:
             trace[m] = success
-        energy = half - action.transmit_energy
+        energy = residual
     mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace

@@ -17,11 +17,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from swipt_relay import (
-    Action,
     MultichainSuspectedError,
-    State,
-    StateClass,
-    classify_state,
+    can_succeed,
     energy_after_harvest,
     max_ps_ratio,
     round_up_level,
@@ -44,9 +41,8 @@ class ReducedAction(NamedTuple):
 def reference_actions(energy, gain, g_channel, params, grid, exact_up=True):
     """Reduced action list of one state, enumerated by a loop over the
     splitting branches and grid targets with the scalar relay functions."""
-    state = State(energy, gain)
     branches = [1.0]
-    if classify_state(state, g_channel, params) is StateClass.CAN_SUCCEED:
+    if can_succeed(energy, gain, g_channel, params):
         branches.append(max_ps_ratio(gain, params))
     actions = []
     seen = set()
@@ -59,7 +55,7 @@ def reference_actions(energy, gain, g_channel, params, grid, exact_up=True):
             seen.add((ratio, target))
             spend = float(half - grid.levels[target])
             post = round_up_level(float(grid.levels[target]), grid, exact_up)
-            reward = success_prob(state, Action(ratio, spend), g_channel, params)
+            reward = success_prob(energy, gain, ratio, spend, g_channel, params)
             actions.append(ReducedAction(ratio, spend, target, post, reward))
     return actions
 

@@ -13,14 +13,11 @@ import numpy as np
 import pytest
 
 from swipt_relay import (
-    Action,
     ExperimentConfig,
     SimulationConfig,
-    State,
-    StateClass,
     SystemParams,
     build_mdp,
-    classify_state,
+    can_succeed,
     default_initial_rule,
     energy_after_harvest,
     heuristic_average_success,
@@ -209,23 +206,18 @@ def test_a7_structural_invariants(channel200, default_params):
         ratio = float(rng.uniform(0.0, 1.0))
         half = energy_after_harvest(energy, gain, ratio, default_params)
         spend = float(rng.uniform(0.0, half))
-        action = Action(ratio, spend)
-        reward = success_prob(
-            State(energy, gain), action, channel200, default_params
-        )
+        reward = success_prob(energy, gain, ratio, spend, channel200, default_params)
         assert 0.0 <= reward <= 1.0
         residual = half - spend
         assert 0.0 <= residual <= default_params.battery_capacity
     model = build_mdp(channel200, channel200, default_params, 5)
     for s in range(model.n_states):
         level, channel_idx = model.space.level_channel(s)
-        state = State(
+        hopeless = not can_succeed(
             float(model.space.grid.levels[level]),
             float(channel200.gains[channel_idx]),
-        )
-        hopeless = (
-            classify_state(state, channel200, default_params)
-            is StateClass.ALWAYS_FAIL
+            channel200,
+            default_params,
         )
         for a in model_actions(model, s):
             assert 0.0 <= a.reward <= 1.0

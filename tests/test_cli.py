@@ -16,6 +16,17 @@ def run_cli(args):
     return main(args)
 
 
+def assert_one_line_usage_error(capsys, args):
+    """A command line argparse rejects exits 2 with one `error:` line."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
@@ -83,6 +94,10 @@ class TestBoundCommand:
         assert float(lines[1].split(",")[1]) == pytest.approx(
             0.9728992138156156, abs=1e-12
         )
+
+    def test_unparsable_flag_value_is_one_error_line(self, capsys):
+        err = assert_one_line_usage_error(capsys, ["bound", "--levels", "3,x"])
+        assert "--levels" in err and "'3,x'" in err
 
 
 class TestSimulateCommand:
@@ -237,6 +252,13 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seed" in err
         assert not out.exists()
+
+    def test_dash_value_is_one_error_line(self, capsys):
+        # argparse reads -inf as an option, not as the flag's value
+        err = assert_one_line_usage_error(
+            capsys, ["sweep", "--battery-capacity", "-inf"]
+        )
+        assert "--battery-capacity" in err
 
     def test_nan_sweep_value_exits_two_before_work(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
-    Action,
     BatteryGrid,
     MultichainSuspectedError,
     NonConvergenceError,
     PolicyIterationResult,
-    State,
-    StateClass,
     SystemParams,
     build_mdp,
+    can_succeed,
     channel_from_table,
-    classify_state,
     default_initial_rule,
     delivery_success_prob,
     energy_after_harvest,
@@ -107,8 +104,7 @@ class TestEnumerateActions:
     def test_hopeless_state_only_full_harvest_zero_reward(self, default_params, channel2):
         hopeless_gain = 0.001
         h_channel = channel_from_table([hopeless_gain, 1.0], [0.5, 0.5])
-        state = State(0.0, hopeless_gain)
-        assert classify_state(state, channel2, default_params) is StateClass.ALWAYS_FAIL
+        assert not can_succeed(0.0, hopeless_gain, channel2, default_params)
         model = build_mdp(h_channel, channel2, default_params, 3)
         actions = model_actions(model, model.space.flat_index(0, 0))
         assert all(a.ps_ratio == 1.0 for a in actions)
@@ -148,7 +144,6 @@ class TestEnumerateActions:
             level, channel = model.space.level_channel(s)
             level_energy = float(grid.levels[level])
             gain = float(channel2.gains[channel])
-            state = State(level_energy, gain)
             actions = model_actions(model, s)
             assert actions, "action list must never be empty"
             assert np.all(np.isneginf(model.rewards[s, len(actions) :]))
@@ -170,14 +165,14 @@ class TestEnumerateActions:
                     float(grid.levels[a.target_level]), grid
                 )
                 assert a.reward == success_prob(
-                    state,
-                    Action(a.ps_ratio, a.transmit_energy),
+                    level_energy,
+                    gain,
+                    a.ps_ratio,
+                    a.transmit_energy,
                     channel2,
                     default_params,
                 )
-            if classify_state(state, channel2, default_params) is (
-                StateClass.ALWAYS_FAIL
-            ):
+            if not can_succeed(level_energy, gain, channel2, default_params):
                 assert all(a.reward == 0.0 for a in actions)
 
     @pytest.mark.parametrize(
@@ -470,13 +465,9 @@ class TestPolicyIteration:
             action = model_actions(model, s)[int(k)]
             assert action.target_level == 0
             level, channel = model.space.level_channel(s)
-            state = State(
-                float(model.space.grid.levels[level]),
-                float(channel2.gains[channel]),
-            )
-            if classify_state(state, channel2, default_params) is (
-                StateClass.CAN_SUCCEED
-            ):
+            energy = float(model.space.grid.levels[level])
+            gain = float(channel2.gains[channel])
+            if can_succeed(energy, gain, channel2, default_params):
                 assert action.ps_ratio < 1.0
             else:
                 assert action.ps_ratio == 1.0
@@ -574,7 +565,7 @@ class TestUpperBound:
     ):
         # the bound must dominate any stationary policy simulated on the
         # original continuous-energy system, not just the draining rule
-        from swipt_relay import Action, SimulationConfig, simulate_original
+        from swipt_relay import SimulationConfig, simulate_original
 
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         bound = upper_bound(model, policy_iteration(model))
@@ -583,7 +574,7 @@ class TestUpperBound:
             cap = max_ps_ratio(gain, hard_tiny_params)
             ratio = 0.5 if cap is None else cap
             half = energy_after_harvest(energy, gain, ratio, hard_tiny_params)
-            return Action(ratio, 0.5 * half)
+            return ratio, 0.5 * half
 
         sim = simulate_original(
             half_drain,

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
-    Action,
     InfeasibleActionError,
-    State,
-    StateClass,
     SystemParams,
+    apply_action,
+    can_succeed,
     channel_from_table,
-    classify_state,
     delivery_success_prob,
     energy_after_harvest,
     heuristic_average_success,
@@ -75,9 +73,10 @@ class TestSnrs:
     def test_full_split_kills_relay_snr(self, default_params):
         # full battery, strong gain, delivery certain: ratio 1 still fails
         capacity = default_params.battery_capacity
-        state = State(capacity, 50.0)
-        action = Action(1.0, capacity)
-        assert success_prob(state, action, two_point_channel(), default_params) == 0.0
+        assert (
+            success_prob(capacity, 50.0, 1.0, capacity, two_point_channel(), default_params)
+            == 0.0
+        )
 
     def test_relay_snr_substitution(self, default_params):
         # (1 - lam) h Ps / ((2 - lam) sigma^2) meets the threshold at the cap
@@ -150,15 +149,14 @@ class TestBatteryEvolution:
         with pytest.raises(ValueError):
             energy_after_harvest(11.0, 1.0, 0.5, default_params)
         with pytest.raises(ValueError):
+            energy_after_harvest(1.0, -1.0, 0.5, default_params)
+        with pytest.raises(ValueError):
             energy_after_harvest(1.0, 1.0, 1.5, default_params)
 
     def test_overspend_is_infeasible(self, default_params):
         half = energy_after_harvest(1.0, 2.0, 1.0, default_params)
         with pytest.raises(InfeasibleActionError):
-            success_prob(
-                State(1.0, 2.0), Action(1.0, half * 1.01), two_point_channel(),
-                default_params,
-            )
+            success_prob(1.0, 2.0, 1.0, half * 1.01, two_point_channel(), default_params)
 
 
 class TestDeliverySuccess:
@@ -193,33 +191,70 @@ class TestDeliverySuccess:
 
 class TestReward:
     def test_overcap_split_yields_zero(self, default_params):
-        state = State(default_params.battery_capacity, 1.0)
+        capacity = default_params.battery_capacity
         cap = max_ps_ratio(1.0, default_params)
-        action = Action(min(cap * 1.5, 1.0), 0.1)
-        assert success_prob(state, action, two_point_channel(), default_params) == 0.0
+        ratio = min(cap * 1.5, 1.0)
+        assert (
+            success_prob(capacity, 1.0, ratio, 0.1, two_point_channel(), default_params)
+            == 0.0
+        )
 
     def test_undecodable_gain_yields_zero_for_all_feasible(self, default_params):
         h = default_params.noise_power * default_params.threshold_snr  # below 2x
-        state = State(5.0, h)
         for ratio in (0.0, 0.3, 1.0):
             half = energy_after_harvest(5.0, h, ratio, default_params)
             for u in (0.0, half / 2, half):
-                action = Action(ratio, u)
                 assert (
-                    success_prob(state, action, two_point_channel(), default_params)
+                    success_prob(5.0, h, ratio, u, two_point_channel(), default_params)
                     == 0.0
                 )
 
     def test_max_split_big_energy_wins_surely(self, default_params):
-        state = State(default_params.battery_capacity, 1.0)
+        capacity = default_params.battery_capacity
         cap = max_ps_ratio(1.0, default_params)
-        action = Action(cap, default_params.battery_capacity)  # threshold below min gain
-        assert success_prob(state, action, two_point_channel(), default_params) == 1.0
+        # threshold below min gain
+        assert (
+            success_prob(capacity, 1.0, cap, capacity, two_point_channel(), default_params)
+            == 1.0
+        )
 
     def test_infeasible_action_raises(self, default_params):
-        state = State(0.0, 1.0)
         with pytest.raises(InfeasibleActionError):
-            success_prob(state, Action(0.0, 5.0), two_point_channel(), default_params)
+            success_prob(0.0, 1.0, 0.0, 5.0, two_point_channel(), default_params)
+
+    @pytest.mark.parametrize(
+        "energy, gain, ratio, spend, message",
+        [
+            (-0.1, 1.0, 0.5, 0.0, "energy must lie in"),
+            (10.5, 1.0, 0.5, 0.0, "energy must lie in"),
+            (float("nan"), 1.0, 0.5, 0.0, "energy must lie in"),
+            (1.0, -1.0, 0.5, 0.0, "gain must be non-negative"),
+            (1.0, float("nan"), 0.5, 0.0, "gain must be non-negative"),
+            (1.0, 1.0, -0.1, 0.0, "ps_ratio must lie in"),
+            (1.0, 1.0, 1.5, 0.0, "ps_ratio must lie in"),
+            (1.0, 1.0, 0.5, -1.0, "transmit_energy must be non-negative"),
+            (1.0, 1.0, 0.5, float("nan"), "transmit_energy must be non-negative"),
+        ],
+    )
+    def test_rejects_bad_block(self, default_params, energy, gain, ratio, spend, message):
+        # every check on the numbers that describe a block
+        with pytest.raises(ValueError, match=message):
+            success_prob(energy, gain, ratio, spend, two_point_channel(), default_params)
+        with pytest.raises(ValueError, match=message):
+            apply_action(energy, gain, ratio, spend, default_params)
+
+    def test_apply_action_decides_decoding_and_residual(self, default_params):
+        cap = max_ps_ratio(1.0, default_params)
+        half = energy_after_harvest(2.0, 1.0, cap, default_params)
+        assert apply_action(2.0, 1.0, cap, 0.25 * half, default_params) == (
+            True,
+            half - 0.25 * half,
+        )
+        above = float(np.nextafter(cap, 1.0))
+        decodes, _ = apply_action(2.0, 1.0, above, 0.0, default_params)
+        assert decodes is False
+        # no split decodes at this gain, and ratio 0 harvests nothing
+        assert apply_action(2.0, 1e-6, 0.0, 0.0, default_params) == (False, 2.0)
 
 
 class TestClassification:
@@ -230,82 +265,66 @@ class TestClassification:
             * default_params.threshold_snr
             / default_params.source_power
         )
-        state = State(default_params.battery_capacity, h)
-        assert (
-            classify_state(state, two_point_channel(), default_params)
-            is StateClass.ALWAYS_FAIL
-        )
+        capacity = default_params.battery_capacity
+        assert can_succeed(capacity, h, two_point_channel(), default_params) is False
 
     def test_charged_strong_state_can_succeed(self, default_params):
-        state = State(default_params.battery_capacity, 5.0)
-        assert (
-            classify_state(state, two_point_channel(), default_params)
-            is StateClass.CAN_SUCCEED
-        )
+        capacity = default_params.battery_capacity
+        assert can_succeed(capacity, 5.0, two_point_channel(), default_params) is True
 
     def test_can_succeed_has_positive_reward_witness(self, default_params, channel2):
         for h in np.linspace(0.01, 3.0, 40):
             for energy in np.linspace(0.0, default_params.battery_capacity, 7):
-                state = State(float(energy), float(h))
-                if classify_state(state, channel2, default_params) is not (
-                    StateClass.CAN_SUCCEED
-                ):
+                energy, h = float(energy), float(h)
+                if not can_succeed(energy, h, channel2, default_params):
                     continue
-                cap = max_ps_ratio(state.gain, default_params)
-                drain = Action(
-                    cap, energy_after_harvest(state.energy, state.gain, cap, default_params)
-                )
-                assert success_prob(state, drain, channel2, default_params) > 0.0
+                cap = max_ps_ratio(h, default_params)
+                drain = energy_after_harvest(energy, h, cap, default_params)
+                assert success_prob(energy, h, cap, drain, channel2, default_params) > 0.0
 
     def test_classification_matches_best_candidate_reward(self, default_params, channel2):
-        # ALWAYS_FAIL iff both drain candidates (full harvest, max split) earn 0
+        # can_succeed iff one drain candidate (full harvest, max split) pays
         for h in np.linspace(0.005, 2.5, 60):
             for energy in np.linspace(0.0, default_params.battery_capacity, 9):
-                state = State(float(energy), float(h))
+                energy, h = float(energy), float(h)
                 candidates = [1.0]
-                cap = max_ps_ratio(state.gain, default_params)
+                cap = max_ps_ratio(h, default_params)
                 if cap is not None:
                     candidates.append(cap)
                 best = max(
                     success_prob(
-                        state,
-                        Action(
-                            r,
-                            energy_after_harvest(
-                                state.energy, state.gain, r, default_params
-                            ),
-                        ),
+                        energy,
+                        h,
+                        r,
+                        energy_after_harvest(energy, h, r, default_params),
                         channel2,
                         default_params,
                     )
                     for r in candidates
                 )
-                expected = (
-                    StateClass.ALWAYS_FAIL if best == 0.0 else StateClass.CAN_SUCCEED
-                )
-                assert classify_state(state, channel2, default_params) is expected
+                expected = best > 0.0
+                assert can_succeed(energy, h, channel2, default_params) is expected
 
 
 class TestHeuristic:
     def test_rule_always_drains(self, default_params, channel2):
         for h in (0.001, 0.1, 0.5, 2.0):
             for energy in (0.0, 3.3, 10.0):
-                state = State(energy, h)
-                action = heuristic_rule(state, channel2, default_params)
-                half = energy_after_harvest(energy, h, action.ps_ratio, default_params)
-                assert half - action.transmit_energy == 0.0
+                ratio, spend = heuristic_rule(energy, h, channel2, default_params)
+                half = energy_after_harvest(energy, h, ratio, default_params)
+                assert half - spend == 0.0
 
     def test_rule_harvests_fully_when_hopeless(self, default_params, channel2):
         h = 0.001  # cannot decode
-        action = heuristic_rule(State(2.0, h), channel2, default_params)
-        assert action.ps_ratio == 1.0
+        ratio, _ = heuristic_rule(2.0, h, channel2, default_params)
+        assert ratio == 1.0
 
     def test_rule_uses_max_split_otherwise(self, default_params, channel2):
         h = 1.0
-        action = heuristic_rule(State(2.0, h), channel2, default_params)
+        ratio, _ = heuristic_rule(2.0, h, channel2, default_params)
         received = h * default_params.source_power
         margin = default_params.noise_power * default_params.threshold_snr
-        assert action.ps_ratio == pytest.approx(
+        assert ratio == pytest.approx(
             (received - 2.0 * margin) / (received - margin)
         )
 
@@ -314,9 +333,8 @@ class TestHeuristic:
 
     def test_degenerate_single_state_average(self, default_params):
         single = channel_from_table([1.0], [1.0])
-        state = State(0.0, 1.0)
-        action = heuristic_rule(state, single, default_params)
-        expected = success_prob(state, action, single, default_params)
+        ratio, spend = heuristic_rule(0.0, 1.0, single, default_params)
+        expected = success_prob(0.0, 1.0, ratio, spend, single, default_params)
         assert heuristic_average_success(single, single, default_params) == expected
 
     def test_average_within_unit_interval(self, channel200, default_params):
@@ -340,11 +358,10 @@ class TestProperties:
         # a smaller split never decodes worse at the same transmit energy
         lo, hi = sorted((lo, hi))
         u = frac * energy_after_harvest(energy, gain, lo, default_params)
-        state = State(energy, gain)
         channel = two_point_channel()
         assert success_prob(
-            state, Action(lo, u), channel, default_params
-        ) >= success_prob(state, Action(hi, u), channel, default_params)
+            energy, gain, lo, u, channel, default_params
+        ) >= success_prob(energy, gain, hi, u, channel, default_params)
 
     @given(
         u_lo=st.floats(min_value=0.0, max_value=5.0),
@@ -370,10 +387,10 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_reward_and_residual_bounds(self, default_params, energy, gain, ratio, frac):
         half = energy_after_harvest(energy, gain, ratio, default_params)
-        action = Action(ratio, frac * half)
+        spend = frac * half
         channel = two_point_channel()
-        reward = success_prob(State(energy, gain), action, channel, default_params)
-        residual = half - action.transmit_energy
+        reward = success_prob(energy, gain, ratio, spend, channel, default_params)
+        residual = half - spend
         assert 0.0 <= reward <= 1.0
         assert 0.0 <= residual <= default_params.battery_capacity
 
@@ -388,9 +405,7 @@ class TestProperties:
         half = energy_after_harvest(energy, gain, cap, default_params)
         channel = two_point_channel()
         low = success_prob(
-            State(energy, gain), Action(cap, 0.5 * u_frac * half), channel, default_params
+            energy, gain, cap, 0.5 * u_frac * half, channel, default_params
         )
-        high = success_prob(
-            State(energy, gain), Action(cap, u_frac * half), channel, default_params
-        )
+        high = success_prob(energy, gain, cap, u_frac * half, channel, default_params)
         assert high >= low

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from swipt_relay import (
-    Action,
-    PolicyViolationError,
+    InfeasibleActionError,
     SimulationConfig,
     SimulationResult,
     build_mdp,
@@ -55,6 +54,12 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(blocks=10, seed=1, initial_energy=-1.0)
 
+    @pytest.mark.parametrize("energy", [float("nan"), float("inf")])
+    def test_rejects_non_finite_energy(self, energy):
+        # a NaN start would otherwise sort past every grid level
+        with pytest.raises(ValueError, match="initial_energy must be finite"):
+            SimulationConfig(blocks=10, seed=1, initial_energy=energy)
+
     def test_rejects_negative_seed(self):
         # numpy's PCG64 takes only non-negative seeds
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -63,7 +68,7 @@ class TestSimulationConfig:
 
 class TestSimulateOriginal:
     def test_silent_policy_never_succeeds(self, channel2, default_params):
-        policy = lambda energy, gain: Action(1.0, 0.0)  # noqa: E731
+        policy = lambda energy, gain: (1.0, 0.0)  # noqa: E731
         result = simulate_original(
             policy, channel2, channel2, default_params,
             SimulationConfig(blocks=2000, seed=5),
@@ -118,7 +123,7 @@ class TestSimulateOriginal:
 
         def greedy_saver(energy, gain):
             energies.append(energy)
-            return Action(1.0, 0.0)  # harvest everything, never transmit
+            return 1.0, 0.0  # harvest everything, never transmit
 
         simulate_original(
             greedy_saver, channel2, channel2, default_params,
@@ -130,12 +135,34 @@ class TestSimulateOriginal:
         assert trajectory[-1] == default_params.battery_capacity  # saturated
 
     def test_policy_violation_names_block_and_state(self, channel2, default_params):
-        policy = lambda energy, gain: Action(0.5, 1e9)  # noqa: E731
-        with pytest.raises(PolicyViolationError, match="block 0"):
+        policy = lambda energy, gain: (0.5, 1e9)  # noqa: E731
+        with pytest.raises(InfeasibleActionError, match="block 0") as info:
             simulate_original(
                 policy, channel2, channel2, default_params,
                 SimulationConfig(blocks=10, seed=1),
             )
+        assert "state (energy=0.0, gain=" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            ((-0.1, 0.0), "ps_ratio must lie in"),
+            ((1.5, 0.0), "ps_ratio must lie in"),
+            ((float("nan"), 0.0), "ps_ratio must lie in"),
+            ((1.0, -1.0), "transmit_energy must be non-negative"),
+            ((1.0, float("nan")), "transmit_energy must be non-negative"),
+        ],
+    )
+    def test_bad_action_names_block_and_state(
+        self, channel2, default_params, action, message
+    ):
+        with pytest.raises(ValueError, match=message) as info:
+            simulate_original(
+                lambda energy, gain: action, channel2, channel2, default_params,
+                SimulationConfig(blocks=10, seed=1),
+            )
+        assert str(info.value).startswith("block 0: ")
+        assert "state (energy=0.0, gain=" in str(info.value)
 
     def test_rejects_overfull_start(self, channel2, default_params):
         config = SimulationConfig(blocks=10, seed=1, initial_energy=11.0)
