@@ -16,14 +16,12 @@ from .channel import (
 )
 from .mdp import (
     BatteryGrid,
-    DiscreteStateSpace,
     MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
     PolicyIterationResult,
     build_mdp,
     default_initial_rule,
-    oracle_gain_bruteforce,
     policy_evaluate,
     policy_improve,
     policy_iteration,

@@ -16,7 +16,6 @@ work on the chain of the L battery levels rather than on all L x C
 (level, channel) states (Puterman, Markov Decision Processes, 1994, ch. 8).
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,18 +25,16 @@ import scipy.linalg
 import scipy.sparse.csgraph
 
 from .channel import FiniteChannel
-from .relay import SystemParams
+from .relay import SystemParams, _received_power
 
 __all__ = [
     "BatteryGrid",
-    "DiscreteStateSpace",
     "MdpModel",
     "MultichainSuspectedError",
     "NonConvergenceError",
     "PolicyIterationResult",
     "build_mdp",
     "default_initial_rule",
-    "oracle_gain_bruteforce",
     "policy_evaluate",
     "policy_improve",
     "policy_iteration",
@@ -110,51 +107,26 @@ def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> i
     return int(_round_up(energy, grid, exact_up))
 
 
-@dataclass(frozen=True)
-class DiscreteStateSpace:
-    """Battery levels crossed with the source-relay channel alphabet.
-
-    Flat indexing groups states by battery level, with the channel index
-    varying fastest: state (level j, channel i) sits at j * n_channels + i.
-    """
-
-    grid: BatteryGrid
-    channel: FiniteChannel
-
-    @property
-    def n_states(self) -> int:
-        return self.grid.n_levels * self.channel.count
-
-    def flat_index(self, level: int, channel: int) -> int:
-        if not 0 <= level < self.grid.n_levels:
-            raise ValueError(f"level index {level} out of range")
-        if not 0 <= channel < self.channel.count:
-            raise ValueError(f"channel index {channel} out of range")
-        return level * self.channel.count + channel
-
-    def level_channel(self, flat: int) -> tuple[int, int]:
-        if not 0 <= flat < self.n_states:
-            raise ValueError(f"flat index {flat} out of range")
-        return divmod(flat, self.channel.count)
-
-
 @dataclass(frozen=True, eq=False)
 class MdpModel:
     """Discrete decision problem: states, reduced actions and rewards as
     padded per-state arrays.
 
-    rewards[s, k] is the success probability of action k in flat state s
-    and posts[s, k] the battery level after the end-of-block top-up; the
-    next state is that level with a fresh channel draw, so transitions
-    depend on the action only through its post level. Only the first
-    n_actions[s] entries of a row are actions; the padding reads -inf in
-    rewards (and 0 in posts). In models from build_mdp the first
-    n_full[s] actions harvest everything and target levels 0, 1, ...;
-    the rest split at the largest decodable ratio and target levels
-    0, 1, ... again.
+    The states are the battery levels of grid crossed with the
+    source-relay channel alphabet h_channel; state (level j, channel i)
+    sits at flat index j * h_channel.count + i. rewards[s, k] is the
+    success probability of action k in flat state s and posts[s, k] the
+    battery level after the end-of-block top-up; the next state is that
+    level with a fresh channel draw, so transitions depend on the action
+    only through its post level. Only the first n_actions[s] entries of
+    a row are actions; the padding reads -inf in rewards (and 0 in
+    posts). In models from build_mdp the first n_full[s] actions harvest
+    everything and target levels 0, 1, ...; the rest split at the
+    largest decodable ratio and target levels 0, 1, ... again.
     """
 
-    space: DiscreteStateSpace
+    grid: BatteryGrid
+    h_channel: FiniteChannel
     g_channel: FiniteChannel
     params: SystemParams
     rewards: np.ndarray
@@ -168,7 +140,7 @@ class MdpModel:
         posts = np.array(self.posts, dtype=np.intp)
         n_actions = np.array(self.n_actions, dtype=np.intp)
         n_full = np.array(self.n_full, dtype=np.intp)
-        n = self.space.n_states
+        n = self.n_states
         if rewards.ndim != 2 or posts.shape != rewards.shape or len(rewards) != n:
             raise ValueError(
                 f"rewards and posts must both have shape ({n}, max actions), "
@@ -183,7 +155,7 @@ class MdpModel:
         if np.any(n_full < 0) or np.any(n_full > n_actions):
             raise ValueError("n_full must lie in [0, n_actions]")
         padding = np.arange(rewards.shape[1]) >= n_actions[:, None]
-        if np.any(((posts < 0) | (posts >= self.space.grid.n_levels)) & ~padding):
+        if np.any(((posts < 0) | (posts >= self.grid.n_levels)) & ~padding):
             raise ValueError("post levels must index the battery grid")
         rewards[padding] = -np.inf
         posts[padding] = 0
@@ -198,11 +170,7 @@ class MdpModel:
 
     @property
     def n_states(self) -> int:
-        return self.space.n_states
-
-    @property
-    def h_pmf(self) -> np.ndarray:
-        return self.space.channel.pmf
+        return self.grid.n_levels * self.h_channel.count
 
     def _check_rule(self, rule: np.ndarray) -> np.ndarray:
         rule = np.asarray(rule, dtype=np.intp)
@@ -277,7 +245,9 @@ def build_mdp(
     gains = h_channel.gains
     shape = (n_levels, h_channel.count)
 
-    # relay.max_ps_ratio per channel state
+    # relay.max_ps_ratio per channel state; the largest gain decides
+    # whether any received power overflows
+    _received_power(h_channel.max_gain, params)
     received = gains * params.source_power
     noise_margin = params.noise_power * params.threshold_snr
     decodable = received >= 2.0 * noise_margin
@@ -330,7 +300,8 @@ def build_mdp(
     rewards[actions] = _delivery_probs(rewards[actions], g_channel, params)
     n_states = n_levels * h_channel.count
     return MdpModel(
-        space=DiscreteStateSpace(grid, h_channel),
+        grid=grid,
+        h_channel=h_channel,
         g_channel=g_channel,
         params=params,
         rewards=rewards.reshape(n_states, -1),
@@ -341,38 +312,33 @@ def build_mdp(
     )
 
 
-def _expected_bias_by_level(model: MdpModel, bias: np.ndarray) -> np.ndarray:
-    """Channel-pmf average of the bias over each battery-level block."""
-    n_channels = model.space.channel.count
-    return bias.reshape(model.space.grid.n_levels, n_channels) @ model.h_pmf
-
-
 def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Channel-pmf averaged reward of each battery level under the rule,
     and the rule's level-to-level transition matrix."""
-    n_levels = model.space.grid.n_levels
+    n_levels = model.grid.n_levels
+    pmf = model.h_channel.pmf
     posts = model.post_levels(rule).reshape(n_levels, -1)
-    mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ model.h_pmf
+    mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ pmf
     edges = (np.arange(n_levels)[:, None] * n_levels + posts).ravel()
-    weights = np.broadcast_to(model.h_pmf, posts.shape).ravel()
+    weights = np.broadcast_to(pmf, posts.shape).ravel()
     transitions = np.bincount(edges, weights, minlength=n_levels * n_levels)
     return mean_reward, transitions.reshape(n_levels, n_levels)
 
 
 def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain and bias of a stationary rule.
+    """Gain and level values of a stationary rule.
 
     Solves the unichain average-reward evaluation equations of the
     battery-level chain,
 
         gain + W = mean_reward + level_transitions @ W,    W[0] = 0,
 
-    where W[j] is the pmf-weighted bias of level j up to a constant, then
-    recovers the per-state bias as reward - gain + W[post], shifted so
-    that bias[0] = 0, and checks the residual of the full per-state
-    equations. A numerically singular level system (condition estimate
-    beyond 1e12) raises MultichainSuspectedError, the signature of a
-    chain with more than one recurrent class.
+    where W[j] is the channel-pmf average of the bias over the states of
+    level j, relative to level 0; up to a constant, the bias of state
+    (j, i) is reward - gain + W[post]. A numerically singular level system
+    (condition estimate beyond 1e12) raises MultichainSuspectedError, the
+    signature of a chain with more than one recurrent class, as does a
+    residual of the level equations above 1e-9.
     """
     rule = model._check_rule(rule)
     mean_reward, transitions = _level_chain(model, rule)
@@ -390,41 +356,46 @@ def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarra
             f"evaluation system has reciprocal condition {rcond:.3e}; the "
             f"rule's chain is probably not unichain (rule head {rule[:8]})"
         )
-    level_bias = scipy.linalg.lu_solve((lu, piv), mean_reward)
-    gain = float(level_bias[0])
-    level_bias[0] = 0.0
-    rewards, posts = model.reward_vector(rule), model.post_levels(rule)
-    bias = rewards - gain + level_bias[posts]
-    bias -= bias[0]
-    successor_bias = _expected_bias_by_level(model, bias)[posts]
-    residual = float(np.max(np.abs(rewards + successor_bias - gain - bias)))
+    values = scipy.linalg.lu_solve((lu, piv), mean_reward)
+    gain = float(values[0])
+    values[0] = 0.0
+    residual = float(
+        np.max(np.abs(mean_reward + transitions @ values - gain - values))
+    )
     if residual > _RESIDUAL_TOL:
         raise MultichainSuspectedError(
             f"evaluation equations solved to residual {residual:.3e} "
             f"(tolerance {_RESIDUAL_TOL}); the linear system is unreliable"
         )
-    return gain, bias
+    return gain, values
 
 
 def policy_improve(
-    model: MdpModel, bias: np.ndarray, incumbent: np.ndarray | None = None
+    model: MdpModel, values: np.ndarray, incumbent: np.ndarray | None = None
 ) -> np.ndarray:
     """One improvement sweep over every state's actions.
 
     Per state, picks the action maximizing immediate reward plus the
-    expected bias of the successor block (the gain would shift every
+    level value W of its post-top-up level (the gain would shift every
     candidate equally, so it is not needed). The incumbent action is
     kept unless the best candidate beats it by more than a fixed
     tolerance of 1e-13, the anti-cycling rule; without an incumbent, ties
     go to the smallest action index.
     """
-    level_bias = _expected_bias_by_level(model, np.asarray(bias, dtype=float))
-    values = model.rewards + level_bias[model.posts]
-    rule = np.argmax(values, axis=1)  # first maximum = smallest index
+    values = np.asarray(values, dtype=float)
+    if values.shape != (model.grid.n_levels,):
+        raise ValueError(
+            f"need one value per battery level ({model.grid.n_levels}), "
+            f"got shape {values.shape}"
+        )
+    candidates = model.rewards + values[model.posts]
+    rule = np.argmax(candidates, axis=1)  # first maximum = smallest index
     if incumbent is not None:
         incumbent = model._check_rule(incumbent)
         states = np.arange(model.n_states)
-        better = values[states, rule] > values[states, incumbent] + _IMPROVE_TOL
+        better = (
+            candidates[states, rule] > candidates[states, incumbent] + _IMPROVE_TOL
+        )
         rule = np.where(better, rule, incumbent)
     return rule
 
@@ -438,7 +409,8 @@ def default_initial_rule(model: MdpModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolicyIterationResult:
-    """Converged gain, bias, rule and the per-iteration gain trace."""
+    """Converged gain, level values (bias, one per battery level, with
+    bias[0] = 0), rule and the per-iteration gain trace."""
 
     gain: float
     bias: np.ndarray
@@ -460,13 +432,13 @@ def policy_iteration(
         rule = model._check_rule(initial_rule)
     gains: list[float] = []
     for iteration in range(1, max_iterations + 1):
-        gain, bias = policy_evaluate(model, rule)
+        gain, values = policy_evaluate(model, rule)
         gains.append(gain)
-        improved = policy_improve(model, bias, incumbent=rule)
+        improved = policy_improve(model, values, incumbent=rule)
         if np.array_equal(improved, rule):
             return PolicyIterationResult(
                 gain=gain,
-                bias=bias,
+                bias=values,
                 rule=rule,
                 iterations=iteration,
                 gain_history=tuple(gains),
@@ -525,7 +497,7 @@ def upper_bound(
     elif check == "simulate":
         from .simulate import SimulationConfig, simulate_discrete
 
-        for i in range(model.space.channel.count):
+        for i in range(model.h_channel.count):
             config = SimulationConfig(
                 blocks=check_blocks, seed=check_seed + i, initial_energy=0.0
             )
@@ -539,47 +511,3 @@ def upper_bound(
     elif check != "none":
         raise ValueError(f"unknown check mode {check!r}")
     return float(result.gain)
-
-
-def oracle_gain_bruteforce(
-    model: MdpModel,
-    max_rules: int = 1_000_000,
-    tol: float = 1e-12,
-    max_doublings: int = 100,
-) -> float:
-    """Exhaustive maximum long-run average reward over every stationary
-    deterministic rule, for cross-checking policy iteration on tiny
-    models.
-
-    Each rule's battery-level chain is driven to its limiting occupancy
-    from the empty level (the channel is drawn from its pmf every block,
-    so the level chain carries the whole law) by repeatedly squaring the
-    half-lazy operator (I + transitions) / 2, which has the same limit as
-    the plain chain's time averages but converges geometrically even
-    through periodic structure; iteration stops once one more squaring
-    moves no entry by more than tol.
-    """
-    counts = [int(c) for c in model.n_actions]
-    n_rules = math.prod(counts)
-    if n_rules > max_rules:
-        raise ValueError(
-            f"{n_rules} stationary deterministic rules exceed the "
-            f"enumeration budget of {max_rules}"
-        )
-    identity = np.eye(model.space.grid.n_levels)
-    best = -np.inf
-    for combo in itertools.product(*(range(c) for c in counts)):
-        mean_reward, transitions = _level_chain(model, np.array(combo, dtype=np.intp))
-        lazy = 0.5 * (identity + transitions)
-        for _ in range(max_doublings):
-            squared = lazy @ lazy
-            done = np.max(np.abs(squared - lazy)) < tol
-            lazy = squared
-            if done:
-                break
-        else:
-            raise NonConvergenceError(
-                f"chain limit not reached within {max_doublings} doublings"
-            )
-        best = max(best, float(lazy[0] @ mean_reward))
-    return best

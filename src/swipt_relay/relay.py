@@ -15,7 +15,7 @@ and a transmit energy. A policy is any callable
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import FiniteChannel
 
@@ -45,6 +45,12 @@ class SystemParams:
     source_power in mW, noise_power in mW, block_duration in ms,
     conversion_efficiency in (0, 1), rate in bits/s/Hz, battery_capacity
     in uJ.
+
+    threshold_snr is the minimum SNR for successful decoding at the
+    configured rate, 4**rate - 1 (each hop only gets half of the block);
+    delivery_threshold is the product u * g (uJ x gain) the relay
+    transmission needs for the destination SNR to reach it. Both are
+    derived once, and a rate whose threshold overflows is rejected.
     """
 
     source_power: float
@@ -53,6 +59,8 @@ class SystemParams:
     conversion_efficiency: float
     rate: float
     battery_capacity: float
+    threshold_snr: float = field(init=False, repr=False)
+    delivery_threshold: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in (
@@ -71,18 +79,30 @@ class SystemParams:
                 f"conversion_efficiency must lie in (0, 1), "
                 f"got {self.conversion_efficiency}"
             )
+        try:
+            threshold_snr = 4.0**self.rate - 1.0
+        except OverflowError:
+            threshold_snr = math.inf
+        delivery_threshold = self.block_duration * self.noise_power * threshold_snr
+        if not math.isfinite(delivery_threshold):
+            raise ValueError(
+                f"rate {self.rate:g} makes the decoding threshold "
+                f"T * noise_power * (4**rate - 1) overflow"
+            )
+        object.__setattr__(self, "threshold_snr", threshold_snr)
+        object.__setattr__(self, "delivery_threshold", delivery_threshold)
 
-    @property
-    def threshold_snr(self) -> float:
-        """Minimum SNR for successful decoding at the configured rate,
-        4**rate - 1 (each hop only gets half of the block)."""
-        return 4.0**self.rate - 1.0
 
-    @property
-    def delivery_threshold(self) -> float:
-        """Product u * g (uJ x gain) the relay transmission needs for the
-        destination SNR to reach threshold_snr."""
-        return self.block_duration * self.noise_power * self.threshold_snr
+def _received_power(gain: float, params: SystemParams) -> float:
+    """gain * source_power, rejected when it overflows, so that every path
+    decides an unrepresentable received power the same way."""
+    received = gain * params.source_power
+    if not math.isfinite(received):
+        raise ValueError(
+            f"received power gain * source_power overflows "
+            f"({gain:g} * {params.source_power:g} mW)"
+        )
+    return received
 
 
 def max_ps_ratio(gain: float, params: SystemParams) -> float | None:
@@ -97,7 +117,7 @@ def max_ps_ratio(gain: float, params: SystemParams) -> float | None:
     makes the decode decision, ps_ratio <= max_ps_ratio(gain), for every
     scalar code path.
     """
-    received = gain * params.source_power
+    received = _received_power(gain, params)
     noise_margin = params.noise_power * params.threshold_snr
     if received < 2.0 * noise_margin:
         return None

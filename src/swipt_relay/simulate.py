@@ -156,7 +156,7 @@ def simulate_discrete(
     The start level is the highest grid level not above initial_energy;
     the first block's channel state may be pinned via initial_channel.
     """
-    grid = model.space.grid
+    grid = model.grid
     if config.initial_energy > grid.capacity:
         raise ValueError(
             f"initial_energy {config.initial_energy} exceeds the battery "
@@ -164,12 +164,12 @@ def simulate_discrete(
         )
     rule = model._check_rule(rule)
     n_levels = grid.n_levels
-    n_channels = model.space.channel.count
+    n_channels = model.h_channel.count
     reward_table = model.reward_vector(rule).reshape(n_levels, n_channels)
     post_table = model.post_levels(rule).reshape(n_levels, n_channels)
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
-    h_idx = sample_channel(model.space.channel, rng, blocks)
+    h_idx = sample_channel(model.h_channel, rng, blocks)
     if initial_channel is not None:
         if not 0 <= initial_channel < n_channels:
             raise ValueError(f"initial_channel {initial_channel} out of range")

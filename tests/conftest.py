@@ -3,7 +3,6 @@ import pytest
 
 from swipt_relay import (
     BatteryGrid,
-    DiscreteStateSpace,
     MdpModel,
     SystemParams,
     channel_from_table,
@@ -64,17 +63,17 @@ def hand_model():
     def build(pmf, n_levels, layout, capacity=1.0):
         gains = np.arange(1.0, len(pmf) + 1.0)
         channel = channel_from_table(gains, pmf)
-        space = DiscreteStateSpace(BatteryGrid(n_levels, capacity), channel)
-        assert len(layout) == space.n_states
+        assert len(layout) == n_levels * channel.count
         n_actions = np.array([len(state_actions) for state_actions in layout])
-        rewards = np.full((space.n_states, n_actions.max()), -np.inf)
+        rewards = np.full((len(layout), n_actions.max()), -np.inf)
         posts = np.zeros(rewards.shape, dtype=int)
         for s, state_actions in enumerate(layout):
             for k, (reward, post) in enumerate(state_actions):
                 rewards[s, k] = reward
                 posts[s, k] = post
         return MdpModel(
-            space=space,
+            grid=BatteryGrid(n_levels, capacity),
+            h_channel=channel,
             g_channel=channel,
             params=DEFAULT_PARAMS,
             rewards=rewards,

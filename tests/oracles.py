@@ -3,11 +3,14 @@
 The package builds every state's actions in one vectorised pass and solves
 policy evaluation and the recurrent-class check on the L-state battery-level
 chain. These references do the same work the direct way: the per-state
-action loop through the scalar relay functions, and the dense evaluation and
+action loop through the scalar relay functions, the dense evaluation and
 strongly-connected-component count on the full L*C-state
-(battery level, channel) chain.
+(battery level, channel) chain, and the best gain over every stationary
+deterministic rule by enumeration.
 """
 
+import itertools
+import math
 import warnings
 from typing import NamedTuple
 
@@ -18,12 +21,14 @@ import scipy.sparse.csgraph
 
 from swipt_relay import (
     MultichainSuspectedError,
+    NonConvergenceError,
     can_succeed,
     energy_after_harvest,
     max_ps_ratio,
     round_up_level,
     success_prob,
 )
+from swipt_relay.mdp import _level_chain
 
 
 class ReducedAction(NamedTuple):
@@ -64,10 +69,10 @@ def model_actions(model, state):
     """The actions the model stores for one flat state, decoded from its
     arrays: the first n_full harvest everything, the rest split at the
     largest decodable ratio, each branch targeting levels 0, 1, ..."""
-    grid = model.space.grid
-    level, channel = model.space.level_channel(state)
+    grid = model.grid
+    level, channel = divmod(state, model.h_channel.count)
     energy = float(grid.levels[level])
-    gain = float(model.space.channel.gains[channel])
+    gain = float(model.h_channel.gains[channel])
     n_full = int(model.n_full[state])
     actions = []
     for k in range(int(model.n_actions[state])):
@@ -91,10 +96,10 @@ def model_actions(model, state):
 def state_transition_matrix(model, rule):
     """Dense L*C transition matrix of a rule: row s carries the channel pmf
     in the block of columns of its post-top-up level."""
-    n_channels = model.space.channel.count
+    pmf = model.h_channel.pmf
     matrix = np.zeros((model.n_states, model.n_states))
     for s, post in enumerate(model.post_levels(rule)):
-        matrix[s, post * n_channels : (post + 1) * n_channels] = model.h_pmf
+        matrix[s, post * pmf.size : (post + 1) * pmf.size] = pmf
     return matrix
 
 
@@ -126,7 +131,7 @@ def recurrent_class_count(model, rule):
     """Recurrent classes of the rule's L*C chain: the sink components of
     its strongly-connected-component condensation."""
     n = model.n_states
-    n_channels = model.space.channel.count
+    n_channels = model.h_channel.count
     posts = model.post_levels(rule)
     rows = np.repeat(np.arange(n), n_channels)
     cols = (posts[:, None] * n_channels + np.arange(n_channels)).ravel()
@@ -140,3 +145,47 @@ def recurrent_class_count(model, rule):
     crossing = labels[rows] != labels[cols]
     has_exit[labels[rows[crossing]]] = True
     return int(n_comp - has_exit.sum())
+
+
+def oracle_gain_bruteforce(
+    model,
+    max_rules: int = 1_000_000,
+    tol: float = 1e-12,
+    max_doublings: int = 100,
+) -> float:
+    """Exhaustive maximum long-run average reward over every stationary
+    deterministic rule, for cross-checking policy iteration on tiny
+    models.
+
+    Each rule's battery-level chain is driven to its limiting occupancy
+    from the empty level (the channel is drawn from its pmf every block,
+    so the level chain carries the whole law) by repeatedly squaring the
+    half-lazy operator (I + transitions) / 2, which has the same limit as
+    the plain chain's time averages but converges geometrically even
+    through periodic structure; iteration stops once one more squaring
+    moves no entry by more than tol.
+    """
+    counts = [int(c) for c in model.n_actions]
+    n_rules = math.prod(counts)
+    if n_rules > max_rules:
+        raise ValueError(
+            f"{n_rules} stationary deterministic rules exceed the "
+            f"enumeration budget of {max_rules}"
+        )
+    identity = np.eye(model.grid.n_levels)
+    best = -np.inf
+    for combo in itertools.product(*(range(c) for c in counts)):
+        mean_reward, transitions = _level_chain(model, np.array(combo, dtype=np.intp))
+        lazy = 0.5 * (identity + transitions)
+        for _ in range(max_doublings):
+            squared = lazy @ lazy
+            done = np.max(np.abs(squared - lazy)) < tol
+            lazy = squared
+            if done:
+                break
+        else:
+            raise NonConvergenceError(
+                f"chain limit not reached within {max_doublings} doublings"
+            )
+        best = max(best, float(lazy[0] @ mean_reward))
+    return best

@@ -22,7 +22,6 @@ from swipt_relay import (
     energy_after_harvest,
     heuristic_average_success,
     make_heuristic_policy,
-    oracle_gain_bruteforce,
     policy_iteration,
     quantize_equiprobable_exponential,
     run_sweep,
@@ -32,7 +31,7 @@ from swipt_relay import (
     upper_bound,
 )
 from swipt_relay.cli import main as cli_main
-from oracles import model_actions, state_transition_matrix
+from oracles import model_actions, oracle_gain_bruteforce, state_transition_matrix
 
 POWER_GRID = (0.5, 1.0, 2.0)
 
@@ -212,9 +211,9 @@ def test_a7_structural_invariants(channel200, default_params):
         assert 0.0 <= residual <= default_params.battery_capacity
     model = build_mdp(channel200, channel200, default_params, 5)
     for s in range(model.n_states):
-        level, channel_idx = model.space.level_channel(s)
+        level, channel_idx = divmod(s, channel200.count)
         hopeless = not can_succeed(
-            float(model.space.grid.levels[level]),
+            float(model.grid.levels[level]),
             float(channel200.gains[channel_idx]),
             channel200,
             default_params,

@@ -1,5 +1,6 @@
 import pytest
 
+import swipt_relay.cli as cli_module
 import swipt_relay.experiment as experiment_module
 from swipt_relay import (
     SimulationConfig,
@@ -98,6 +99,17 @@ class TestBoundCommand:
     def test_unparsable_flag_value_is_one_error_line(self, capsys):
         err = assert_one_line_usage_error(capsys, ["bound", "--levels", "3,x"])
         assert "--levels" in err and "'3,x'" in err
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def huge_build(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(cli_module, "build_mdp", huge_build)
+        assert run_cli(["bound", "--levels", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: out of memory: Unable to allocate 298. GiB for an array\n"
+        )
 
 
 class TestSimulateCommand:
@@ -276,3 +288,40 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "battery_sweep" in err
         assert not out.exists()
+
+
+def assert_one_error_line(capsys, args, start):
+    """The command exits 2 with one `error:` line; returns its stdout."""
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+    return captured.out
+
+
+class TestOverflowingPhysics:
+    @pytest.mark.parametrize(
+        "command", ["channel", "heuristic", "bound", "simulate", "sweep"]
+    )
+    def test_overflowing_rate_exits_two_before_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("no stage may run")
+
+        for name in ("build_mdp", "heuristic_average_success", "simulate_original"):
+            monkeypatch.setattr(cli_module, name, no_work)
+            monkeypatch.setattr(experiment_module, name, no_work)
+        out = tmp_path / "out.csv"
+        args = [command, "--rate", "600"]
+        if command in ("channel", "simulate", "sweep"):
+            args += ["--out", str(out)]
+        assert assert_one_error_line(capsys, args, "error: rate 600 ") == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["heuristic", "bound", "simulate"])
+    def test_overflowing_received_power_exits_two(self, capsys, command):
+        # bound has printed its CSV header when the model build fails
+        args = [command, "--source-power", "1e308", "--channel-states", "20"]
+        assert_one_error_line(
+            capsys, args, "error: received power gain * source_power overflows ("
+        )

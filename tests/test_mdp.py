@@ -17,7 +17,6 @@ from swipt_relay import (
     energy_after_harvest,
     heuristic_average_success,
     max_ps_ratio,
-    oracle_gain_bruteforce,
     policy_evaluate,
     policy_improve,
     policy_iteration,
@@ -30,6 +29,7 @@ import swipt_relay.mdp as mdp_module
 from oracles import (
     dense_evaluate,
     model_actions,
+    oracle_gain_bruteforce,
     recurrent_class_count,
     reference_actions,
     state_transition_matrix,
@@ -106,7 +106,7 @@ class TestEnumerateActions:
         h_channel = channel_from_table([hopeless_gain, 1.0], [0.5, 0.5])
         assert not can_succeed(0.0, hopeless_gain, channel2, default_params)
         model = build_mdp(h_channel, channel2, default_params, 3)
-        actions = model_actions(model, model.space.flat_index(0, 0))
+        actions = model_actions(model, 0)
         assert all(a.ps_ratio == 1.0 for a in actions)
         assert all(a.reward == 0.0 for a in actions)
 
@@ -114,7 +114,7 @@ class TestEnumerateActions:
         # from a full battery both branches saturate at capacity
         h_channel = channel_from_table([1.0, 2.0], [0.5, 0.5])
         model = build_mdp(h_channel, channel2, default_params, 4)
-        actions = model_actions(model, model.space.flat_index(3, 0))
+        actions = model_actions(model, 3 * h_channel.count)
         per_branch = {}
         for a in actions:
             per_branch.setdefault(a.ps_ratio, []).append(a.target_level)
@@ -139,9 +139,9 @@ class TestEnumerateActions:
 
     def test_structure_invariants(self, default_params, channel2):
         model = build_mdp(channel2, channel2, default_params, 4)
-        grid = model.space.grid
+        grid = model.grid
         for s in range(model.n_states):
-            level, channel = model.space.level_channel(s)
+            level, channel = divmod(s, channel2.count)
             level_energy = float(grid.levels[level])
             gain = float(channel2.gains[channel])
             actions = model_actions(model, s)
@@ -194,9 +194,9 @@ class TestEnumerateActions:
         params = SystemParams(power, noise, 1.0, 0.5, 1.5, battery)
         channel = quantize_equiprobable_exponential(n_states)
         model = build_mdp(channel, channel, params, n_levels, exact_up=exact_up)
-        grid = model.space.grid
+        grid = model.grid
         for s in range(model.n_states):
-            level, i = model.space.level_channel(s)
+            level, i = divmod(s, channel.count)
             expected = reference_actions(
                 float(grid.levels[level]),
                 float(channel.gains[i]),
@@ -276,28 +276,46 @@ class TestBuildMdp:
         assert np.max(np.abs(levels.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_flat_index_convention(self, default_params, channel2):
-        model = build_mdp(channel2, channel2, default_params, 3)
-        space = model.space
-        assert space.flat_index(0, 0) == 0
-        assert space.flat_index(0, 1) == 1
-        assert space.flat_index(1, 0) == 2
-        assert space.flat_index(2, 1) == 5
-        for flat in range(space.n_states):
-            level, channel = space.level_channel(flat)
-            assert space.flat_index(level, channel) == flat
+        # state (level j, channel i) sits at flat index j * C + i; only the
+        # second channel state can decode
+        h_channel = channel_from_table([0.001, 1.0], [0.5, 0.5])
+        model = build_mdp(h_channel, channel2, default_params, 3)
+        levels = model.grid.levels
+        assert model.n_states == 6
+        for s in range(model.n_states):
+            level, channel = divmod(s, h_channel.count)
+            energy = float(levels[level])
+            gain = float(h_channel.gains[channel])
+            half = energy_after_harvest(energy, gain, 1.0, default_params)
+            assert model.n_full[s] == np.searchsorted(levels, half, side="right")
+            has_split = model.n_actions[s] > model.n_full[s]
+            assert has_split == can_succeed(energy, gain, channel2, default_params)
+            assert has_split == (channel == 1)
 
     def test_rejects_single_level(self, default_params, channel2):
         with pytest.raises(ValueError):
             build_mdp(channel2, channel2, default_params, 1)
+
+    def test_overflowing_received_power_matches_scalar_path(self, channel2):
+        # 1.5e308 times the largest gain (1.69) overflows; the vectorised
+        # physics once turned that into a NaN ratio and dropped the
+        # decodable branch
+        params = SystemParams(1.5e308, 0.001, 1.0, 0.5, 1.5, 10.0)
+        with pytest.raises(ValueError) as scalar:
+            max_ps_ratio(channel2.max_gain, params)
+        with pytest.raises(ValueError) as vectorised:
+            build_mdp(channel2, channel2, params, 3)
+        assert str(vectorised.value) == str(scalar.value)
+        assert "received power" in str(scalar.value)
 
 
 class TestPolicyEvaluate:
     def test_constant_reward_chain(self, hand_model):
         layout = [[(0.37, 1)], [(0.37, 1)], [(0.37, 0)], [(0.37, 1)]]
         model = hand_model([0.3, 0.7], 2, layout)
-        gain, bias = policy_evaluate(model, np.zeros(4, dtype=int))
+        gain, values = policy_evaluate(model, np.zeros(4, dtype=int))
         assert gain == pytest.approx(0.37, abs=1e-12)
-        assert np.max(np.abs(bias)) <= 1e-12
+        assert np.max(np.abs(values)) <= 1e-12
 
     def test_iid_chain_closed_form(self, hand_model):
         # every action tops up to level 1: states are i.i.d. with the
@@ -323,13 +341,16 @@ class TestPolicyEvaluate:
     def test_residual_is_small(self, default_params, channel200):
         model = build_mdp(channel200, channel200, default_params, 5)
         rule = default_initial_rule(model)
-        gain, bias = policy_evaluate(model, rule)
-        posts = model.post_levels(rule)
-        rewards = model.reward_vector(rule)
-        block = bias.reshape(5, channel200.count) @ channel200.pmf
-        residual = np.max(np.abs(rewards + block[posts] - gain - bias))
+        gain, values = policy_evaluate(model, rule)
+        assert values.shape == (5,)
+        assert values[0] == 0.0
+        # level equations gain + W = mean reward + expected successor W,
+        # with both averages taken over the channel pmf directly
+        pmf = channel200.pmf
+        rewards = model.reward_vector(rule).reshape(5, -1) @ pmf
+        successor = values[model.post_levels(rule)].reshape(5, -1) @ pmf
+        residual = np.max(np.abs(rewards + successor - gain - values))
         assert residual <= 1e-9
-        assert bias[0] == 0.0
 
     def test_multichain_rule_is_detected(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
@@ -365,10 +386,12 @@ class TestPolicyEvaluate:
             classes = recurrent_class_count(model, rule)
             assert mdp_module._recurrent_class_count(model, rule) == classes
             if classes == 1:
-                gain, bias = policy_evaluate(model, rule)
+                gain, values = policy_evaluate(model, rule)
                 oracle_gain, oracle_bias = dense_evaluate(model, rule)
+                level_bias = oracle_bias.reshape(n_levels, -1) @ channel.pmf
+                level_bias -= level_bias[0]
                 assert abs(gain - oracle_gain) <= 1e-12
-                assert np.max(np.abs(bias - oracle_bias)) <= 1e-10
+                assert np.max(np.abs(values - level_bias)) <= 1e-10
             else:
                 with pytest.raises(MultichainSuspectedError):
                     policy_evaluate(model, rule)
@@ -381,7 +404,7 @@ def _two_loop_rule(model):
     level-1 loop and a level-2 loop."""
     rule = np.zeros(model.n_states, dtype=int)
     for s in range(model.n_states):
-        level, _ = model.space.level_channel(s)
+        level, _ = divmod(s, model.h_channel.count)
         want = 0 if level <= 1 else 1
         for k, a in enumerate(model_actions(model, s)):
             if a.target_level == want and a.ps_ratio == 1.0:
@@ -399,27 +422,34 @@ class TestPolicyImprove:
             [(0.7, 1)],
         ]
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = policy_improve(model, np.zeros(4))
+        rule = policy_improve(model, np.zeros(2))
         assert rule.tolist() == [1, 0, 1, 0]
 
     def test_tie_prefers_smallest_index(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = policy_improve(model, np.zeros(4))
+        rule = policy_improve(model, np.zeros(2))
         assert rule.tolist() == [0, 0, 0, 0]
 
     def test_tie_keeps_incumbent(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
         incumbent = np.array([1, 0, 1, 0])
-        rule = policy_improve(model, np.zeros(4), incumbent=incumbent)
+        rule = policy_improve(model, np.zeros(2), incumbent=incumbent)
         assert rule.tolist() == incumbent.tolist()
 
     def test_optimal_rule_is_fixed_point(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
+        assert result.bias.shape == (3,)
         again = policy_improve(model, result.bias, incumbent=result.rule)
         assert np.array_equal(again, result.rule)
+
+    def test_rejects_per_state_values(self, hand_model):
+        layout = [[(0.4, 1), (0.2, 0)]] * 4
+        model = hand_model([0.5, 0.5], 2, layout)
+        with pytest.raises(ValueError, match="one value per battery level"):
+            policy_improve(model, np.zeros(4))
 
 
 class TestPolicyIteration:
@@ -464,8 +494,8 @@ class TestPolicyIteration:
         for s, k in enumerate(rule):
             action = model_actions(model, s)[int(k)]
             assert action.target_level == 0
-            level, channel = model.space.level_channel(s)
-            energy = float(model.space.grid.levels[level])
+            level, channel = divmod(s, channel2.count)
+            energy = float(model.grid.levels[level])
             gain = float(channel2.gains[channel])
             if can_succeed(energy, gain, channel2, default_params):
                 assert action.ps_ratio < 1.0
@@ -517,7 +547,7 @@ class TestUpperBound:
         model = hand_model([0.5, 0.5], 2, layout)
         rule = np.zeros(4, dtype=int)
         fake = PolicyIterationResult(
-            gain=0.5, bias=np.zeros(4), rule=rule, iterations=1, gain_history=(0.5,)
+            gain=0.5, bias=np.zeros(2), rule=rule, iterations=1, gain_history=(0.5,)
         )
         with pytest.raises(MultichainSuspectedError):
             upper_bound(model, fake)

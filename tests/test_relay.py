@@ -64,6 +64,20 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    def test_rejects_rate_whose_threshold_overflows(self):
+        # 4**600 is beyond the largest double
+        with pytest.raises(ValueError, match="rate 600 .* overflow"):
+            SystemParams(1.0, 0.001, 1.0, 0.5, 600.0, 10.0)
+        # 4**511 is representable, but not once scaled by T * noise_power
+        with pytest.raises(ValueError, match="rate 511 .* overflow"):
+            SystemParams(1.0, 1e4, 1.0, 0.5, 511.0, 10.0)
+
+    def test_rejects_overflowing_received_power(self):
+        params = SystemParams(1e308, 0.001, 1.0, 0.5, 1.5, 10.0)
+        assert max_ps_ratio(1.0, params) is not None
+        with pytest.raises(ValueError, match="received power .* overflows"):
+            max_ps_ratio(2.0, params)
+
 
 class TestSnrs:
     """The two decode decisions through the SNR each compares with the

@@ -235,7 +235,7 @@ class TestSimulateDiscrete:
                 initial_channel=i,
                 keep_trace=True,
             )
-            assert sim.trace[0] == rewards[model.space.flat_index(0, i)]
+            assert sim.trace[0] == rewards[i]  # state (level 0, channel i)
 
     def test_same_seed_is_bit_identical(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
