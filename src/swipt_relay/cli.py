@@ -173,12 +173,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     h_channel, g_channel = config.channels()
     params = config.system_params()
-    print("n_levels,p_upper_bound")
+    header = "n_levels,p_upper_bound\n"  # printed with the first bound
     for n_levels in config.n_levels:
         model = build_mdp(h_channel, g_channel, params, n_levels)
         result = policy_iteration(model)
         bound = upper_bound(model, result)
-        print(f"{n_levels},{bound:.12g}")
+        print(f"{header}{n_levels},{bound:.12g}")
+        header = ""
     return 0
 
 

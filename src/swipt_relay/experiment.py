@@ -13,7 +13,12 @@ from dataclasses import dataclass, fields, replace
 
 from .channel import FiniteChannel, quantize_equiprobable_exponential
 from .mdp import build_mdp, policy_iteration, upper_bound
-from .relay import SystemParams, heuristic_average_success, make_heuristic_policy
+from .relay import (
+    SystemParams,
+    _received_power,
+    heuristic_average_success,
+    make_heuristic_policy,
+)
 from .simulate import SimulationConfig, simulate_original
 
 __all__ = [
@@ -48,7 +53,8 @@ class ExperimentConfig:
     whichever of them is being swept is replaced point by point from the
     corresponding sweep list. Construction validates every value before
     any work starts: the physics by building SystemParams at the operating
-    point and at every value of both sweep lists, blocks and seed by
+    point and at every value of both sweep lists and forming the received
+    power of the largest source-relay gain there, blocks and seed by
     building SimulationConfig.
     """
 
@@ -83,13 +89,15 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         SimulationConfig(self.blocks, self.seed)
         params = self.system_params()
+        max_gain = self.channels()[0].max_gain
+        _received_power(max_gain, params)
         for values_name, field_name in SWEEP_AXES.values():
             values = getattr(self, values_name)
             if not values:
                 raise ValueError(f"{values_name} must not be empty")
             for value in values:
                 try:
-                    replace(params, **{field_name: value})
+                    _received_power(max_gain, replace(params, **{field_name: value}))
                 except ValueError as exc:
                     raise ValueError(f"{values_name}: {exc}") from None
 

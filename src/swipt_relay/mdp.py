@@ -109,20 +109,20 @@ def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> i
 
 @dataclass(frozen=True, eq=False)
 class MdpModel:
-    """Discrete decision problem: states, reduced actions and rewards as
-    padded per-state arrays.
+    """Discrete decision problem: one reward column per (splitting
+    branch, target level) pair.
 
     The states are the battery levels of grid crossed with the
     source-relay channel alphabet h_channel; state (level j, channel i)
-    sits at flat index j * h_channel.count + i. rewards[s, k] is the
-    success probability of action k in flat state s and posts[s, k] the
-    battery level after the end-of-block top-up; the next state is that
-    level with a fresh channel draw, so transitions depend on the action
-    only through its post level. Only the first n_actions[s] entries of
-    a row are actions; the padding reads -inf in rewards (and 0 in
-    posts). In models from build_mdp the first n_full[s] actions harvest
-    everything and target levels 0, 1, ...; the rest split at the
-    largest decodable ratio and target levels 0, 1, ... again.
+    sits at flat index j * h_channel.count + i. rewards[s, b * L + k],
+    of shape (n_states, 2L) for L battery levels, is the success
+    probability of splitting branch b (0 harvests everything, 1 splits
+    at the largest decodable ratio) landing the residual on level k in
+    flat state s, and -inf where that action does not exist. Every
+    action targeting level k leaves the battery at post_of_target[k]
+    after the end-of-block top-up; the next state is that level with a
+    fresh channel draw, so transitions depend on the action only through
+    its target.
     """
 
     grid: BatteryGrid
@@ -130,41 +130,20 @@ class MdpModel:
     g_channel: FiniteChannel
     params: SystemParams
     rewards: np.ndarray
-    posts: np.ndarray
-    n_actions: np.ndarray
-    n_full: np.ndarray
     exact_up: bool = True
+    post_of_target: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         rewards = np.array(self.rewards, dtype=float)
-        posts = np.array(self.posts, dtype=np.intp)
-        n_actions = np.array(self.n_actions, dtype=np.intp)
-        n_full = np.array(self.n_full, dtype=np.intp)
-        n = self.n_states
-        if rewards.ndim != 2 or posts.shape != rewards.shape or len(rewards) != n:
-            raise ValueError(
-                f"rewards and posts must both have shape ({n}, max actions), "
-                f"got {rewards.shape} and {posts.shape}"
-            )
-        if n_actions.shape != (n,) or n_full.shape != (n,):
-            raise ValueError(f"need one action count per state ({n} states)")
-        if np.any(n_actions < 1) or np.any(n_actions > rewards.shape[1]):
-            raise ValueError(
-                f"every state needs between 1 and {rewards.shape[1]} actions"
-            )
-        if np.any(n_full < 0) or np.any(n_full > n_actions):
-            raise ValueError("n_full must lie in [0, n_actions]")
-        padding = np.arange(rewards.shape[1]) >= n_actions[:, None]
-        if np.any(((posts < 0) | (posts >= self.grid.n_levels)) & ~padding):
-            raise ValueError("post levels must index the battery grid")
-        rewards[padding] = -np.inf
-        posts[padding] = 0
-        for name, value in (
-            ("rewards", rewards),
-            ("posts", posts),
-            ("n_actions", n_actions),
-            ("n_full", n_full),
-        ):
+        shape = (self.n_states, 2 * self.grid.n_levels)
+        if rewards.shape != shape:
+            raise ValueError(f"rewards must have shape {shape}, got {rewards.shape}")
+        if not np.all(rewards < np.inf):  # NaN compares false as well
+            raise ValueError("rewards must be finite or -inf")
+        if not np.all(np.any(rewards > -np.inf, axis=1)):
+            raise ValueError("every state needs at least one action")
+        post_of_target = _round_up(self.grid.levels, self.grid, self.exact_up)
+        for name, value in (("rewards", rewards), ("post_of_target", post_of_target)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -178,21 +157,22 @@ class MdpModel:
             raise ValueError(
                 f"rule must assign one action per state, got shape {rule.shape}"
             )
-        bad = np.flatnonzero((rule < 0) | (rule >= self.n_actions))
+        in_range = (rule >= 0) & (rule < self.rewards.shape[1])
+        exists = self.reward_vector(np.where(in_range, rule, 0)) > -np.inf
+        bad = np.flatnonzero(~(in_range & exists))
         if bad.size:
             s = int(bad[0])
-            raise ValueError(f"state {s}: action index {rule[s]} out of range")
+            raise ValueError(f"state {s}: column {rule[s]} is not an action")
         return rule
 
     def reward_vector(self, rule: np.ndarray) -> np.ndarray:
-        """Per-state reward of the rule's chosen actions."""
-        rule = self._check_rule(rule)
+        """Per-state reward of the rule's chosen columns (unchecked: the
+        public solvers validate a rule once before using it)."""
         return self.rewards[np.arange(self.n_states), rule]
 
     def post_levels(self, rule: np.ndarray) -> np.ndarray:
-        """Per-state post-top-up level of the rule's chosen actions."""
-        rule = self._check_rule(rule)
-        return self.posts[np.arange(self.n_states), rule]
+        """Per-state post-top-up level of the rule's chosen columns."""
+        return self.post_of_target[rule % self.grid.n_levels]
 
 
 def _delivery_probs(
@@ -269,58 +249,42 @@ def build_mdp(
         )
         return np.minimum(levels[:, None] + harvested, params.battery_capacity)
 
-    half_full = mid_block(1.0)
-    half_split = mid_block(cap)
+    half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
     # relay.can_succeed decides whether the decodable branch exists
     split = (
         decodable
-        & (half_split * g_channel.max_gain >= params.delivery_threshold)
+        & (half[..., 1] * g_channel.max_gain >= params.delivery_threshold)
         & (cap != 1.0)
     )
-    n_full = np.searchsorted(levels, half_full, side="right")
-    n_split = np.where(split, np.searchsorted(levels, half_split, side="right"), 0)
-    n_actions = n_full + n_split
     # A full-harvest action pays only where the decodable ratio rounds to 1.
-    full_pays = np.broadcast_to(decodable & (cap == 1.0), shape)
+    pays = np.stack([np.broadcast_to(decodable & (cap == 1.0), shape), split], axis=2)
 
     # Fill each action with its transmit energy (0 where the relay cannot
     # decode), then map every energy to its delivery probability at once.
-    rewards = np.full(shape + (int(n_actions.max()),), -np.inf)
-    posts = np.zeros(rewards.shape, dtype=np.intp)
-    post_of_target = _round_up(levels, grid, exact_up)
-    for half, n_targets, offset, pays in (
-        (half_full, n_full, np.zeros(shape, dtype=np.intp), full_pays),
-        (half_split, n_split, n_full, split),
-    ):
-        j, i, target = np.nonzero(np.arange(n_levels) < n_targets[..., None])
-        column = offset[j, i] + target
-        rewards[j, i, column] = np.where(pays[j, i], half[j, i] - levels[target], 0.0)
-        posts[j, i, column] = post_of_target[target]
-    actions = np.isfinite(rewards)
+    rewards = np.where(pays[..., None], half[..., None] - levels, 0.0)
+    actions = levels <= half[..., None]
+    actions[:, :, 1] &= split[..., None]
     rewards[actions] = _delivery_probs(rewards[actions], g_channel, params)
-    n_states = n_levels * h_channel.count
+    rewards[~actions] = -np.inf
     return MdpModel(
         grid=grid,
         h_channel=h_channel,
         g_channel=g_channel,
         params=params,
-        rewards=rewards.reshape(n_states, -1),
-        posts=posts.reshape(n_states, -1),
-        n_actions=n_actions.ravel(),
-        n_full=n_full.ravel(),
+        rewards=rewards.reshape(n_levels * h_channel.count, 2 * n_levels),
         exact_up=exact_up,
     )
 
 
 def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-pmf averaged reward of each battery level under the rule,
-    and the rule's level-to-level transition matrix."""
+    """Channel-pmf averaged reward of each battery level under a checked
+    rule, and the rule's level-to-level transition matrix."""
     n_levels = model.grid.n_levels
     pmf = model.h_channel.pmf
-    posts = model.post_levels(rule).reshape(n_levels, -1)
+    post = model.post_levels(rule).reshape(n_levels, -1)
     mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ pmf
-    edges = (np.arange(n_levels)[:, None] * n_levels + posts).ravel()
-    weights = np.broadcast_to(pmf, posts.shape).ravel()
+    edges = (np.arange(n_levels)[:, None] * n_levels + post).ravel()
+    weights = np.broadcast_to(pmf, post.shape).ravel()
     transitions = np.bincount(edges, weights, minlength=n_levels * n_levels)
     return mean_reward, transitions.reshape(n_levels, n_levels)
 
@@ -380,7 +344,7 @@ def policy_improve(
     candidate equally, so it is not needed). The incumbent action is
     kept unless the best candidate beats it by more than a fixed
     tolerance of 1e-13, the anti-cycling rule; without an incumbent, ties
-    go to the smallest action index.
+    go to the smallest column.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (model.grid.n_levels,):
@@ -388,8 +352,8 @@ def policy_improve(
             f"need one value per battery level ({model.grid.n_levels}), "
             f"got shape {values.shape}"
         )
-    candidates = model.rewards + values[model.posts]
-    rule = np.argmax(candidates, axis=1)  # first maximum = smallest index
+    candidates = model.rewards + np.tile(values[model.post_of_target], 2)
+    rule = np.argmax(candidates, axis=1)  # first maximum = smallest column
     if incumbent is not None:
         incumbent = model._check_rule(incumbent)
         states = np.arange(model.n_states)
@@ -402,9 +366,11 @@ def policy_improve(
 
 def default_initial_rule(model: MdpModel) -> np.ndarray:
     """Drain-to-empty starting rule: the action that empties the battery
-    on the decodable branch when one exists, else on the full-harvest
-    branch (the discrete analogue of the battery-draining heuristic)."""
-    return np.where(model.n_full < model.n_actions, model.n_full, 0).astype(np.intp)
+    on the decodable branch (column L) when one exists, else on the
+    full-harvest branch (column 0); the discrete analogue of the
+    battery-draining heuristic."""
+    n_levels = model.grid.n_levels
+    return np.where(model.rewards[:, n_levels] > -np.inf, n_levels, 0)
 
 
 @dataclass(frozen=True)
@@ -427,9 +393,8 @@ def policy_iteration(
     """Average-reward policy iteration: alternate evaluation and
     improvement until the rule repeats."""
     if initial_rule is None:
-        rule = default_initial_rule(model)
-    else:
-        rule = model._check_rule(initial_rule)
+        initial_rule = default_initial_rule(model)
+    rule = model._check_rule(initial_rule)
     gains: list[float] = []
     for iteration in range(1, max_iterations + 1):
         gain, values = policy_evaluate(model, rule)

@@ -57,29 +57,29 @@ def hand_model():
     testing the solvers in isolation from the physics.
 
     layout: per state, list of (reward, post_level) action tuples, given as
-    a list of length n_levels * len(pmf) in flat state order.
+    a list of length n_levels * len(pmf) in flat state order. The model
+    keeps exact grid hits in place, so an action's post level is its
+    target: the first action on post level k goes to column k (branch 0),
+    a second one to column n_levels + k (branch 1).
     """
 
     def build(pmf, n_levels, layout, capacity=1.0):
         gains = np.arange(1.0, len(pmf) + 1.0)
         channel = channel_from_table(gains, pmf)
         assert len(layout) == n_levels * channel.count
-        n_actions = np.array([len(state_actions) for state_actions in layout])
-        rewards = np.full((len(layout), n_actions.max()), -np.inf)
-        posts = np.zeros(rewards.shape, dtype=int)
+        rewards = np.full((len(layout), 2 * n_levels), -np.inf)
         for s, state_actions in enumerate(layout):
-            for k, (reward, post) in enumerate(state_actions):
-                rewards[s, k] = reward
-                posts[s, k] = post
+            for reward, post in state_actions:
+                column = post if rewards[s, post] == -np.inf else n_levels + post
+                assert rewards[s, column] == -np.inf, "two actions per post at most"
+                rewards[s, column] = reward
         return MdpModel(
             grid=BatteryGrid(n_levels, capacity),
             h_channel=channel,
             g_channel=channel,
             params=DEFAULT_PARAMS,
             rewards=rewards,
-            posts=posts,
-            n_actions=n_actions,
-            n_full=n_actions,
+            exact_up=False,
         )
 
     return build

@@ -65,29 +65,38 @@ def reference_actions(energy, gain, g_channel, params, grid, exact_up=True):
     return actions
 
 
+def action_columns(model):
+    """Per flat state, the columns of the actions that exist (finite
+    rewards), in ascending order."""
+    return [np.flatnonzero(row > -np.inf) for row in model.rewards]
+
+
+def kth_action_rule(model, k):
+    """Rule taking each state's k-th action, or its last one when the
+    state has fewer."""
+    return np.array([cols[min(k, cols.size - 1)] for cols in action_columns(model)])
+
+
 def model_actions(model, state):
     """The actions the model stores for one flat state, decoded from its
-    arrays: the first n_full harvest everything, the rest split at the
-    largest decodable ratio, each branch targeting levels 0, 1, ..."""
+    columns: column b * L + k is branch b (0 harvests everything, 1 splits
+    at the largest decodable ratio) targeting level k."""
     grid = model.grid
     level, channel = divmod(state, model.h_channel.count)
     energy = float(grid.levels[level])
     gain = float(model.h_channel.gains[channel])
-    n_full = int(model.n_full[state])
     actions = []
-    for k in range(int(model.n_actions[state])):
-        if k < n_full:
-            ratio, target = 1.0, k
-        else:
-            ratio, target = max_ps_ratio(gain, model.params), k - n_full
+    for column in action_columns(model)[state]:
+        branch, target = divmod(int(column), grid.n_levels)
+        ratio = 1.0 if branch == 0 else max_ps_ratio(gain, model.params)
         half = energy_after_harvest(energy, gain, ratio, model.params)
         actions.append(
             ReducedAction(
                 ratio,
                 float(half - grid.levels[target]),
                 target,
-                int(model.posts[state, k]),
-                float(model.rewards[state, k]),
+                int(model.post_of_target[target]),
+                float(model.rewards[state, column]),
             )
         )
     return actions
@@ -165,8 +174,8 @@ def oracle_gain_bruteforce(
     through periodic structure; iteration stops once one more squaring
     moves no entry by more than tol.
     """
-    counts = [int(c) for c in model.n_actions]
-    n_rules = math.prod(counts)
+    columns = action_columns(model)
+    n_rules = math.prod(cols.size for cols in columns)
     if n_rules > max_rules:
         raise ValueError(
             f"{n_rules} stationary deterministic rules exceed the "
@@ -174,7 +183,7 @@ def oracle_gain_bruteforce(
         )
     identity = np.eye(model.grid.n_levels)
     best = -np.inf
-    for combo in itertools.product(*(range(c) for c in counts)):
+    for combo in itertools.product(*columns):
         mean_reward, transitions = _level_chain(model, np.array(combo, dtype=np.intp))
         lazy = 0.5 * (identity + transitions)
         for _ in range(max_doublings):

@@ -31,7 +31,12 @@ from swipt_relay import (
     upper_bound,
 )
 from swipt_relay.cli import main as cli_main
-from oracles import model_actions, oracle_gain_bruteforce, state_transition_matrix
+from oracles import (
+    kth_action_rule,
+    model_actions,
+    oracle_gain_bruteforce,
+    state_transition_matrix,
+)
 
 POWER_GRID = (0.5, 1.0, 2.0)
 
@@ -223,7 +228,7 @@ def test_a7_structural_invariants(channel200, default_params):
             if hopeless:
                 assert a.reward == 0.0
     for k in range(model.rewards.shape[1]):
-        rule = np.minimum(k, model.n_actions - 1)
+        rule = kth_action_rule(model, k)
         rows = state_transition_matrix(model, rule).sum(axis=1)
         assert np.max(np.abs(rows - 1.0)) <= 1e-12
     elapsed = time.perf_counter() - start

@@ -110,6 +110,7 @@ class TestBoundCommand:
         assert captured.err == (
             "error: out of memory: Unable to allocate 298. GiB for an array\n"
         )
+        assert captured.out == ""  # no CSV header without a bound
 
 
 class TestSimulateCommand:
@@ -298,19 +299,25 @@ def assert_one_error_line(capsys, args, start):
     return captured.out
 
 
+@pytest.fixture
+def no_stage_runs(monkeypatch):
+    """Make every computing stage fail the test if it is called."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no stage may run")
+
+    for name in ("build_mdp", "heuristic_average_success", "simulate_original"):
+        monkeypatch.setattr(cli_module, name, no_work)
+        monkeypatch.setattr(experiment_module, name, no_work)
+
+
 class TestOverflowingPhysics:
     @pytest.mark.parametrize(
         "command", ["channel", "heuristic", "bound", "simulate", "sweep"]
     )
     def test_overflowing_rate_exits_two_before_work(
-        self, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, no_stage_runs, command
     ):
-        def no_work(*args, **kwargs):
-            raise AssertionError("no stage may run")
-
-        for name in ("build_mdp", "heuristic_average_success", "simulate_original"):
-            monkeypatch.setattr(cli_module, name, no_work)
-            monkeypatch.setattr(experiment_module, name, no_work)
         out = tmp_path / "out.csv"
         args = [command, "--rate", "600"]
         if command in ("channel", "simulate", "sweep"):
@@ -320,8 +327,27 @@ class TestOverflowingPhysics:
 
     @pytest.mark.parametrize("command", ["heuristic", "bound", "simulate"])
     def test_overflowing_received_power_exits_two(self, capsys, command):
-        # bound has printed its CSV header when the model build fails
         args = [command, "--source-power", "1e308", "--channel-states", "20"]
-        assert_one_error_line(
+        stdout = assert_one_error_line(
             capsys, args, "error: received power gain * source_power overflows ("
         )
+        assert stdout == ""
+
+    @pytest.mark.parametrize(
+        "sweep_args, start",
+        [
+            (["--source-power", "1e308"], "error: received power "),
+            (
+                ["--sweep", "power", "--power-sweep", "1,1e308"],
+                "error: power_sweep: received power ",
+            ),
+        ],
+        ids=["operating_point", "power_sweep"],
+    )
+    def test_overflowing_received_power_fails_the_sweep_before_work(
+        self, tmp_path, capsys, no_stage_runs, sweep_args, start
+    ):
+        out = tmp_path / "out.csv"
+        args = ["sweep", *sweep_args, "--channel-states", "20", "--out", str(out)]
+        assert assert_one_error_line(capsys, args, start) == ""
+        assert not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from swipt_relay import (
     MultichainSuspectedError,
     NonConvergenceError,
     PolicyIterationResult,
+    SimulationConfig,
     SystemParams,
     build_mdp,
     can_succeed,
@@ -22,12 +25,15 @@ from swipt_relay import (
     policy_iteration,
     quantize_equiprobable_exponential,
     round_up_level,
+    simulate_discrete,
     success_prob,
     upper_bound,
 )
 import swipt_relay.mdp as mdp_module
 from oracles import (
+    action_columns,
     dense_evaluate,
+    kth_action_rule,
     model_actions,
     oracle_gain_bruteforce,
     recurrent_class_count,
@@ -131,7 +137,8 @@ class TestEnumerateActions:
         h_channel = channel_from_table([gain], [1.0])
         model = build_mdp(h_channel, g_channel, params, 3)
         actions = model_actions(model, 0)
-        assert model.n_full[0] == 2
+        # full harvest reaches levels 0 and 1 (columns 0 and 1), not 2
+        assert np.isfinite(model.rewards[0, :3]).tolist() == [True, True, False]
         full_branch = [a for a in actions if a.ps_ratio == 1.0]
         assert [a.target_level for a in full_branch] == [0, 1]
         assert [a.transmit_energy for a in full_branch] == pytest.approx([1.2, 0.2])
@@ -146,7 +153,9 @@ class TestEnumerateActions:
             gain = float(channel2.gains[channel])
             actions = model_actions(model, s)
             assert actions, "action list must never be empty"
-            assert np.all(np.isneginf(model.rewards[s, len(actions) :]))
+            # per branch, the reachable targets are levels 0, 1, ..., m
+            exists = (model.rewards[s] > -np.inf).reshape(2, -1)
+            assert np.all(exists[:, :-1] >= exists[:, 1:])
             cap = max_ps_ratio(gain, default_params)
             allowed = {1.0} if cap is None else {1.0, cap}
             seen = set()
@@ -252,7 +261,7 @@ class TestBuildMdp:
         model = build_mdp(channel2, channel2, default_params, 3)
         f = channel2.pmf
         for k in range(model.rewards.shape[1]):
-            rule = np.minimum(k, model.n_actions - 1)
+            rule = kth_action_rule(model, k)
             posts = model.post_levels(rule)
             matrix = state_transition_matrix(model, rule)
             for s, post in enumerate(posts):
@@ -287,8 +296,9 @@ class TestBuildMdp:
             energy = float(levels[level])
             gain = float(h_channel.gains[channel])
             half = energy_after_harvest(energy, gain, 1.0, default_params)
-            assert model.n_full[s] == np.searchsorted(levels, half, side="right")
-            has_split = model.n_actions[s] > model.n_full[s]
+            n_full = np.count_nonzero(model.rewards[s, :3] > -np.inf)
+            assert n_full == np.searchsorted(levels, half, side="right")
+            has_split = bool(np.any(model.rewards[s, 3:] > -np.inf))
             assert has_split == can_succeed(energy, gain, channel2, default_params)
             assert has_split == (channel == 1)
 
@@ -309,11 +319,29 @@ class TestBuildMdp:
         assert "received power" in str(scalar.value)
 
 
+class TestMdpModel:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r[:, :3], "shape"),
+            (lambda r: np.where(r == 0.5, np.nan, r), "finite or -inf"),
+            (lambda r: np.where(r == 0.5, np.inf, r), "finite or -inf"),
+            (lambda r: np.where(r == 0.5, -np.inf, r), "at least one action"),
+        ],
+        ids=["shape", "nan", "inf", "no_action"],
+    )
+    def test_rejects_malformed_rewards(self, hand_model, edit, message):
+        layout = [[(0.5, 1)], [(0.2, 0), (0.3, 1)], [(0.1, 0)], [(0.4, 1)]]
+        model = hand_model([0.5, 0.5], 2, layout)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, rewards=edit(model.rewards))
+
+
 class TestPolicyEvaluate:
     def test_constant_reward_chain(self, hand_model):
         layout = [[(0.37, 1)], [(0.37, 1)], [(0.37, 0)], [(0.37, 1)]]
         model = hand_model([0.3, 0.7], 2, layout)
-        gain, values = policy_evaluate(model, np.zeros(4, dtype=int))
+        gain, values = policy_evaluate(model, np.array([1, 1, 0, 1]))
         assert gain == pytest.approx(0.37, abs=1e-12)
         assert np.max(np.abs(values)) <= 1e-12
 
@@ -324,13 +352,11 @@ class TestPolicyEvaluate:
         rewards = [0.1, 0.2, 0.55, 0.8]
         layout = [[(r, 1)] for r in rewards]
         model = hand_model(pmf, 2, layout)
-        gain, _ = policy_evaluate(model, np.zeros(4, dtype=int))
+        gain, _ = policy_evaluate(model, np.ones(4, dtype=int))
         expected = pmf[0] * rewards[2] + pmf[1] * rewards[3]
         assert gain == pytest.approx(expected, abs=1e-12)
 
     def test_gain_matches_simulated_chain(self, channel2, hard_tiny_params):
-        from swipt_relay import SimulationConfig, simulate_discrete
-
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
         sim = simulate_discrete(
@@ -379,7 +405,10 @@ class TestPolicyEvaluate:
         model = build_mdp(channel, channel, params, n_levels, exact_up=exact_up)
         rng = np.random.default_rng(n_states * 100 + n_levels)
         rules = [default_initial_rule(model), policy_iteration(model).rule]
-        rules += [rng.integers(model.n_actions) for _ in range(12)]
+        columns = action_columns(model)
+        for _ in range(12):
+            picks = rng.integers([cols.size for cols in columns])
+            rules.append(np.array([cols[k] for cols, k in zip(columns, picks)]))
         if n_states == 2 and n_levels == 3 and exact_up:
             rules.append(_two_loop_rule(model))
         for rule in rules:
@@ -401,16 +430,10 @@ class TestPolicyEvaluate:
 
 def _two_loop_rule(model):
     """Full-harvest rule of the three-level tiny model whose chain has a
-    level-1 loop and a level-2 loop."""
-    rule = np.zeros(model.n_states, dtype=int)
-    for s in range(model.n_states):
-        level, _ = divmod(s, model.h_channel.count)
-        want = 0 if level <= 1 else 1
-        for k, a in enumerate(model_actions(model, s)):
-            if a.target_level == want and a.ps_ratio == 1.0:
-                rule[s] = k
-                break
-    return rule
+    level-1 loop and a level-2 loop: levels 0 and 1 target level 0, level
+    2 targets level 1 (a full-harvest column is its target level)."""
+    level = np.arange(model.n_states) // model.h_channel.count
+    return np.where(level <= 1, 0, 1)
 
 
 class TestPolicyImprove:
@@ -423,18 +446,18 @@ class TestPolicyImprove:
         ]
         model = hand_model([0.5, 0.5], 2, layout)
         rule = policy_improve(model, np.zeros(2))
-        assert rule.tolist() == [1, 0, 1, 0]
+        assert rule.tolist() == [1, 1, 1, 1]  # the best action's post level
 
     def test_tie_prefers_smallest_index(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
         rule = policy_improve(model, np.zeros(2))
-        assert rule.tolist() == [0, 0, 0, 0]
+        assert rule.tolist() == [1, 1, 1, 1]  # column 1, not column 3
 
     def test_tie_keeps_incumbent(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
-        incumbent = np.array([1, 0, 1, 0])
+        incumbent = np.array([3, 1, 3, 1])
         rule = policy_improve(model, np.zeros(2), incumbent=incumbent)
         assert rule.tolist() == incumbent.tolist()
 
@@ -450,6 +473,35 @@ class TestPolicyImprove:
         model = hand_model([0.5, 0.5], 2, layout)
         with pytest.raises(ValueError, match="one value per battery level"):
             policy_improve(model, np.zeros(4))
+
+
+# Every public entry point that takes a rule, called with one.
+_RULE_USERS = {
+    "policy_evaluate": lambda model, rule: policy_evaluate(model, rule),
+    "policy_improve": lambda model, rule: policy_improve(
+        model, np.zeros(model.grid.n_levels), incumbent=rule
+    ),
+    "simulate_discrete": lambda model, rule: simulate_discrete(
+        model, rule, SimulationConfig(blocks=10, seed=1)
+    ),
+}
+
+
+class TestRuleValidation:
+    @pytest.mark.parametrize("caller", sorted(_RULE_USERS))
+    @pytest.mark.parametrize("kind", ["out_of_range", "missing_action"])
+    def test_rejects_a_column_that_is_not_an_action(
+        self, channel2, hard_tiny_params, caller, kind
+    ):
+        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
+        rule = default_initial_rule(model)
+        missing = np.argwhere(np.isneginf(model.rewards))
+        state, column = (int(v) for v in missing[-1])
+        if kind == "out_of_range":
+            column = model.rewards.shape[1]
+        rule[state] = column
+        with pytest.raises(ValueError, match=f"state {state}: column {column} "):
+            _RULE_USERS[caller](model, rule)
 
 
 class TestPolicyIteration:
@@ -480,7 +532,7 @@ class TestPolicyIteration:
         history = np.array(result.gain_history)
         assert np.all(np.diff(history) >= -1e-12)
         assert 0.0 <= result.gain <= 1.0
-        n_rules = int(np.prod(model.n_actions))
+        n_rules = int(np.prod([cols.size for cols in action_columns(model)]))
         assert result.iterations <= n_rules
 
     def test_iteration_cap_raises(self, channel2, hard_tiny_params):
@@ -491,8 +543,9 @@ class TestPolicyIteration:
     def test_default_initial_rule_drains(self, channel2, default_params):
         model = build_mdp(channel2, channel2, default_params, 3)
         rule = default_initial_rule(model)
-        for s, k in enumerate(rule):
-            action = model_actions(model, s)[int(k)]
+        for s, column in enumerate(rule):
+            position = action_columns(model)[s].tolist().index(column)
+            action = model_actions(model, s)[position]
             assert action.target_level == 0
             level, channel = divmod(s, channel2.count)
             energy = float(model.grid.levels[level])
@@ -545,7 +598,7 @@ class TestUpperBound:
         # two absorbing level loops: recurrent classes {level 0} and {level 1}
         layout = [[(0.1, 0)], [(0.1, 0)], [(0.9, 1)], [(0.9, 1)]]
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = np.zeros(4, dtype=int)
+        rule = np.array([0, 0, 1, 1])
         fake = PolicyIterationResult(
             gain=0.5, bias=np.zeros(2), rule=rule, iterations=1, gain_history=(0.5,)
         )
@@ -580,7 +633,14 @@ class TestUpperBound:
             bounds.append(upper_bound(model, policy_iteration(model)))
         assert np.all(np.diff(bounds) <= 1e-12)
         assert bounds == pytest.approx(
-            [0.98167, 0.98027, 0.97685, 0.97290, 0.96440], abs=1e-5
+            [
+                0.9816749884054488,
+                0.980274999406979,
+                0.9768500000000004,
+                0.9728992138156171,
+                0.9643998395002594,
+            ],
+            abs=1e-12,
         )
 
     def test_fine_channel_alphabet_solves(self, default_params):
@@ -625,13 +685,14 @@ class TestBruteForceOracle:
     def test_single_action_model_matches_evaluation(self, hand_model):
         layout = [[(0.2, 1)], [(0.8, 1)], [(0.3, 1)], [(0.6, 0)]]
         model = hand_model([0.4, 0.6], 2, layout)
-        rule = np.zeros(4, dtype=int)
+        rule = np.array([1, 1, 1, 0])
         gain, _ = policy_evaluate(model, rule)
         assert oracle_gain_bruteforce(model) == pytest.approx(gain, abs=1e-9)
 
     def test_single_recurrent_state_takes_max_reward(self, hand_model):
-        # level 1 with one channel state is absorbing; its best action wins
-        layout = [[(0.0, 1)], [(0.25, 1), (0.7, 1), (0.4, 1)]]
+        # level 1 with one channel state can stay put on either branch;
+        # its best staying action wins over both the other one and leaving
+        layout = [[(0.0, 1)], [(0.25, 1), (0.7, 1), (0.4, 0)]]
         model = hand_model([1.0], 2, layout)
         assert oracle_gain_bruteforce(model) == pytest.approx(0.7, abs=1e-12)
 

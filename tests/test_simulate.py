@@ -210,7 +210,7 @@ class TestSimulateDiscrete:
         # (0.375 is dyadic, so the accumulation is exact)
         layout = [[(0.375, 1)], [(0.375, 1)]]
         model = hand_model([1.0], 2, layout)
-        rule = np.zeros(2, dtype=int)
+        rule = np.ones(2, dtype=int)
         sim = simulate_discrete(model, rule, SimulationConfig(blocks=1000, seed=3))
         assert sim.mean == 0.375
 
