@@ -18,7 +18,13 @@ from .experiment import (
     rows_to_csv,
     run_sweep,
 )
-from .mdp import build_mdp, policy_iteration, upper_bound
+from .mdp import (
+    MultichainSuspectedError,
+    NonConvergenceError,
+    build_mdp,
+    policy_iteration,
+    upper_bound,
+)
 from .relay import heuristic_average_success, make_heuristic_policy
 from .simulate import RESULT_CSV_HEADER, SimulationConfig, simulate_original
 
@@ -231,7 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (
+        ValueError, OSError, MultichainSuspectedError, NonConvergenceError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

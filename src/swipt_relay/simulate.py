@@ -96,13 +96,15 @@ def simulate_original(
 ) -> SimulationResult:
     """Block-by-block run of the continuous-energy system.
 
-    policy is a callable (energy, gain) -> (ps_ratio, transmit_energy).
-    Every block draws the two link gains independently, plays the
-    policy's action through relay.apply_action (which validates it and
-    decides whether the relay decodes), scores a Bernoulli success when
-    the relay decodes and the destination SNR reaches the threshold, and
-    advances the battery. A rejected action raises its error with the
-    block and the state named.
+    policy is a stationary callable (energy, gain) -> (ps_ratio,
+    transmit_energy). Every block draws the two link gains independently,
+    plays the policy's action through relay.apply_action (which validates
+    it and decides whether the relay decodes), scores a Bernoulli success
+    when the relay decodes and the destination SNR reaches the threshold,
+    and advances the battery. Each (energy, channel index) is played once
+    while the battery stays at that energy and reused after, so a policy
+    that keeps state between calls is not supported. A rejected action
+    raises its error with the block and the state named.
     """
     if config.initial_energy > params.battery_capacity:
         raise ValueError(
@@ -111,30 +113,35 @@ def simulate_original(
         )
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
-    h_gains = h_channel.gains[sample_channel(h_channel, rng, blocks)]
+    h_idx = sample_channel(h_channel, rng, blocks)
     g_gains = g_channel.gains[sample_channel(g_channel, rng, blocks)]
-    needed = params.delivery_threshold
     energy = float(config.initial_energy)
-    trace = np.zeros(blocks, dtype=np.uint8) if keep_trace else None
-    wins = 0
-    for m in range(blocks):
-        gain = float(h_gains[m])
-        ps_ratio, transmit_energy = policy(energy, gain)
-        try:
-            decodes, residual = apply_action(
-                energy, gain, ps_ratio, transmit_energy, params
-            )
-        except ValueError as exc:
-            raise type(exc)(
-                f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
-                f"in state (energy={energy}, gain={gain}): {exc}"
-            ) from None
-        success = decodes and transmit_energy * float(g_gains[m]) >= needed
-        wins += success
-        if trace is not None:
-            trace[m] = success
-        energy = residual
-    mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
+    decodes = np.empty(blocks, dtype=bool)
+    spent = np.empty(blocks)
+    played = {}  # channel index -> (decodes, transmit_energy, residual)
+    for m, i in enumerate(h_idx.tolist()):
+        block = played.get(i)
+        if block is None:
+            gain = float(h_channel.gains[i])
+            ps_ratio, transmit_energy = policy(energy, gain)
+            try:
+                decoded, residual = apply_action(
+                    energy, gain, ps_ratio, transmit_energy, params
+                )
+            except ValueError as exc:
+                raise type(exc)(
+                    f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
+                    f"in state (energy={energy}, gain={gain}): {exc}"
+                ) from None
+            block = played[i] = (decoded, transmit_energy, residual)
+        decodes[m], spent[m], residual = block
+        if residual != energy:
+            played = {}
+            energy = residual
+    success = decodes & (spent * g_gains >= params.delivery_threshold)
+    trace = success.astype(np.uint8) if keep_trace else None
+    wins = float(np.count_nonzero(success))
+    mean, stderr = _mean_stderr(wins, wins, blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )

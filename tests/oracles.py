@@ -5,8 +5,9 @@ policy evaluation and the recurrent-class check on the L-state battery-level
 chain. These references do the same work the direct way: the per-state
 action loop through the scalar relay functions, the dense evaluation and
 strongly-connected-component count on the full L*C-state
-(battery level, channel) chain, and the best gain over every stationary
-deterministic rule by enumeration.
+(battery level, channel) chain, the best gain over every stationary
+deterministic rule by enumeration, and the continuous-energy simulator
+that asks the policy and plays its action afresh every block.
 """
 
 import itertools
@@ -22,13 +23,17 @@ import scipy.sparse.csgraph
 from swipt_relay import (
     MultichainSuspectedError,
     NonConvergenceError,
+    SimulationResult,
+    apply_action,
     can_succeed,
     energy_after_harvest,
     max_ps_ratio,
     round_up_level,
+    sample_channel,
     success_prob,
 )
 from swipt_relay.mdp import _level_chain
+from swipt_relay.simulate import _mean_stderr
 
 
 class ReducedAction(NamedTuple):
@@ -198,3 +203,45 @@ def oracle_gain_bruteforce(
             )
         best = max(best, float(lazy[0] @ mean_reward))
     return best
+
+
+def oracle_simulate_original(
+    policy, h_channel, g_channel, params, config, *, keep_trace=False
+):
+    """simulate_original with one policy call and one apply_action per
+    block: the same draws in the same order, the block decided and scored
+    with scalar arithmetic."""
+    if config.initial_energy > params.battery_capacity:
+        raise ValueError(
+            f"initial_energy {config.initial_energy} exceeds the battery "
+            f"capacity {params.battery_capacity}"
+        )
+    rng = np.random.default_rng(config.seed)
+    blocks = config.blocks
+    h_gains = h_channel.gains[sample_channel(h_channel, rng, blocks)]
+    g_gains = g_channel.gains[sample_channel(g_channel, rng, blocks)]
+    needed = params.delivery_threshold
+    energy = float(config.initial_energy)
+    trace = np.zeros(blocks, dtype=np.uint8) if keep_trace else None
+    wins = 0
+    for m in range(blocks):
+        gain = float(h_gains[m])
+        ps_ratio, transmit_energy = policy(energy, gain)
+        try:
+            decodes, residual = apply_action(
+                energy, gain, ps_ratio, transmit_energy, params
+            )
+        except ValueError as exc:
+            raise type(exc)(
+                f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
+                f"in state (energy={energy}, gain={gain}): {exc}"
+            ) from None
+        success = decodes and transmit_energy * float(g_gains[m]) >= needed
+        wins += success
+        if trace is not None:
+            trace[m] = success
+        energy = residual
+    mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
+    return SimulationResult(
+        mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
+    )

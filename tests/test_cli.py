@@ -3,6 +3,8 @@ import pytest
 import swipt_relay.cli as cli_module
 import swipt_relay.experiment as experiment_module
 from swipt_relay import (
+    MultichainSuspectedError,
+    NonConvergenceError,
     SimulationConfig,
     heuristic_average_success,
     make_heuristic_policy,
@@ -111,6 +113,17 @@ class TestBoundCommand:
             "error: out of memory: Unable to allocate 298. GiB for an array\n"
         )
         assert captured.out == ""  # no CSV header without a bound
+
+    @pytest.mark.parametrize("error", [MultichainSuspectedError, NonConvergenceError])
+    def test_solver_failure_is_one_error_line(self, capsys, monkeypatch, error):
+        def failing_solver(*args, **kwargs):
+            raise error("policy iteration failed")
+
+        monkeypatch.setattr(cli_module, "policy_iteration", failing_solver)
+        assert run_cli(["bound", "--levels", "5", "--channel-states", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: policy iteration failed\n"
+        assert captured.out == ""
 
 
 class TestSimulateCommand:

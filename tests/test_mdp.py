@@ -438,15 +438,16 @@ def _two_loop_rule(model):
 
 class TestPolicyImprove:
     def test_zero_bias_is_myopic(self, hand_model):
+        # each state's best action sits in a different column
         layout = [
             [(0.2, 0), (0.9, 1)],
-            [(0.5, 1), (0.1, 0)],
-            [(0.0, 0), (0.3, 1)],
-            [(0.7, 1)],
+            [(0.5, 0), (0.1, 1)],
+            [(0.3, 1), (0.8, 1), (0.0, 0)],
+            [(0.1, 1), (0.2, 0), (0.6, 0)],
         ]
         model = hand_model([0.5, 0.5], 2, layout)
         rule = policy_improve(model, np.zeros(2))
-        assert rule.tolist() == [1, 1, 1, 1]  # the best action's post level
+        assert rule.tolist() == [1, 0, 3, 2]  # the largest reward's column
 
     def test_tie_prefers_smallest_index(self, hand_model):
         layout = [[(0.4, 1), (0.4, 1)]] * 4

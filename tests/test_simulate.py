@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oracles import oracle_simulate_original
 from swipt_relay import (
     InfeasibleActionError,
     SimulationConfig,
     SimulationResult,
+    apply_action,
     build_mdp,
     channel_from_table,
     default_initial_rule,
+    energy_after_harvest,
     heuristic_average_success,
     make_heuristic_policy,
+    max_ps_ratio,
     policy_evaluate,
     policy_iteration,
     sample_channel,
@@ -18,6 +24,47 @@ from swipt_relay import (
     SystemParams,
 )
 from swipt_relay.simulate import RESULT_CSV_HEADER
+
+
+def _half_drain(g_channel, params):
+    """Split at the largest decodable ratio (1 when none decodes) and
+    spend half the mid-block level, so the battery never empties."""
+
+    def policy(energy, gain):
+        cap = max_ps_ratio(gain, params)
+        ratio = 1.0 if cap is None else cap
+        return ratio, energy_after_harvest(energy, gain, ratio, params) / 2
+
+    return policy
+
+
+def _drain_when_half_full(g_channel, params):
+    """Harvest everything until the battery holds half its capacity, then
+    drain at the largest decodable ratio: the action depends on the
+    energy, not only on the gain."""
+
+    def policy(energy, gain):
+        cap = max_ps_ratio(gain, params)
+        if cap is None or energy < params.battery_capacity / 2:
+            return 1.0, 0.0
+        return cap, energy_after_harvest(energy, gain, cap, params)
+
+    return policy
+
+
+POLICIES = {
+    "heuristic": make_heuristic_policy,
+    "half_drain": _half_drain,
+    "save_everything": lambda g_channel, params: lambda energy, gain: (1.0, 0.0),
+    "drain_when_half_full": _drain_when_half_full,
+}
+
+START_ENERGIES = ["empty", "third", "full"]
+
+
+def _start_energy(start, params):
+    capacity = params.battery_capacity
+    return {"empty": 0.0, "third": capacity / 3, "full": capacity}[start]
 
 
 class TestSampleChannel:
@@ -187,6 +234,135 @@ class TestSimulateOriginal:
             )
             ratios.append(large.stderr / small.stderr)
         assert 0.6 <= np.mean(ratios) <= 0.9  # ~1/sqrt(2)
+
+
+class TestSimulateOriginalMatchesOracle:
+    """simulate_original plays each (energy, channel index) once and
+    reuses it while the battery stays at that energy; the oracle asks the
+    policy and plays its action afresh every block."""
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    @pytest.mark.parametrize("channel_name", ["channel2", "channel200"])
+    @pytest.mark.parametrize("start", START_ENERGIES)
+    @pytest.mark.parametrize("params_name", ["default_params", "hard_tiny_params"])
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_bit_identical_to_per_block_oracle(
+        self, request, policy_name, params_name, start, channel_name, seed
+    ):
+        channel = request.getfixturevalue(channel_name)
+        params = request.getfixturevalue(params_name)
+        policy = POLICIES[policy_name](channel, params)
+        config = SimulationConfig(
+            blocks=3000, seed=seed, initial_energy=_start_energy(start, params)
+        )
+        got = simulate_original(
+            policy, channel, channel, params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel, channel, params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.dtype == want.trace.dtype
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_delivery_exactly_at_the_threshold_succeeds(self, default_params):
+        # a transmit energy of exactly the threshold over a unit gain
+        # reaches it exactly; over gain 0.5 it falls short
+        channel = channel_from_table([0.5, 1.0], [0.5, 0.5])
+        needed = default_params.delivery_threshold
+
+        def policy(energy, gain):
+            return max_ps_ratio(gain, default_params), needed
+
+        config = SimulationConfig(blocks=2000, seed=8)
+        got = simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        assert 0.0 < got.mean < 1.0
+        assert got.mean == want.mean
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_rejection_names_the_first_block_of_its_channel_index(
+        self, channel200, default_params
+    ):
+        config = SimulationConfig(blocks=2000, seed=17)
+        drawn = sample_channel(
+            channel200, np.random.default_rng(config.seed), config.blocks
+        )
+        _, first_block = np.unique(drawn, return_index=True)
+        m = int(first_block.max())  # the last channel index to show up
+        assert m > 0
+        rejected = float(channel200.gains[drawn[m]])
+        heuristic = make_heuristic_policy(channel200, default_params)
+
+        def policy(energy, gain):
+            return (0.5, 1e9) if gain == rejected else heuristic(energy, gain)
+
+        with pytest.raises(InfeasibleActionError) as got:
+            simulate_original(policy, channel200, channel200, default_params, config)
+        with pytest.raises(InfeasibleActionError) as want:
+            oracle_simulate_original(
+                policy, channel200, channel200, default_params, config
+            )
+        assert str(got.value).startswith(f"block {m}: ")
+        assert str(got.value) == str(want.value)
+
+    def test_heuristic_is_asked_at_most_twice_per_channel_state(
+        self, channel200, default_params
+    ):
+        heuristic = make_heuristic_policy(channel200, default_params)
+        calls = 0
+
+        def counted(energy, gain):
+            nonlocal calls
+            calls += 1
+            return heuristic(energy, gain)
+
+        # one energy for block 0 (a full battery), 0.0 for every block after
+        config = SimulationConfig(
+            blocks=100_000, seed=5, initial_energy=default_params.battery_capacity
+        )
+        simulate_original(counted, channel200, channel200, default_params, config)
+        assert calls <= 2 * channel200.count
+
+
+class TestHeuristicRegeneration:
+    @pytest.mark.parametrize(
+        "params_name, overrides",
+        [
+            ("default_params", {}),
+            ("default_params", {"battery_capacity": 2.0}),
+            ("default_params", {"source_power": 0.5, "battery_capacity": 16.0}),
+            ("hard_tiny_params", {}),
+        ],
+    )
+    @pytest.mark.parametrize("start", START_ENERGIES)
+    def test_every_residual_is_exactly_empty(
+        self, request, channel200, params_name, overrides, start
+    ):
+        """The draining heuristic leaves exactly 0.0 uJ in the battery.
+
+        Checked for every channel state at the start energy and at 0.0, so
+        by induction every residual after block 0 is exactly 0.0 on every
+        sample path. From block 1 on each block starts in (0.0, h) with a
+        fresh h, so the blocks' outcomes are i.i.d.: the chain regenerates
+        every block, and the i.i.d. stderr that simulate_original reports
+        is a valid error bar for this policy.
+        """
+        params = dataclasses.replace(request.getfixturevalue(params_name), **overrides)
+        policy = make_heuristic_policy(channel200, params)
+        for energy in (_start_energy(start, params), 0.0):
+            for gain in channel200.gains.tolist():
+                ps_ratio, transmit_energy = policy(energy, gain)
+                _, residual = apply_action(
+                    energy, gain, ps_ratio, transmit_energy, params
+                )
+                assert residual == 0.0
 
 
 class TestSimulateDiscrete:
