@@ -71,10 +71,24 @@ class SimulationResult:
 def sample_channel(
     channel: FiniteChannel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """size i.i.d. channel-state indices, drawn by inverse-cdf lookup on
-    uniforms."""
-    idx = np.searchsorted(np.cumsum(channel.pmf), rng.random(size), side="right")
-    return np.minimum(idx, channel.count - 1)
+    """size i.i.d. channel-state indices by inverse-cdf lookup on uniforms:
+    a guide table (Chen & Asau 1974) starts u at the lookup of floor(u * C)
+    / C and vector steps move it to the exact index, unless a bucket can
+    hold as many cdf entries as a binary search takes comparisons."""
+    # the last entry is left out, so u at or past it draws the last state
+    inner, count = np.cumsum(channel.pmf)[:-1], channel.count
+    u = rng.random(size)
+    # entries sit at least min(pmf) apart, so a bucket of width 1 / C holds
+    # at most 1 + 1 / (C * min(pmf)): the most steps a draw can take
+    if 1.0 + 1.0 / (count * channel.pmf.min()) >= math.log2(count):
+        return np.searchsorted(inner, u, side="right")
+    guide = np.searchsorted(inner, np.arange(count) / count, side="right")
+    hi = np.append(inner, np.inf)  # u at or above hi[k] moves k up
+    lo = np.insert(inner, 0, -np.inf)  # u below lo[k] moves k down
+    idx = guide.take((u * count).astype(np.intp), mode="clip")
+    while (step := np.subtract(hi[idx] <= u, lo[idx] > u, dtype=np.int8)).any():
+        idx += step
+    return idx
 
 
 def _mean_stderr(total: float, total_sq: float, blocks: int) -> tuple[float, float]:
@@ -115,30 +129,48 @@ def simulate_original(
     blocks = config.blocks
     h_idx = sample_channel(h_channel, rng, blocks)
     g_gains = g_channel.gains[sample_channel(g_channel, rng, blocks)]
+    h_list = h_idx.tolist()
+    gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
-    decodes = np.empty(blocks, dtype=bool)
+    # the energy each block forwards, NaN where the relay did not decode
     spent = np.empty(blocks)
-    played = {}  # channel index -> (decodes, transmit_energy, residual)
-    for m, i in enumerate(h_idx.tolist()):
-        block = played.get(i)
-        if block is None:
-            gain = float(h_channel.gains[i])
-            ps_ratio, transmit_energy = policy(energy, gain)
-            try:
-                decoded, residual = apply_action(
-                    energy, gain, ps_ratio, transmit_energy, params
-                )
-            except ValueError as exc:
-                raise type(exc)(
-                    f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
-                    f"in state (energy={energy}, gain={gain}): {exc}"
-                ) from None
-            block = played[i] = (decoded, transmit_energy, residual)
-        decodes[m], spent[m], residual = block
+    # steady: indices played since the battery reached this energy at block
+    # `since` that left it there; index i repeats block played_at[i].
+    steady, since, played_at = set(), 0, np.full(h_channel.count, -1)
+    m = 0
+    while m < blocks:
+        i = h_list[m]
+        if i in steady:
+            # repeat played blocks up to the next index that is new here
+            end, width = m + 1, 16
+            while end < blocks:
+                new = np.flatnonzero(played_at[h_idx[end : end + width]] < since)
+                if new.size:
+                    end += int(new[0])
+                    break
+                end, width = min(end + width, blocks), 2 * width
+            spent[m:end] = spent[played_at[h_idx[m:end]]]
+            m = end
+            continue
+        gain = gains[i]
+        ps_ratio, transmit_energy = policy(energy, gain)
+        try:
+            decoded, residual = apply_action(
+                energy, gain, ps_ratio, transmit_energy, params
+            )
+        except ValueError as exc:
+            raise type(exc)(
+                f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
+                f"in state (energy={energy}, gain={gain}): {exc}"
+            ) from None
+        spent[m] = transmit_energy if decoded else math.nan
         if residual != energy:
-            played = {}
-            energy = residual
-    success = decodes & (spent * g_gains >= params.delivery_threshold)
+            energy, since, steady = residual, m + 1, set()
+        else:
+            steady.add(i)
+            played_at[i] = m
+        m += 1
+    success = spent * g_gains >= params.delivery_threshold
     trace = success.astype(np.uint8) if keep_trace else None
     wins = float(np.count_nonzero(success))
     mean, stderr = _mean_stderr(wins, wins, blocks)
@@ -172,8 +204,8 @@ def simulate_discrete(
     rule = model._check_rule(rule)
     n_levels = grid.n_levels
     n_channels = model.h_channel.count
-    reward_table = model.reward_vector(rule).reshape(n_levels, n_channels)
-    post_table = model.post_levels(rule).reshape(n_levels, n_channels)
+    rewards = model.reward_vector(rule).reshape(n_levels, n_channels).tolist()
+    posts = model.post_levels(rule).reshape(n_levels, n_channels).tolist()
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = sample_channel(model.h_channel, rng, blocks)
@@ -183,16 +215,14 @@ def simulate_discrete(
         h_idx[0] = initial_channel
     level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
     trace = np.zeros(blocks) if keep_trace else None
-    total = 0.0
-    total_sq = 0.0
-    for m in range(blocks):
-        i = h_idx[m]
-        value = reward_table[level, i]
+    total = total_sq = 0.0
+    for m, i in enumerate(h_idx.tolist()):
+        value = rewards[level][i]
         total += value
         total_sq += value * value
         if trace is not None:
             trace[m] = value
-        level = post_table[level, i]
+        level = posts[level][i]
     mean, stderr = _mean_stderr(total, total_sq, blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace

@@ -42,6 +42,11 @@ def hard_tiny_params() -> SystemParams:
 
 
 @pytest.fixture(scope="session")
+def channel1():
+    return channel_from_table([1.0], [1.0])
+
+
+@pytest.fixture(scope="session")
 def channel2():
     return quantize_equiprobable_exponential(2)
 

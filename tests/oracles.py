@@ -6,8 +6,10 @@ chain. These references do the same work the direct way: the per-state
 action loop through the scalar relay functions, the dense evaluation and
 strongly-connected-component count on the full L*C-state
 (battery level, channel) chain, the best gain over every stationary
-deterministic rule by enumeration, and the continuous-energy simulator
-that asks the policy and plays its action afresh every block.
+deterministic rule by enumeration, the channel sampler as one binary
+search per uniform, the continuous-energy simulator that asks the policy
+and plays its action afresh every block, and the discretized simulator
+that indexes the numpy tables block by block.
 """
 
 import itertools
@@ -29,7 +31,6 @@ from swipt_relay import (
     energy_after_harvest,
     max_ps_ratio,
     round_up_level,
-    sample_channel,
     success_prob,
 )
 from swipt_relay.mdp import _level_chain
@@ -205,6 +206,13 @@ def oracle_gain_bruteforce(
     return best
 
 
+def oracle_sample_channel(channel, rng, size):
+    """size i.i.d. channel-state indices, drawn by inverse-cdf lookup on
+    uniforms."""
+    idx = np.searchsorted(np.cumsum(channel.pmf), rng.random(size), side="right")
+    return np.minimum(idx, channel.count - 1)
+
+
 def oracle_simulate_original(
     policy, h_channel, g_channel, params, config, *, keep_trace=False
 ):
@@ -218,8 +226,8 @@ def oracle_simulate_original(
         )
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
-    h_gains = h_channel.gains[sample_channel(h_channel, rng, blocks)]
-    g_gains = g_channel.gains[sample_channel(g_channel, rng, blocks)]
+    h_gains = h_channel.gains[oracle_sample_channel(h_channel, rng, blocks)]
+    g_gains = g_channel.gains[oracle_sample_channel(g_channel, rng, blocks)]
     needed = params.delivery_threshold
     energy = float(config.initial_energy)
     trace = np.zeros(blocks, dtype=np.uint8) if keep_trace else None
@@ -242,6 +250,40 @@ def oracle_simulate_original(
             trace[m] = success
         energy = residual
     mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
+    return SimulationResult(
+        mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
+    )
+
+
+def oracle_simulate_discrete(
+    model, rule, config, *, initial_channel=None, keep_trace=False
+):
+    """simulate_discrete indexing the numpy reward and post-level tables
+    block by block, on channel draws from oracle_sample_channel."""
+    grid = model.grid
+    rule = model._check_rule(rule)
+    n_levels = grid.n_levels
+    n_channels = model.h_channel.count
+    reward_table = model.reward_vector(rule).reshape(n_levels, n_channels)
+    post_table = model.post_levels(rule).reshape(n_levels, n_channels)
+    rng = np.random.default_rng(config.seed)
+    blocks = config.blocks
+    h_idx = oracle_sample_channel(model.h_channel, rng, blocks)
+    if initial_channel is not None:
+        h_idx[0] = initial_channel
+    level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
+    trace = np.zeros(blocks) if keep_trace else None
+    total = 0.0
+    total_sq = 0.0
+    for m in range(blocks):
+        i = h_idx[m]
+        value = reward_table[level, i]
+        total += value
+        total_sq += value * value
+        if trace is not None:
+            trace[m] = value
+        level = post_table[level, i]
+    mean, stderr = _mean_stderr(total, total_sq, blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )

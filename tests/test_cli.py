@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 import swipt_relay.cli as cli_module
@@ -302,6 +304,46 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "battery_sweep" in err
         assert not out.exists()
+
+
+# p_heuristic_sim and p_heuristic_sim_stderr of
+# `sweep --seed 5 --blocks 20000 --channel-states 50`, one pair per battery
+# point (both grid resolutions share the heuristic's run), as the
+# searchsorted sampler and the block-by-block simulator wrote them.
+PINNED_SIM_COLUMNS = {
+    "2": ("0.8902", "0.00221075606346"),
+    "4": ("0.89615", "0.00215719529704"),
+    "6": ("0.89805", "0.00213963519716"),
+    "8": ("0.8961", "0.00215765434526"),
+    "10": ("0.8944", "0.00217317006546"),
+    "12": ("0.89615", "0.00215719529704"),
+    "14": ("0.897", "0.00214936757886"),
+    "16": ("0.8993", "0.00212795721529"),
+}
+
+
+class TestPinnedMonteCarlo:
+    def test_sweep_simulation_columns_match_recorded_values(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--seed", "5", "--blocks", "20000", "--channel-states", "50"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        with out.open(encoding="utf-8", newline="") as handle:
+            got = [
+                (
+                    row["sweep_value"],
+                    row["n_levels"],
+                    row["p_heuristic_sim"],
+                    row["p_heuristic_sim_stderr"],
+                )
+                for row in csv.DictReader(handle)
+            ]
+        want = [
+            (battery, n_levels, *PINNED_SIM_COLUMNS[battery])
+            for battery in PINNED_SIM_COLUMNS
+            for n_levels in ("5", "9")
+        ]
+        assert got == want
 
 
 def assert_one_error_line(capsys, args, start):

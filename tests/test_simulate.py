@@ -1,9 +1,14 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
-from oracles import oracle_simulate_original
+from oracles import (
+    oracle_sample_channel,
+    oracle_simulate_discrete,
+    oracle_simulate_original,
+)
 from swipt_relay import (
     InfeasibleActionError,
     SimulationConfig,
@@ -18,6 +23,7 @@ from swipt_relay import (
     max_ps_ratio,
     policy_evaluate,
     policy_iteration,
+    quantize_equiprobable_exponential,
     sample_channel,
     simulate_discrete,
     simulate_original,
@@ -67,7 +73,71 @@ def _start_energy(start, params):
     return {"empty": 0.0, "third": capacity / 3, "full": capacity}[start]
 
 
+def _table(weights):
+    """Channel with gains 1..C and a pmf proportional to weights."""
+    weights = np.asarray(weights, dtype=float)
+    gains = np.arange(1.0, weights.size + 1.0)
+    return channel_from_table(gains, weights / weights.sum())
+
+
+def _crowded(count, heavy):
+    """count states, heavy of the mass on the middle one."""
+    weights = np.full(count, (1.0 - heavy) / (count - 1))
+    weights[count // 2] = heavy
+    return _table(weights)
+
+
+SAMPLER_TABLES = {
+    **{
+        f"equiprobable{c}": functools.partial(quantize_equiprobable_exponential, c)
+        for c in (1, 2, 7, 200, 1000)
+    },
+    "ramp200": lambda: _table(np.linspace(1.0, 3.0, 200)),
+    "geometric200": lambda: _table(0.99 ** np.arange(200)),
+    "two_state_skew": lambda: _table([0.9, 0.1]),
+    "crowded1000": lambda: _crowded(1000, 0.9),
+    "crowded1000_extreme": lambda: _crowded(1000, 0.999),
+}
+
+
+class _FixedUniforms:
+    """Generator stub whose random(size) returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
 class TestSampleChannel:
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("table", sorted(SAMPLER_TABLES))
+    def test_matches_binary_search_oracle(self, table, seed):
+        channel = SAMPLER_TABLES[table]()
+        got = sample_channel(channel, np.random.default_rng(seed), 100_000)
+        want = oracle_sample_channel(channel, np.random.default_rng(seed), 100_000)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("table", sorted(SAMPLER_TABLES))
+    def test_boundary_uniforms_match_binary_search_oracle(self, table):
+        # every cdf value exactly, the double just below it, 0.0 and
+        # values at or past the last cdf entry
+        channel = SAMPLER_TABLES[table]()
+        cdf = np.cumsum(channel.pmf)
+        past_end = np.array([cdf[-1], np.nextafter(cdf[-1], np.inf), 1.0, 1.5])
+        values = np.concatenate(
+            ([0.0], cdf, np.nextafter(cdf, -np.inf), past_end, [np.nextafter(1.0, 0.0)])
+        )
+        got = sample_channel(channel, _FixedUniforms(values), values.size)
+        want = oracle_sample_channel(channel, _FixedUniforms(values), values.size)
+        assert np.array_equal(got, want)
+        assert got[0] == 0
+        ends = got[1 + 2 * cdf.size : 1 + 2 * cdf.size + past_end.size]
+        assert np.all(ends == channel.count - 1)
+
     def test_single_state_always_zero(self):
         channel = channel_from_table([1.0], [1.0])
         rng = np.random.default_rng(0)
@@ -239,10 +309,11 @@ class TestSimulateOriginal:
 class TestSimulateOriginalMatchesOracle:
     """simulate_original plays each (energy, channel index) once and
     reuses it while the battery stays at that energy; the oracle asks the
-    policy and plays its action afresh every block."""
+    policy and plays its action afresh every block. On channel1 every
+    block after the first that keeps the energy is a jump."""
 
     @pytest.mark.parametrize("seed", [3, 29])
-    @pytest.mark.parametrize("channel_name", ["channel2", "channel200"])
+    @pytest.mark.parametrize("channel_name", ["channel1", "channel2", "channel200"])
     @pytest.mark.parametrize("start", START_ENERGIES)
     @pytest.mark.parametrize("params_name", ["default_params", "hard_tiny_params"])
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
@@ -265,6 +336,57 @@ class TestSimulateOriginalMatchesOracle:
             repr(want.mean), repr(want.stderr)
         )
         assert got.trace.dtype == want.trace.dtype
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_heuristic_long_run_from_full_is_bit_identical(
+        self, channel200, default_params
+    ):
+        # the battery sits at 0.0 from block 1 on, so once every index has
+        # been played a jump runs to the end of the run
+        policy = make_heuristic_policy(channel200, default_params)
+        config = SimulationConfig(
+            blocks=100_000, seed=5, initial_energy=default_params.battery_capacity
+        )
+        got = simulate_original(
+            policy, channel200, channel200, default_params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel200, channel200, default_params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_steady_blocks_stay_with_their_energy(self, channel200, default_params):
+        # a channel at or above the median fills this battery in one
+        # block and saves (steady at the capacity), a weaker one drains it
+        # (steady at 0.0): the battery switches between two energies, each
+        # with its own steady channel indices
+        median = float(np.median(channel200.gains))
+        params = dataclasses.replace(
+            default_params,
+            battery_capacity=energy_after_harvest(0.0, median, 1.0, default_params),
+        )
+        drain = make_heuristic_policy(channel200, params)
+        energies = set()
+
+        def policy(energy, gain):
+            energies.add(energy)
+            return drain(energy, gain) if gain < median else (1.0, 0.0)
+
+        config = SimulationConfig(blocks=20_000, seed=12)
+        got = simulate_original(
+            policy, channel200, channel200, params, config, keep_trace=True
+        )
+        assert energies == {0.0, params.battery_capacity}
+        want = oracle_simulate_original(
+            policy, channel200, channel200, params, config, keep_trace=True
+        )
+        assert 0.0 < got.mean < 1.0
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
         assert got.trace.tobytes() == want.trace.tobytes()
 
     def test_delivery_exactly_at_the_threshold_succeeds(self, default_params):
@@ -428,6 +550,59 @@ class TestSimulateDiscrete:
             simulate_discrete(
                 model, rule, SimulationConfig(blocks=10, seed=1), initial_channel=5
             )
+
+
+class TestSimulateDiscreteMatchesOracle:
+    """simulate_discrete walks Python lists of the reward and post-level
+    tables; the oracle indexes the numpy tables block by block."""
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    @pytest.mark.parametrize("start", START_ENERGIES)
+    @pytest.mark.parametrize(
+        "channel_name, params_name, capacity, n_levels",
+        [
+            ("channel2", "hard_tiny_params", None, 3),
+            ("channel200", "default_params", None, 9),
+            ("channel200", "default_params", 16.0, 33),
+        ],
+    )
+    @pytest.mark.parametrize("rule_name", ["initial", "optimal"])
+    def test_bit_identical_to_table_oracle(
+        self, request, channel_name, params_name, capacity, n_levels, rule_name,
+        start, seed,
+    ):
+        channel = request.getfixturevalue(channel_name)
+        params = request.getfixturevalue(params_name)
+        if capacity is not None:
+            params = dataclasses.replace(params, battery_capacity=capacity)
+        model = build_mdp(channel, channel, params, n_levels)
+        if rule_name == "optimal":
+            rule = policy_iteration(model).rule
+        else:
+            rule = default_initial_rule(model)
+        config = SimulationConfig(
+            blocks=20_000, seed=seed, initial_energy=_start_energy(start, params)
+        )
+        got = simulate_discrete(model, rule, config, initial_channel=1, keep_trace=True)
+        want = oracle_simulate_discrete(
+            model, rule, config, initial_channel=1, keep_trace=True
+        )
+        assert got.mean.hex() == float(want.mean).hex()
+        assert got.stderr.hex() == float(want.stderr).hex()
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_means_are_python_floats(self, channel2, hard_tiny_params):
+        config = SimulationConfig(blocks=500, seed=4)
+        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
+        discrete = simulate_discrete(model, default_initial_rule(model), config)
+        original = simulate_original(
+            make_heuristic_policy(channel2, hard_tiny_params),
+            channel2, channel2, hard_tiny_params, config,
+        )
+        for result in (discrete, original):
+            assert type(result.mean) is float
+            assert type(result.stderr) is float
+            assert not repr(result.mean).startswith("np.")
 
 
 class TestResultSerialization:
