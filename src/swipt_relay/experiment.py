@@ -209,10 +209,13 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     come back in sweep order regardless of worker completion order.
     """
     indices = range(len(config.sweep_values))
-    if config.workers == 1:
+    # A fork-based pool may start all its workers at the first submit, so
+    # never ask for more workers than there are sweep values.
+    workers = min(config.workers, len(indices))
+    if workers == 1:
         per_point = [_sweep_point(config, i) for i in indices]
     else:
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             per_point = list(
                 pool.map(_sweep_point, [config] * len(indices), indices)
             )

@@ -7,12 +7,12 @@ splitting ratio can be restricted to full harvesting or the largest
 decodable ratio, and the transmit energy to the values that land the
 residual exactly on a grid level, without lowering the optimum. The
 resulting finite average-reward decision problem is solved by policy
-iteration; its gain is the bound.
+iteration; its gain, certified by one Bellman update, is the bound.
 
 The source-relay channel is redrawn independently every block, so a
 transition depends on the action only through the post-top-up battery
-level. Evaluation, improvement and the recurrent-class check therefore
-work on the chain of the L battery levels rather than on all L x C
+level. Evaluation, improvement and the bound's certificate therefore work
+on the chain of the L battery levels rather than on all L x C
 (level, channel) states (Puterman, Markov Decision Processes, 1994, ch. 8).
 """
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.csgraph
 
 from .channel import FiniteChannel
 from .relay import SystemParams, _received_power
@@ -50,11 +49,15 @@ _RESIDUAL_TOL = 1e-9
 # more than this, so floating-point near-ties cannot make the rule cycle.
 # The converged gain then falls short of the optimum by at most this much.
 _IMPROVE_TOL = 1e-13
+# upper_bound accepts a gain only when one Bellman update of the level
+# values stays within this of it at every level.
+_CERTIFICATE_TOL = 1e-12
 
 
 class MultichainSuspectedError(RuntimeError):
-    """The evaluated chain does not look unichain (singular evaluation
-    system or more than one recurrent class)."""
+    """The evaluated chain does not look unichain (singular or inaccurate
+    evaluation system), or a reported gain fails upper_bound's Bellman
+    update certificate."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -414,65 +417,25 @@ def policy_iteration(
     )
 
 
-def _recurrent_class_count(model: MdpModel, rule: np.ndarray) -> int:
-    """Exact number of recurrent classes of the rule's chain.
+def upper_bound(model: MdpModel, result: PolicyIterationResult) -> float:
+    """Bound on the original system's best average success probability:
+    the optimal gain of the modified system, certified before returning.
 
-    Every channel state has positive probability, so the (level, channel)
-    chain has one recurrent class per sink component of the
-    strongly-connected-component condensation of the level graph.
+    One Bellman update of the level values W bounds the optimal gain g*
+    from both sides, min_j (TW - W)[j] <= g* <= max_j (TW - W)[j], for any
+    W and without a unichain premise (Odoni 1969; Puterman 1994, sec. 8.5).
+    The gain is returned only when that whole span lies within 1e-12 of
+    it; otherwise MultichainSuspectedError is raised.
     """
-    _, transitions = _level_chain(model, rule)
-    n_comp, labels = scipy.sparse.csgraph.connected_components(
-        transitions, directed=True, connection="strong"
-    )
-    rows, cols = np.nonzero(transitions)
-    crossing = labels[rows] != labels[cols]
-    return n_comp - np.unique(labels[rows[crossing]]).size
-
-
-def upper_bound(
-    model: MdpModel,
-    result: PolicyIterationResult,
-    *,
-    check: str = "structural",
-    check_blocks: int = 20_000,
-    check_seed: int = 0,
-) -> float:
-    """Bound on the original system's best average success probability.
-
-    The bound is the channel-pmf average of the modified system's optimal
-    long-run success over the empty-battery start states, which equals
-    the policy-iteration gain when the optimal chain has one recurrent
-    class. That premise is verified before returning:
-
-    - check="structural" (default): count the recurrent classes of the
-      optimal rule's chain exactly and reject more than one;
-    - check="simulate": simulate the chain from every empty-battery start
-      state and require agreement with the gain within Monte Carlo error;
-    - check="none": trust the caller.
-    """
-    rule = model._check_rule(result.rule)
-    if check == "structural":
-        classes = _recurrent_class_count(model, rule)
-        if classes != 1:
-            raise MultichainSuspectedError(
-                f"optimal rule's chain has {classes} recurrent classes; the "
-                f"gain is not state-independent"
-            )
-    elif check == "simulate":
-        from .simulate import SimulationConfig, simulate_discrete
-
-        for i in range(model.h_channel.count):
-            config = SimulationConfig(
-                blocks=check_blocks, seed=check_seed + i, initial_energy=0.0
-            )
-            sim = simulate_discrete(model, rule, config, initial_channel=i)
-            slack = 3.0 * sim.stderr + 1e-9
-            if abs(sim.mean - result.gain) > slack:
-                raise MultichainSuspectedError(
-                    f"start state (empty, channel {i}) averages {sim.mean:.6g} "
-                    f"vs gain {result.gain:.6g} (allowed deviation {slack:.3g})"
-                )
-    elif check != "none":
-        raise ValueError(f"unknown check mode {check!r}")
+    model._check_rule(result.rule)
+    values = result.bias
+    greedy = policy_improve(model, values)
+    mean_reward, transitions = _level_chain(model, greedy)
+    update = mean_reward + transitions @ values - values
+    low, high = float(np.min(update)), float(np.max(update))
+    if not high - _CERTIFICATE_TOL <= result.gain <= low + _CERTIFICATE_TOL:
+        raise MultichainSuspectedError(
+            f"Bellman update span [{low!r}, {high!r}] does not pin the gain "
+            f"{result.gain!r} to within {_CERTIFICATE_TOL}"
+        )
     return float(result.gain)

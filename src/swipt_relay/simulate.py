@@ -184,7 +184,6 @@ def simulate_discrete(
     rule: np.ndarray,
     config: SimulationConfig,
     *,
-    initial_channel: int | None = None,
     keep_trace: bool = False,
 ) -> SimulationResult:
     """Run of the discretized chain under a stationary rule.
@@ -192,8 +191,7 @@ def simulate_discrete(
     Each block accrues the chosen action's success probability rather
     than a coin flip, so the time average estimates the rule's gain
     directly; the battery then jumps to the action's post-top-up level.
-    The start level is the highest grid level not above initial_energy;
-    the first block's channel state may be pinned via initial_channel.
+    The start level is the highest grid level not above initial_energy.
     """
     grid = model.grid
     if config.initial_energy > grid.capacity:
@@ -209,10 +207,6 @@ def simulate_discrete(
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = sample_channel(model.h_channel, rng, blocks)
-    if initial_channel is not None:
-        if not 0 <= initial_channel < n_channels:
-            raise ValueError(f"initial_channel {initial_channel} out of range")
-        h_idx[0] = initial_channel
     level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
     trace = np.zeros(blocks) if keep_trace else None
     total = total_sq = 0.0

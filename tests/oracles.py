@@ -1,11 +1,11 @@
 """Test-only references for the array-built model and the level-chain solver.
 
 The package builds every state's actions in one vectorised pass and solves
-policy evaluation and the recurrent-class check on the L-state battery-level
-chain. These references do the same work the direct way: the per-state
-action loop through the scalar relay functions, the dense evaluation and
-strongly-connected-component count on the full L*C-state
-(battery level, channel) chain, the best gain over every stationary
+policy evaluation on the L-state battery-level chain. These references do
+the same work the direct way: the per-state action loop through the scalar
+relay functions, the dense evaluation on the full L*C-state (battery
+level, channel) chain, the exact recurrent-class count of a rule's chain
+from its strongly connected components, the best gain over every stationary
 deterministic rule by enumeration, the channel sampler as one binary
 search per uniform, the continuous-energy simulator that asks the policy
 and plays its action afresh every block, and the discretized simulator
@@ -255,9 +255,7 @@ def oracle_simulate_original(
     )
 
 
-def oracle_simulate_discrete(
-    model, rule, config, *, initial_channel=None, keep_trace=False
-):
+def oracle_simulate_discrete(model, rule, config, *, keep_trace=False):
     """simulate_discrete indexing the numpy reward and post-level tables
     block by block, on channel draws from oracle_sample_channel."""
     grid = model.grid
@@ -269,8 +267,6 @@ def oracle_simulate_discrete(
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = oracle_sample_channel(model.h_channel, rng, blocks)
-    if initial_channel is not None:
-        h_idx[0] = initial_channel
     level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
     trace = np.zeros(blocks) if keep_trace else None
     total = 0.0

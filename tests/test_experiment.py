@@ -175,6 +175,43 @@ class TestRunSweep:
         pooled = ExperimentConfig(**{**SMALL, "workers": 2})
         assert rows_to_csv(run_sweep(serial)) == rows_to_csv(run_sweep(pooled))
 
+    @pytest.mark.parametrize(
+        "sweep, workers, pool_size",
+        [((2.0, 4.0), 100_000, 2), ((2.0, 4.0, 6.0), 2, 2), ((2.0,), 8, None)],
+    )
+    def test_pool_never_exceeds_the_sweep_values(
+        self, monkeypatch, sweep, workers, pool_size
+    ):
+        # a forking pool can start every worker at the first submit, so
+        # --workers 100000 must not ask for 100,000 processes; the stub
+        # records the request and maps in process
+        requested = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(
+            experiment_module.concurrent.futures, "ProcessPoolExecutor", StubPool
+        )
+        config = ExperimentConfig(
+            **{**SMALL, "battery_sweep": sweep, "workers": workers}
+        )
+        rows = run_sweep(config)
+        assert requested == ([] if pool_size is None else [pool_size])
+        assert rows_to_csv(rows) == rows_to_csv(
+            run_sweep(ExperimentConfig(**{**SMALL, "battery_sweep": sweep}))
+        )
+
     def test_power_axis(self):
         config = ExperimentConfig(
             sweep="power",

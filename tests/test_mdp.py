@@ -412,9 +412,7 @@ class TestPolicyEvaluate:
         if n_states == 2 and n_levels == 3 and exact_up:
             rules.append(_two_loop_rule(model))
         for rule in rules:
-            classes = recurrent_class_count(model, rule)
-            assert mdp_module._recurrent_class_count(model, rule) == classes
-            if classes == 1:
+            if recurrent_class_count(model, rule) == 1:
                 gain, values = policy_evaluate(model, rule)
                 oracle_gain, oracle_bias = dense_evaluate(model, rule)
                 level_bias = oracle_bias.reshape(n_levels, -1) @ channel.pmf
@@ -589,12 +587,6 @@ class TestUpperBound:
         bound = upper_bound(model, result)
         assert abs(bound - oracle_gain_bruteforce(model)) <= 1e-9
 
-    def test_simulate_check_passes_on_unichain(self, channel2, hard_tiny_params):
-        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        result = policy_iteration(model)
-        bound = upper_bound(model, result, check="simulate", check_blocks=4000)
-        assert bound == pytest.approx(result.gain)
-
     def test_structural_check_rejects_multichain(self, hand_model):
         # two absorbing level loops: recurrent classes {level 0} and {level 1}
         layout = [[(0.1, 0)], [(0.1, 0)], [(0.9, 1)], [(0.9, 1)]]
@@ -606,11 +598,26 @@ class TestUpperBound:
         with pytest.raises(MultichainSuspectedError):
             upper_bound(model, fake)
 
-    def test_unknown_check_mode_rejected(self, channel2, hard_tiny_params):
-        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda gain, values: (gain + 1e-9, values),
+            lambda gain, values: (gain - 1e-9, values),
+            lambda gain, values: (gain, values + 1e-6 * (np.arange(9) == 3)),
+            lambda gain, values: (gain, np.full(9, np.nan)),
+        ],
+        ids=["gain+1e-9", "gain-1e-9", "W[3]+1e-6", "W-all-nan"],
+    )
+    def test_certificate_rejects_a_perturbed_result(
+        self, default_params, channel200, perturb
+    ):
+        model = build_mdp(channel200, channel200, default_params, 9)
         result = policy_iteration(model)
-        with pytest.raises(ValueError):
-            upper_bound(model, result, check="vibes")
+        assert upper_bound(model, result) == result.gain
+        gain, values = perturb(result.gain, result.bias)
+        wrong = dataclasses.replace(result, gain=gain, bias=values)
+        with pytest.raises(MultichainSuspectedError, match="span"):
+            upper_bound(model, wrong)
 
     def test_mismatched_channel_rejected(self, channel2, hard_tiny_params):
         # a result solved over another source-relay alphabet does not fit

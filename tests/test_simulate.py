@@ -521,20 +521,6 @@ class TestSimulateDiscrete:
         # one channel state: after the first block the chain is constant
         assert abs(sim.mean - gain) <= 1.0 / 1000 + 1e-12
 
-    def test_initial_channel_pins_first_block(self, channel2, hard_tiny_params):
-        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        rule = default_initial_rule(model)
-        rewards = model.reward_vector(rule)
-        for i in range(2):
-            sim = simulate_discrete(
-                model,
-                rule,
-                SimulationConfig(blocks=1, seed=55),
-                initial_channel=i,
-                keep_trace=True,
-            )
-            assert sim.trace[0] == rewards[i]  # state (level 0, channel i)
-
     def test_same_seed_is_bit_identical(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         rule = default_initial_rule(model)
@@ -542,14 +528,6 @@ class TestSimulateDiscrete:
         a = simulate_discrete(model, rule, config, keep_trace=True)
         b = simulate_discrete(model, rule, config, keep_trace=True)
         assert a.mean == b.mean and np.array_equal(a.trace, b.trace)
-
-    def test_rejects_bad_initial_channel(self, channel2, hard_tiny_params):
-        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        rule = default_initial_rule(model)
-        with pytest.raises(ValueError):
-            simulate_discrete(
-                model, rule, SimulationConfig(blocks=10, seed=1), initial_channel=5
-            )
 
 
 class TestSimulateDiscreteMatchesOracle:
@@ -583,10 +561,8 @@ class TestSimulateDiscreteMatchesOracle:
         config = SimulationConfig(
             blocks=20_000, seed=seed, initial_energy=_start_energy(start, params)
         )
-        got = simulate_discrete(model, rule, config, initial_channel=1, keep_trace=True)
-        want = oracle_simulate_discrete(
-            model, rule, config, initial_channel=1, keep_trace=True
-        )
+        got = simulate_discrete(model, rule, config, keep_trace=True)
+        want = oracle_simulate_discrete(model, rule, config, keep_trace=True)
         assert got.mean.hex() == float(want.mean).hex()
         assert got.stderr.hex() == float(want.stderr).hex()
         assert got.trace.tobytes() == want.trace.tobytes()
