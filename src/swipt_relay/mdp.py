@@ -17,11 +17,9 @@ on the chain of the L battery levels rather than on all L x C
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .channel import FiniteChannel
 from .relay import SystemParams, _received_power
@@ -41,7 +39,7 @@ __all__ = [
     "upper_bound",
 ]
 
-# Condition-number estimates beyond 1e12 are treated as a singular
+# 1-norm condition numbers beyond 1e12 are treated as a singular
 # evaluation system, the numerical signature of multiple recurrent classes.
 _RCOND_MIN = 1e-12
 _RESIDUAL_TOL = 1e-9
@@ -303,27 +301,22 @@ def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarra
     where W[j] is the channel-pmf average of the bias over the states of
     level j, relative to level 0; up to a constant, the bias of state
     (j, i) is reward - gain + W[post]. A numerically singular level system
-    (condition estimate beyond 1e12) raises MultichainSuspectedError, the
-    signature of a chain with more than one recurrent class, as does a
-    residual of the level equations above 1e-9.
+    (exact 1-norm condition number beyond 1e12) raises
+    MultichainSuspectedError, the signature of a chain with more than one
+    recurrent class, as does a residual of the level equations above 1e-9.
     """
     rule = model._check_rule(rule)
     mean_reward, transitions = _level_chain(model, rule)
     matrix = np.eye(len(mean_reward)) - transitions
     # W[0] = 0 frees the first column for the gain unknown.
     matrix[:, 0] = 1.0
-    norm = np.linalg.norm(matrix, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix)
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (matrix,))
-    rcond, _ = gecon[0](lu, norm)
-    if not np.isfinite(rcond) or rcond < _RCOND_MIN:
+    rcond = 1.0 / np.linalg.cond(matrix, 1)  # 0 when singular
+    if not rcond >= _RCOND_MIN:
         raise MultichainSuspectedError(
             f"evaluation system has reciprocal condition {rcond:.3e}; the "
             f"rule's chain is probably not unichain (rule head {rule[:8]})"
         )
-    values = scipy.linalg.lu_solve((lu, piv), mean_reward)
+    values = np.linalg.solve(matrix, mean_reward)
     gain = float(values[0])
     values[0] = 0.0
     residual = float(
@@ -389,15 +382,11 @@ class PolicyIterationResult:
 
 
 def policy_iteration(
-    model: MdpModel,
-    initial_rule: np.ndarray | None = None,
-    max_iterations: int = 10_000,
+    model: MdpModel, max_iterations: int = 10_000
 ) -> PolicyIterationResult:
-    """Average-reward policy iteration: alternate evaluation and
-    improvement until the rule repeats."""
-    if initial_rule is None:
-        initial_rule = default_initial_rule(model)
-    rule = model._check_rule(initial_rule)
+    """Average-reward policy iteration from default_initial_rule:
+    alternate evaluation and improvement until the rule repeats."""
+    rule = default_initial_rule(model)
     gains: list[float] = []
     for iteration in range(1, max_iterations + 1):
         gain, values = policy_evaluate(model, rule)

@@ -50,7 +50,7 @@ class SystemParams:
     configured rate, 4**rate - 1 (each hop only gets half of the block);
     delivery_threshold is the product u * g (uJ x gain) the relay
     transmission needs for the destination SNR to reach it. Both are
-    derived once, and a rate whose threshold overflows is rejected.
+    derived once, and a threshold that overflows or vanishes is rejected.
     """
 
     source_power: float
@@ -88,6 +88,11 @@ class SystemParams:
             raise ValueError(
                 f"rate {self.rate:g} makes the decoding threshold "
                 f"T * noise_power * (4**rate - 1) overflow"
+            )
+        if delivery_threshold == 0.0:
+            raise ValueError(
+                f"rate {self.rate:g} makes the decoding threshold "
+                f"T * noise_power * (4**rate - 1) vanish"
             )
         object.__setattr__(self, "threshold_snr", threshold_snr)
         object.__setattr__(self, "delivery_threshold", delivery_threshold)

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,3 +410,51 @@ class TestOverflowingPhysics:
         args = ["sweep", *sweep_args, "--channel-states", "20", "--out", str(out)]
         assert assert_one_error_line(capsys, args, start) == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["channel", "heuristic", "bound", "simulate", "sweep"]
+    )
+    @pytest.mark.parametrize(
+        "physics, start",
+        [
+            (["--rate", "1e-17"], "error: rate 1e-17 "),
+            (
+                ["--noise-power", "5e-324", "--block-duration", "0.1"],
+                "error: rate 1.5 ",
+            ),
+        ],
+        ids=["rate", "noise_power"],
+    )
+    def test_vanishing_threshold_exits_two_before_work(
+        self, tmp_path, capsys, no_stage_runs, command, physics, start
+    ):
+        out = tmp_path / "out.csv"
+        args = [command, *physics]
+        if command in ("channel", "simulate", "sweep"):
+            args += ["--out", str(out)]
+        assert assert_one_error_line(capsys, args, start) == ""
+        assert not out.exists()
+
+
+def test_bound_runs_without_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the CLI and solves a bound never loads scipy."""
+    script = (
+        "import sys\n"
+        "from swipt_relay.cli import main\n"
+        "status = main(['bound', '--levels', '5', '--channel-states', '20'])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(status, *loaded, file=sys.stderr)\n"
+    )
+    src = str(Path(cli_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("n_levels,p_upper_bound\n5,")
+    assert done.stderr.split() == ["0"]

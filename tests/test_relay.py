@@ -72,6 +72,14 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="rate 511 .* overflow"):
             SystemParams(1.0, 1e4, 1.0, 0.5, 511.0, 10.0)
 
+    def test_rejects_rate_whose_threshold_vanishes(self):
+        # 4**1e-17 rounds to 1, so 4**rate - 1 is 0
+        with pytest.raises(ValueError, match="rate 1e-17 .* vanish"):
+            SystemParams(1.0, 0.001, 1.0, 0.5, 1e-17, 10.0)
+        # 4**1.5 - 1 is 7, but T * noise_power underflows to 0
+        with pytest.raises(ValueError, match="rate 1.5 .* vanish"):
+            SystemParams(1.0, 5e-324, 0.1, 0.5, 1.5, 10.0)
+
     def test_rejects_overflowing_received_power(self):
         params = SystemParams(1e308, 0.001, 1.0, 0.5, 1.5, 10.0)
         assert max_ps_ratio(1.0, params) is not None
