@@ -6,6 +6,7 @@ quantization of the power gain of unit-mean Rayleigh fading, i.e. of the
 unit-mean exponential distribution.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,14 @@ class FiniteChannel:
     def max_gain(self) -> float:
         """Largest gain in the alphabet (the last element)."""
         return float(self.gains[-1])
+
+    @functools.cached_property
+    def tail(self) -> np.ndarray:
+        """Read-only tail[k]: mass of gains k, k+1, ... (0 at k = count),
+        summed as relay.delivery_success_prob sums that selection."""
+        tail = np.append([self.pmf[k:].sum() for k in range(self.count)], 0.0)
+        tail.flags.writeable = False
+        return tail
 
     def mean_gain(self) -> float:
         """Expected power gain under the pmf."""

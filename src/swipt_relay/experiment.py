@@ -8,6 +8,7 @@ Identical configuration and seed reproduce the CSV byte for byte.
 """
 
 import concurrent.futures
+import functools
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -161,11 +162,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _sweep_point(config: ExperimentConfig, index: int) -> list[SweepRow]:
+def _sweep_point(config: ExperimentConfig, channels, index: int) -> list[SweepRow]:
     """All rows of one sweep value (shared heuristic, one bound per
     n_levels). Runs inside a worker when a pool is used."""
     value = config.sweep_values[index]
-    h_channel, g_channel = config.channels()
+    h_channel, g_channel = channels
     params = config.system_params(value)
     try:
         analytic = heuristic_average_success(h_channel, g_channel, params)
@@ -206,19 +207,19 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Evaluate every (sweep value, n_levels) cell.
 
     Failures are confined to their row (status "failed", bound NaN); rows
-    come back in sweep order regardless of worker completion order.
+    come back in sweep order regardless of worker completion order. The
+    channel pair is built once, so every point shares its derived tables.
     """
     indices = range(len(config.sweep_values))
+    point = functools.partial(_sweep_point, config, config.channels())
     # A fork-based pool may start all its workers at the first submit, so
     # never ask for more workers than there are sweep values.
     workers = min(config.workers, len(indices))
     if workers == 1:
-        per_point = [_sweep_point(config, i) for i in indices]
+        per_point = list(map(point, indices))
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            per_point = list(
-                pool.map(_sweep_point, [config] * len(indices), indices)
-            )
+            per_point = list(pool.map(point, indices))
     return [row for rows in per_point for row in rows]
 
 

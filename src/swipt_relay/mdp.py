@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FiniteChannel
-from .relay import SystemParams, _received_power
+from .relay import SystemParams, _first_delivering, _split_table
 
 __all__ = [
     "BatteryGrid",
@@ -176,32 +176,6 @@ class MdpModel:
         return self.post_of_target[rule % self.grid.n_levels]
 
 
-def _delivery_probs(
-    energies: np.ndarray, g_channel: FiniteChannel, params: SystemParams
-) -> np.ndarray:
-    """relay.delivery_success_prob for an array of positive or zero
-    transmit energies, with the same boundary decisions and sums."""
-    gains, pmf = g_channel.gains, g_channel.pmf
-    count = g_channel.count
-    threshold = params.delivery_threshold
-    # tail[k] is the mass of gains k, k+1, ..., summed as the scalar
-    # function sums that (contiguous) selection.
-    tail = np.zeros(count + 1)
-    tail[:count] = [pmf[k:].sum() for k in range(count)]
-    with np.errstate(divide="ignore"):
-        first = np.searchsorted(gains, threshold / energies)
-    # The quotient can round across a gain; decide in product form
-    # (u g >= threshold), which is monotone in g, until no index moves.
-    while True:
-        below = gains[np.maximum(first - 1, 0)] * energies >= threshold
-        above = gains[np.minimum(first, count - 1)] * energies < threshold
-        down = (first > 0) & below
-        up = (first < count) & above
-        if not (down.any() or up.any()):
-            return tail[first]
-        first = first - down + up
-
-
 def build_mdp(
     h_channel: FiniteChannel,
     g_channel: FiniteChannel,
@@ -223,49 +197,16 @@ def build_mdp(
     """
     grid = BatteryGrid(n_levels, params.battery_capacity)
     levels = grid.levels
-    gains = h_channel.gains
-    shape = (n_levels, h_channel.count)
-
-    # relay.max_ps_ratio per channel state; the largest gain decides
-    # whether any received power overflows
-    _received_power(h_channel.max_gain, params)
-    received = gains * params.source_power
-    noise_margin = params.noise_power * params.threshold_snr
-    decodable = received >= 2.0 * noise_margin
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cap = np.where(
-            decodable,
-            (received - 2.0 * noise_margin) / (received - noise_margin),
-            0.0,
-        )
-
-    def mid_block(ratio):  # relay.energy_after_harvest at every state
-        harvested = (
-            0.5
-            * params.conversion_efficiency
-            * params.source_power
-            * gains
-            * ratio
-            * params.block_duration
-        )
-        return np.minimum(levels[:, None] + harvested, params.battery_capacity)
-
-    half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
-    # relay.can_succeed decides whether the decodable branch exists
-    split = (
-        decodable
-        & (half[..., 1] * g_channel.max_gain >= params.delivery_threshold)
-        & (cap != 1.0)
-    )
-    # A full-harvest action pays only where the decodable ratio rounds to 1.
-    pays = np.stack([np.broadcast_to(decodable & (cap == 1.0), shape), split], axis=2)
+    half, pays = _split_table(levels, h_channel, g_channel, params)
 
     # Fill each action with its transmit energy (0 where the relay cannot
     # decode), then map every energy to its delivery probability at once.
     rewards = np.where(pays[..., None], half[..., None] - levels, 0.0)
     actions = levels <= half[..., None]
-    actions[:, :, 1] &= split[..., None]
-    rewards[actions] = _delivery_probs(rewards[actions], g_channel, params)
+    actions[:, :, 1] &= pays[..., 1, None]
+    rewards[actions] = g_channel.tail[
+        _first_delivering(rewards[actions], g_channel, params)
+    ]
     rewards[~actions] = -np.inf
     return MdpModel(
         grid=grid,
@@ -305,7 +246,11 @@ def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarra
     MultichainSuspectedError, the signature of a chain with more than one
     recurrent class, as does a residual of the level equations above 1e-9.
     """
-    rule = model._check_rule(rule)
+    return _evaluate(model, model._check_rule(rule))
+
+
+def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
+    """policy_evaluate of a checked rule."""
     mean_reward, transitions = _level_chain(model, rule)
     matrix = np.eye(len(mean_reward)) - transitions
     # W[0] = 0 frees the first column for the gain unknown.
@@ -348,10 +293,17 @@ def policy_improve(
             f"need one value per battery level ({model.grid.n_levels}), "
             f"got shape {values.shape}"
         )
+    if incumbent is not None:
+        incumbent = model._check_rule(incumbent)
+    return _improve(model, values, incumbent)
+
+
+def _improve(model: MdpModel, values: np.ndarray, incumbent) -> np.ndarray:
+    """policy_improve without the checks: every state has an action, so
+    the argmax always picks an existing column."""
     candidates = model.rewards + np.tile(values[model.post_of_target], 2)
     rule = np.argmax(candidates, axis=1)  # first maximum = smallest column
     if incumbent is not None:
-        incumbent = model._check_rule(incumbent)
         states = np.arange(model.n_states)
         better = (
             candidates[states, rule] > candidates[states, incumbent] + _IMPROVE_TOL
@@ -384,14 +336,14 @@ class PolicyIterationResult:
 def policy_iteration(
     model: MdpModel, max_iterations: int = 10_000
 ) -> PolicyIterationResult:
-    """Average-reward policy iteration from default_initial_rule:
-    alternate evaluation and improvement until the rule repeats."""
-    rule = default_initial_rule(model)
+    """Average-reward policy iteration from default_initial_rule (checked
+    once): alternate evaluation and improvement until the rule repeats."""
+    rule = model._check_rule(default_initial_rule(model))
     gains: list[float] = []
     for iteration in range(1, max_iterations + 1):
-        gain, values = policy_evaluate(model, rule)
+        gain, values = _evaluate(model, rule)
         gains.append(gain)
-        improved = policy_improve(model, values, incumbent=rule)
+        improved = _improve(model, values, rule)
         if np.array_equal(improved, rule):
             return PolicyIterationResult(
                 gain=gain,

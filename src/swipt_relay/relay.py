@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import FiniteChannel
 
 __all__ = [
@@ -176,6 +178,28 @@ def delivery_success_prob(
     return float(g_channel.pmf[reaches].sum())
 
 
+def _first_delivering(
+    energies: np.ndarray, g_channel: FiniteChannel, params: SystemParams
+) -> np.ndarray:
+    """Per finite non-negative transmit energy u, the index of the first
+    relay-destination gain g with u g >= the delivery threshold (count
+    when none does): g_channel.tail of it is delivery_success_prob(u)."""
+    gains, count = g_channel.gains, g_channel.count
+    threshold = params.delivery_threshold
+    with np.errstate(divide="ignore"):
+        first = np.searchsorted(gains, threshold / energies)
+    # The quotient can round across a gain; decide in product form
+    # (u g >= threshold), which is monotone in g, until no index moves.
+    while True:
+        below = gains[np.maximum(first - 1, 0)] * energies >= threshold
+        above = gains[np.minimum(first, count - 1)] * energies < threshold
+        down = (first > 0) & below
+        up = (first < count) & above
+        if not (down.any() or up.any()):
+            return first
+        first = first - down + up
+
+
 def apply_action(
     energy: float,
     gain: float,
@@ -261,6 +285,35 @@ def heuristic_rule(
     return ratio, energy_after_harvest(energy, gain, ratio, params)
 
 
+def _split_table(energies, h_channel, g_channel, params: SystemParams):
+    """max_ps_ratio, energy_after_harvest and can_succeed at every battery
+    energy (rows) and source-relay gain (columns), as (half, pays) over the
+    splitting branches (0 harvests everything, 1 splits at the largest
+    decodable ratio): the mid-block level, and whether the relay decodes
+    there and branch 1 exists (not where its ratio rounds to 1)."""
+    gains = h_channel.gains
+    # the largest gain decides whether any received power overflows
+    _received_power(h_channel.max_gain, params)
+    received = gains * params.source_power
+    noise_margin = params.noise_power * params.threshold_snr
+    decodable = received >= 2.0 * noise_margin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = (received - 2.0 * noise_margin) / (received - noise_margin)
+    cap = np.where(decodable, cap, 0.0)
+    scale = 0.5 * params.conversion_efficiency * params.source_power
+
+    def mid_block(ratio):
+        harvested = scale * gains * ratio * params.block_duration
+        return np.minimum(energies[:, None] + harvested, params.battery_capacity)
+
+    half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
+    reaches = half[..., 1] * g_channel.max_gain >= params.delivery_threshold
+    split = decodable & (cap != 1.0) & reaches
+    # A full-harvest block decodes only where the decodable ratio rounds to 1.
+    full = np.broadcast_to(decodable & (cap == 1.0), split.shape)
+    return half, np.stack([full, split], axis=2)
+
+
 def heuristic_average_success(
     h_channel: FiniteChannel, g_channel: FiniteChannel, params: SystemParams
 ) -> float:
@@ -268,14 +321,15 @@ def heuristic_average_success(
 
     The rule leaves the battery empty after every block, so from the
     second block on the state is (0, h) with h fresh from the
-    source-relay pmf and the average is a single expectation over h.
+    source-relay pmf and the average is a single expectation over h, taken
+    with heuristic_rule and success_prob as arrays over the alphabet and
+    summed in alphabet order, as a running total would be.
     """
-    total = 0.0
-    for gain, prob in zip(h_channel.gains, h_channel.pmf):
-        gain = float(gain)
-        action = heuristic_rule(0.0, gain, g_channel, params)
-        total += float(prob) * success_prob(0.0, gain, *action, g_channel, params)
-    return total
+    half, pays = _split_table(np.zeros(1), h_channel, g_channel, params)
+    (half_full, half_split), (full, split) = half[0].T, pays[0].T
+    spent = np.where(split, half_split, np.where(full, half_full, 0.0))
+    probs = g_channel.tail[_first_delivering(spent, g_channel, params)]
+    return float(np.cumsum(h_channel.pmf * probs)[-1])
 
 
 def make_heuristic_policy(g_channel: FiniteChannel, params: SystemParams):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import FiniteChannel
 from .mdp import MdpModel
-from .relay import SystemParams, apply_action
+from .relay import SystemParams, _first_delivering, apply_action
 
 __all__ = [
     "GENERATOR_NAME",
@@ -71,23 +71,27 @@ class SimulationResult:
 def sample_channel(
     channel: FiniteChannel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """size i.i.d. channel-state indices by inverse-cdf lookup on uniforms:
-    a guide table (Chen & Asau 1974) starts u at the lookup of floor(u * C)
-    / C and vector steps move it to the exact index, unless a bucket can
-    hold as many cdf entries as a binary search takes comparisons."""
+    """size i.i.d. channel-state indices by inverse-cdf lookup on uniforms,
+    in slices that stay in cache. A guide table (Chen & Asau 1974) over 8 C
+    buckets counts the cdf entries below each bucket and keeps the next,
+    with a 1e-12 margin far wider than the rounding of u * 8 C: a draw takes
+    one comparison, or the binary search if its bucket holds two entries."""
     # the last entry is left out, so u at or past it draws the last state
-    inner, count = np.cumsum(channel.pmf)[:-1], channel.count
+    inner, buckets = np.cumsum(channel.pmf)[:-1], 8 * channel.count
+    edges = np.arange(buckets + 1) / buckets
+    edges[-1] = np.inf
+    guide = np.searchsorted(inner, edges[:-1] - 1e-12, side="right")
+    crowded = np.searchsorted(inner, edges[1:] + 1e-12, side="right") - guide > 1
+    following = np.append(inner, np.inf)[guide]
     u = rng.random(size)
-    # entries sit at least min(pmf) apart, so a bucket of width 1 / C holds
-    # at most 1 + 1 / (C * min(pmf)): the most steps a draw can take
-    if 1.0 + 1.0 / (count * channel.pmf.min()) >= math.log2(count):
-        return np.searchsorted(inner, u, side="right")
-    guide = np.searchsorted(inner, np.arange(count) / count, side="right")
-    hi = np.append(inner, np.inf)  # u at or above hi[k] moves k up
-    lo = np.insert(inner, 0, -np.inf)  # u below lo[k] moves k down
-    idx = guide.take((u * count).astype(np.intp), mode="clip")
-    while (step := np.subtract(hi[idx] <= u, lo[idx] > u, dtype=np.int8)).any():
-        idx += step
+    idx = np.empty(size, dtype=np.intp)
+    for start in range(0, size, 8192):
+        part, out = u[start : start + 8192], idx[start : start + 8192]
+        bucket = (part * buckets).astype(np.intp)
+        guide.take(bucket, out=out, mode="clip")
+        out += part >= following.take(bucket, mode="clip")
+        walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
+        out[walk] = np.searchsorted(inner, part[walk], side="right")
     return idx
 
 
@@ -128,29 +132,35 @@ def simulate_original(
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = sample_channel(h_channel, rng, blocks)
-    g_gains = g_channel.gains[sample_channel(g_channel, rng, blocks)]
+    # a block delivers when its g uniform reaches the cdf entry below the
+    # first gain that its spent energy delivers through: no g index needed
+    g_uniforms = rng.random(blocks)
     h_list = h_idx.tolist()
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
-    # the energy each block forwards, NaN where the relay did not decode
-    spent = np.empty(blocks)
-    # steady: indices played since the battery reached this energy at block
-    # `since` that left it there; index i repeats block played_at[i].
+    # the energy each played block forwards (0 where the relay did not
+    # decode), and per block the position there of the block it plays
+    spent, played = np.empty(blocks), np.empty(blocks, dtype=np.intp)
+    # steady: indices played since the battery reached this energy with
+    # played block `since` that left it there; index i repeats played block
+    # played_at[i]. n blocks were played, the last m - fresh in a row.
     steady, since, played_at = set(), 0, np.full(h_channel.count, -1)
-    m = 0
+    m = n = fresh = 0
     while m < blocks:
         i = h_list[m]
         if i in steady:
-            # repeat played blocks up to the next index that is new here
-            end, width = m + 1, 16
+            played[fresh:m] = np.arange(n - (m - fresh), n)
+            # repeat played blocks up to the next index that is new here,
+            # or to the end once every index is steady
+            end, width = blocks if len(steady) == h_channel.count else m + 1, 16
             while end < blocks:
                 new = np.flatnonzero(played_at[h_idx[end : end + width]] < since)
                 if new.size:
                     end += int(new[0])
                     break
                 end, width = min(end + width, blocks), 2 * width
-            spent[m:end] = spent[played_at[h_idx[m:end]]]
-            m = end
+            played[m:end] = played_at[h_idx[m:end]]
+            m = fresh = end
             continue
         gain = gains[i]
         ps_ratio, transmit_energy = policy(energy, gain)
@@ -163,14 +173,18 @@ def simulate_original(
                 f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
                 f"in state (energy={energy}, gain={gain}): {exc}"
             ) from None
-        spent[m] = transmit_energy if decoded else math.nan
+        spent[n] = transmit_energy if decoded else 0.0
+        n += 1
         if residual != energy:
-            energy, since, steady = residual, m + 1, set()
+            energy, since = residual, n
+            steady.clear()
         else:
             steady.add(i)
-            played_at[i] = m
+            played_at[i] = n - 1
         m += 1
-    success = spent * g_gains >= params.delivery_threshold
+    played[fresh:] = np.arange(n - (blocks - fresh), n)
+    cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
+    success = g_uniforms >= cut[_first_delivering(spent[:n], g_channel, params)][played]
     trace = success.astype(np.uint8) if keep_trace else None
     wins = float(np.count_nonzero(success))
     mean, stderr = _mean_stderr(wins, wins, blocks)

@@ -6,7 +6,8 @@ the same work the direct way: the per-state action loop through the scalar
 relay functions, the dense evaluation on the full L*C-state (battery
 level, channel) chain, the exact recurrent-class count of a rule's chain
 from its strongly connected components, the best gain over every stationary
-deterministic rule by enumeration, the channel sampler as one binary
+deterministic rule by enumeration, the heuristic's closed form as a
+running total over scalar blocks, the channel sampler as one binary
 search per uniform, the continuous-energy simulator that asks the policy
 and plays its action afresh every block, and the discretized simulator
 that indexes the numpy tables block by block.
@@ -29,6 +30,7 @@ from swipt_relay import (
     apply_action,
     can_succeed,
     energy_after_harvest,
+    heuristic_rule,
     max_ps_ratio,
     round_up_level,
     success_prob,
@@ -204,6 +206,18 @@ def oracle_gain_bruteforce(
             )
         best = max(best, float(lazy[0] @ mean_reward))
     return best
+
+
+def oracle_heuristic_average_success(h_channel, g_channel, params):
+    """heuristic_average_success as a running total over the source-relay
+    alphabet, each gain's block at the empty battery decided by
+    heuristic_rule and scored by success_prob."""
+    total = 0.0
+    for gain, prob in zip(h_channel.gains, h_channel.pmf):
+        gain = float(gain)
+        action = heuristic_rule(0.0, gain, g_channel, params)
+        total += float(prob) * success_prob(0.0, gain, *action, g_channel, params)
+    return total
 
 
 def oracle_sample_channel(channel, rng, size):

@@ -117,3 +117,35 @@ class TestChannelFromTable:
             ch.gains[0] = 0.0
         with pytest.raises(ValueError):
             ch.pmf[0] = 0.9
+
+
+class TestDeliveryTail:
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            quantize_equiprobable_exponential(1),
+            quantize_equiprobable_exponential(2),
+            quantize_equiprobable_exponential(200),
+            channel_from_table([0.1, 0.7, 2.0, 9.0], [0.05, 0.6, 0.3, 0.05]),
+            channel_from_table(
+                np.arange(1.0, 301.0),
+                0.99 ** np.arange(300) / (0.99 ** np.arange(300)).sum(),
+            ),
+        ],
+        ids=[
+            "equiprobable1",
+            "equiprobable2",
+            "equiprobable200",
+            "skewed4",
+            "geometric300",
+        ],
+    )
+    def test_tail_is_the_suffix_sums(self, channel):
+        want = [channel.pmf[k:].sum() for k in range(channel.count)] + [0.0]
+        assert channel.tail.tolist() == want
+
+    def test_tail_is_cached_and_read_only(self):
+        ch = quantize_equiprobable_exponential(20)
+        assert ch.tail is ch.tail
+        with pytest.raises(ValueError):
+            ch.tail[0] = 0.5

@@ -191,6 +191,14 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert all(line.endswith("ok") for line in lines[1:])
 
+    def test_two_workers_write_the_serial_csv(self, tmp_path, capsys):
+        serial = tmp_path / "serial.csv"
+        pooled = tmp_path / "pooled.csv"
+        assert run_cli(SWEEP_ARGS + ["--workers", "1", "--out", str(serial)]) == 0
+        assert run_cli(SWEEP_ARGS + ["--workers", "2", "--out", str(pooled)]) == 0
+        capsys.readouterr()
+        assert serial.read_bytes() == pooled.read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

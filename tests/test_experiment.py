@@ -170,6 +170,22 @@ class TestRunSweep:
         config = ExperimentConfig(**SMALL)
         assert rows_to_csv(run_sweep(config)) == rows_to_csv(run_sweep(config))
 
+    def test_channels_built_once_per_sweep(self, monkeypatch):
+        config = ExperimentConfig(**{**SMALL, "battery_sweep": (2.0, 4.0, 6.0)})
+        built = []
+        real = experiment_module.quantize_equiprobable_exponential
+
+        def counting(n_states):
+            built.append(n_states)
+            return real(n_states)
+
+        monkeypatch.setattr(
+            experiment_module, "quantize_equiprobable_exponential", counting
+        )
+        rows = run_sweep(config)
+        assert built == [config.n_channel_states]
+        assert all(row.status == "ok" for row in rows)
+
     def test_worker_pool_matches_serial(self):
         serial = ExperimentConfig(**SMALL)
         pooled = ExperimentConfig(**{**SMALL, "workers": 2})

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from swipt_relay import (
     BatteryGrid,
+    MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
     PolicyIterationResult,
@@ -30,6 +31,7 @@ from swipt_relay import (
     upper_bound,
 )
 import swipt_relay.mdp as mdp_module
+import swipt_relay.relay as relay_module
 from oracles import (
     action_columns,
     dense_evaluate,
@@ -229,7 +231,8 @@ class TestEnumerateActions:
                 np.random.default_rng(5).uniform(0.0, 0.1, 500),
             ]
         )
-        probs = mdp_module._delivery_probs(energies, channel200, default_params)
+        first = relay_module._first_delivering(energies, channel200, default_params)
+        probs = channel200.tail[first]
         expected = [
             delivery_success_prob(float(u), channel200, default_params)
             for u in energies
@@ -533,6 +536,20 @@ class TestPolicyIteration:
         assert 0.0 <= result.gain <= 1.0
         n_rules = int(np.prod([cols.size for cols in action_columns(model)]))
         assert result.iterations <= n_rules
+
+    def test_checks_the_start_rule_once(self, monkeypatch, channel2, hard_tiny_params):
+        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
+        checked = []
+        real = MdpModel._check_rule
+
+        def counting(self, rule):
+            checked.append(rule)
+            return real(self, rule)
+
+        monkeypatch.setattr(MdpModel, "_check_rule", counting)
+        result = policy_iteration(model)
+        assert result.iterations >= 2
+        assert len(checked) == 1
 
     def test_iteration_cap_raises(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)

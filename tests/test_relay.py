@@ -17,6 +17,7 @@ from swipt_relay import (
     quantize_equiprobable_exponential,
     success_prob,
 )
+from oracles import oracle_heuristic_average_success
 
 # All-fail scenario: noise so large that no gain in a unit-mean alphabet
 # reaches the decoding threshold.
@@ -431,3 +432,102 @@ class TestProperties:
         )
         high = success_prob(energy, gain, cap, u_frac * half, channel, default_params)
         assert high >= low
+
+
+def _boundary_channel(params, gain):
+    """Relay-destination alphabet whose middle gain is the smallest double
+    that delivers the heuristic's drain energy at source-relay gain `gain`,
+    flanked by the double below it and a larger gain."""
+    _, spend = heuristic_rule(0.0, gain, two_point_channel(), params)
+    threshold = params.delivery_threshold
+    g = threshold / spend
+    while g * spend < threshold:
+        g = np.nextafter(g, np.inf)
+    while np.nextafter(g, 0.0) * spend >= threshold:
+        g = np.nextafter(g, 0.0)
+    below = np.nextafter(g, 0.0)
+    assert below * spend < threshold <= g * spend
+    return channel_from_table([below, g, 2.0 * g], [0.25, 0.5, 0.25])
+
+
+class TestHeuristicClosedForm:
+    """The vector closed form equals the scalar running total bit for bit."""
+
+    @pytest.mark.parametrize(
+        "h_channel, g_channel, params",
+        [
+            (two_point_channel(), two_point_channel(), DEAF_PARAMS),
+            (
+                channel_from_table([1.0], [1.0]),
+                channel_from_table([1.0], [1.0]),
+                SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0),
+            ),
+            # the largest decodable ratio rounds to 1 at every gain
+            (
+                quantize_equiprobable_exponential(7),
+                quantize_equiprobable_exponential(5),
+                SystemParams(1.0, 1e-20, 1.0, 0.5, 1.5, 10.0),
+            ),
+            # drain energy times a relay-destination gain at the threshold
+            (
+                channel_from_table([0.3, 1.0], [0.5, 0.5]),
+                _boundary_channel(SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0), 1.0),
+                SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0),
+            ),
+            # a drain energy clamped at the capacity
+            (
+                quantize_equiprobable_exponential(200),
+                quantize_equiprobable_exponential(200),
+                SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 0.05),
+            ),
+        ],
+        ids=["deaf", "single_state", "cap_rounds_to_one", "at_threshold", "clamped"],
+    )
+    def test_edge_cases_match_scalar_loop(self, h_channel, g_channel, params):
+        got = heuristic_average_success(h_channel, g_channel, params)
+        assert got == oracle_heuristic_average_success(h_channel, g_channel, params)
+        assert isinstance(got, float)
+
+    def test_cap_rounds_to_one_in_the_case_above(self):
+        params = SystemParams(1.0, 1e-20, 1.0, 0.5, 1.5, 10.0)
+        gains = quantize_equiprobable_exponential(7).gains
+        assert all(max_ps_ratio(float(h), params) == 1.0 for h in gains)
+
+    @given(
+        h_weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+        h_scale=st.floats(0.01, 20.0),
+        g_weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+        g_scale=st.floats(0.01, 20.0),
+        source_power=st.floats(0.05, 5.0),
+        noise_power=st.floats(1e-4, 0.5),
+        block_duration=st.floats(0.1, 5.0),
+        efficiency=st.floats(0.05, 0.95),
+        rate=st.floats(0.1, 3.0),
+        capacity=st.floats(0.01, 20.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_loop(
+        self,
+        h_weights,
+        h_scale,
+        g_weights,
+        g_scale,
+        source_power,
+        noise_power,
+        block_duration,
+        efficiency,
+        rate,
+        capacity,
+    ):
+        def table(weights, scale):
+            # ascending gains from the running sum of the weights
+            gains = scale * np.cumsum(weights)
+            return channel_from_table(gains, np.asarray(weights) / sum(weights))
+
+        h_channel, g_channel = table(h_weights, h_scale), table(g_weights, g_scale)
+        params = SystemParams(
+            source_power, noise_power, block_duration, efficiency, rate, capacity
+        )
+        assert heuristic_average_success(
+            h_channel, g_channel, params
+        ) == oracle_heuristic_average_success(h_channel, g_channel, params)
