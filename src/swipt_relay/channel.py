@@ -58,6 +58,9 @@ class FiniteChannel:
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "pmf", pmf)
 
+    def __reduce__(self):  # unpickled copies, too, get read-only arrays
+        return FiniteChannel, (self.gains, self.pmf)
+
     @property
     def count(self) -> int:
         """Number of channel states."""

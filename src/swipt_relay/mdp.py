@@ -299,8 +299,7 @@ def policy_improve(
 
 
 def _improve(model: MdpModel, values: np.ndarray, incumbent) -> np.ndarray:
-    """policy_improve without the checks: every state has an action, so
-    the argmax always picks an existing column."""
+    """policy_improve of checked inputs: every state has an action."""
     candidates = model.rewards + np.tile(values[model.post_of_target], 2)
     rule = np.argmax(candidates, axis=1)  # first maximum = smallest column
     if incumbent is not None:

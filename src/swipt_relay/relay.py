@@ -321,9 +321,8 @@ def heuristic_average_success(
 
     The rule leaves the battery empty after every block, so from the
     second block on the state is (0, h) with h fresh from the
-    source-relay pmf and the average is a single expectation over h, taken
-    with heuristic_rule and success_prob as arrays over the alphabet and
-    summed in alphabet order, as a running total would be.
+    source-relay pmf and the average is a single expectation over h,
+    computed as arrays over the alphabet and summed in alphabet order.
     """
     half, pays = _split_table(np.zeros(1), h_channel, g_channel, params)
     (half_full, half_split), (full, split) = half[0].T, pays[0].T

@@ -72,10 +72,9 @@ def sample_channel(
     channel: FiniteChannel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """size i.i.d. channel-state indices by inverse-cdf lookup on uniforms,
-    in slices that stay in cache. A guide table (Chen & Asau 1974) over 8 C
-    buckets counts the cdf entries below each bucket and keeps the next,
-    with a 1e-12 margin far wider than the rounding of u * 8 C: a draw takes
-    one comparison, or the binary search if its bucket holds two entries."""
+    in cache-sized slices. A guide table (Chen & Asau 1974) over 8 C buckets
+    keeps, with a 1e-12 margin, each bucket's count of cdf entries below it
+    and the next: one comparison per draw, a binary search if it holds two."""
     # the last entry is left out, so u at or past it draws the last state
     inner, buckets = np.cumsum(channel.pmf)[:-1], 8 * channel.count
     edges = np.arange(buckets + 1) / buckets

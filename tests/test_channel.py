@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,3 +150,13 @@ class TestDeliveryTail:
         assert ch.tail is ch.tail
         with pytest.raises(ValueError):
             ch.tail[0] = 0.5
+
+    def test_unpickled_copy_stays_read_only(self):
+        # what run_sweep's process pool hands each task
+        ch = quantize_equiprobable_exponential(20)
+        ch.tail
+        copy = pickle.loads(pickle.dumps(ch))
+        for name in ("gains", "pmf", "tail"):
+            array = getattr(copy, name)
+            assert array.tolist() == getattr(ch, name).tolist()
+            assert not array.flags.writeable
