@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FiniteChannel
-from .relay import SystemParams, _first_delivering, _split_table
+from .relay import SystemParams, _delivery_energies, _first_delivering, _split_table
 
 __all__ = [
     "BatteryGrid",
@@ -50,6 +50,8 @@ _IMPROVE_TOL = 1e-13
 # upper_bound accepts a gain only when one Bellman update of the level
 # values stays within this of it at every level.
 _CERTIFICATE_TOL = 1e-12
+# Reward entries per block in which the model is built and improved.
+_BLOCK_ENTRIES = 1 << 15
 
 
 class MultichainSuspectedError(RuntimeError):
@@ -119,7 +121,8 @@ class MdpModel:
     of shape (n_states, 2L) for L battery levels, is the success
     probability of splitting branch b (0 harvests everything, 1 splits
     at the largest decodable ratio) landing the residual on level k in
-    flat state s, and -inf where that action does not exist. Every
+    flat state s, and -inf where that action does not exist; a read-only
+    float array is kept uncopied, so its owner must not change it. Every
     action targeting level k leaves the battery at post_of_target[k]
     after the end-of-block top-up; the next state is that level with a
     fresh channel draw, so transitions depend on the action only through
@@ -135,13 +138,16 @@ class MdpModel:
     post_of_target: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        rewards = np.array(self.rewards, dtype=float)
+        rewards = np.asarray(self.rewards, dtype=float)
+        if rewards.flags.writeable:
+            rewards = rewards.copy()
         shape = (self.n_states, 2 * self.grid.n_levels)
         if rewards.shape != shape:
             raise ValueError(f"rewards must have shape {shape}, got {rewards.shape}")
-        if not np.all(rewards < np.inf):  # NaN compares false as well
+        best = rewards.max(axis=1)  # NaN where a row holds one
+        if not np.all(best < np.inf):  # NaN compares false as well
             raise ValueError("rewards must be finite or -inf")
-        if not np.all(np.any(rewards > -np.inf, axis=1)):
+        if not np.all(best > -np.inf):
             raise ValueError("every state needs at least one action")
         post_of_target = _round_up(self.grid.levels, self.grid, self.exact_up)
         for name, value in (("rewards", rewards), ("post_of_target", post_of_target)):
@@ -184,7 +190,7 @@ def build_mdp(
     exact_up: bool = True,
 ) -> MdpModel:
     """Assemble the discrete model over (battery level, channel state)
-    pairs in one vectorised pass.
+    pairs, a block of states at a time into one preallocated array.
 
     Each state gets one action per splitting branch and reachable grid
     target: harvest everything (ratio 1) always, plus the largest
@@ -198,24 +204,33 @@ def build_mdp(
     grid = BatteryGrid(n_levels, params.battery_capacity)
     levels = grid.levels
     half, pays = _split_table(levels, h_channel, g_channel, params)
-
-    # Fill each action with its transmit energy (0 where the relay cannot
-    # decode), then map every energy to its delivery probability at once.
-    rewards = np.where(pays[..., None], half[..., None] - levels, 0.0)
-    actions = levels <= half[..., None]
-    actions[:, :, 1] &= pays[..., 1, None]
-    rewards[actions] = g_channel.tail[
-        _first_delivering(rewards[actions], g_channel, params)
-    ]
-    rewards[~actions] = -np.inf
+    half, pays = half.reshape(-1, 2, 1), pays.reshape(-1, 2, 1)
+    delivery, tail = _delivery_energies(g_channel, params), g_channel.tail
+    rewards = np.empty((len(half), 2, n_levels))  # [state, branch, target]
+    for rows in _row_blocks(len(half), 2 * n_levels):
+        # An action exists where its target fits under the mid-block level (on
+        # the decodable branch only where that pays); paying ones score delivery.
+        spend = half[rows] - levels
+        fits = spend >= 0.0
+        delivers = fits & pays[rows]
+        fits[:, 1] = delivers[:, 1]
+        rewards[rows] = np.where(fits, 0.0, -np.inf)
+        rewards[rows][delivers] = tail[_first_delivering(spend[delivers], delivery)]
+    rewards.flags.writeable = False
     return MdpModel(
         grid=grid,
         h_channel=h_channel,
         g_channel=g_channel,
         params=params,
-        rewards=rewards.reshape(n_levels * h_channel.count, 2 * n_levels),
+        rewards=rewards.reshape(len(half), 2 * n_levels),
         exact_up=exact_up,
     )
+
+
+def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Consecutive row slices of about _BLOCK_ENTRIES entries each."""
+    step = max(1, _BLOCK_ENTRIES // row_size)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,14 +315,16 @@ def policy_improve(
 
 def _improve(model: MdpModel, values: np.ndarray, incumbent) -> np.ndarray:
     """policy_improve of checked inputs: every state has an action."""
-    candidates = model.rewards + np.tile(values[model.post_of_target], 2)
-    rule = np.argmax(candidates, axis=1)  # first maximum = smallest column
-    if incumbent is not None:
-        states = np.arange(model.n_states)
-        better = (
-            candidates[states, rule] > candidates[states, incumbent] + _IMPROVE_TOL
-        )
-        rule = np.where(better, rule, incumbent)
+    bonus = np.tile(values[model.post_of_target], 2)
+    rule = np.empty(model.n_states, dtype=np.intp)
+    for rows in _row_blocks(model.n_states, bonus.size):
+        candidates = model.rewards[rows] + bonus
+        best = np.argmax(candidates, axis=1)  # first maximum = smallest column
+        if incumbent is not None:
+            at, kept = np.arange(best.size), incumbent[rows]
+            better = candidates[at, best] > candidates[at, kept] + _IMPROVE_TOL
+            best = np.where(better, best, kept)
+        rule[rows] = best
     return rule
 
 

@@ -178,26 +178,35 @@ def delivery_success_prob(
     return float(g_channel.pmf[reaches].sum())
 
 
-def _first_delivering(
-    energies: np.ndarray, g_channel: FiniteChannel, params: SystemParams
-) -> np.ndarray:
-    """Per finite non-negative transmit energy u, the index of the first
-    relay-destination gain g with u g >= the delivery threshold (count
-    when none does): g_channel.tail of it is delivery_success_prob(u)."""
-    gains, count = g_channel.gains, g_channel.count
-    threshold = params.delivery_threshold
-    with np.errstate(divide="ignore"):
-        first = np.searchsorted(gains, threshold / energies)
-    # The quotient can round across a gain; decide in product form
-    # (u g >= threshold), which is monotone in g, until no index moves.
-    while True:
-        below = gains[np.maximum(first - 1, 0)] * energies >= threshold
-        above = gains[np.minimum(first, count - 1)] * energies < threshold
-        down = (first > 0) & below
-        up = (first < count) & above
-        if not (down.any() or up.any()):
-            return first
-        first = first - down + up
+def _delivery_energies(g_channel: FiniteChannel, params: SystemParams) -> np.ndarray:
+    """Per relay-destination gain g, largest first, the least energy u with
+    u g >= the delivery threshold in floating point (inf if none is finite):
+    u g is monotone in u, so u delivers through the gains of entries <= u."""
+    gains, threshold = g_channel.gains[::-1], params.delivery_threshold
+    top = np.array(np.inf).view(np.int64)  # bit patterns order floats >= 0
+
+    def reaches(bits):
+        return (bits == top) | (bits.view(float) * gains >= threshold)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = (threshold / gains).view(np.int64)
+        # bisect from a few ulps around the quotient, or all energies where
+        # products round far from it (subnormal ones)
+        low, high = np.maximum(guess - 2, 0), np.minimum(guess + 2, top)
+        wide = reaches(low) | ~reaches(high)
+        low[wide], high[wide] = 0, top
+        for _ in range(int((high - low).max() - 1).bit_length()):  # to 1 ulp
+            mid = low + (high - low) // 2
+            up = reaches(mid)
+            low, high = np.where(up, low, mid), np.where(up, mid, high)
+    return high.view(float)
+
+
+def _first_delivering(energies: np.ndarray, delivery: np.ndarray) -> np.ndarray:
+    """Per transmit energy u >= 0, the first gain index it delivers through
+    by the table of _delivery_energies (count if none): g_channel.tail of it
+    is delivery_success_prob(u)."""
+    return delivery.size - np.searchsorted(delivery, energies, side="right")
 
 
 def apply_action(
@@ -327,7 +336,8 @@ def heuristic_average_success(
     half, pays = _split_table(np.zeros(1), h_channel, g_channel, params)
     (half_full, half_split), (full, split) = half[0].T, pays[0].T
     spent = np.where(split, half_split, np.where(full, half_full, 0.0))
-    probs = g_channel.tail[_first_delivering(spent, g_channel, params)]
+    delivery = _delivery_energies(g_channel, params)
+    probs = g_channel.tail[_first_delivering(spent, delivery)]
     return float(np.cumsum(h_channel.pmf * probs)[-1])
 
 

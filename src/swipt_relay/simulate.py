@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import FiniteChannel
 from .mdp import MdpModel
-from .relay import SystemParams, _first_delivering, apply_action
+from .relay import SystemParams, _delivery_energies, _first_delivering, apply_action
 
 __all__ = [
     "GENERATOR_NAME",
@@ -77,10 +77,7 @@ def sample_channel(
     and the next: one comparison per draw, a binary search if it holds two."""
     # the last entry is left out, so u at or past it draws the last state
     inner, buckets = np.cumsum(channel.pmf)[:-1], 8 * channel.count
-    edges = np.arange(buckets + 1) / buckets
-    edges[-1] = np.inf
-    guide = np.searchsorted(inner, edges[:-1] - 1e-12, side="right")
-    crowded = np.searchsorted(inner, edges[1:] + 1e-12, side="right") - guide > 1
+    guide, crowded = _guide_table(inner, buckets)
     following = np.append(inner, np.inf)[guide]
     u = rng.random(size)
     idx = np.empty(size, dtype=np.intp)
@@ -92,6 +89,18 @@ def sample_channel(
         walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
         out[walk] = np.searchsorted(inner, part[walk], side="right")
     return idx
+
+
+def _guide_table(inner: np.ndarray, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """sample_channel's guide table and crowded buckets, by counting each cdf
+    entry at the first (shifted) bucket edge at or above it."""
+    edges = np.arange(buckets + 1) / buckets
+    edges[-1] = np.inf
+    guide, upto = (
+        np.bincount(np.searchsorted(bounds, inner), minlength=buckets + 1).cumsum()
+        for bounds in (edges[:-1] - 1e-12, edges[1:] + 1e-12)
+    )
+    return guide[:-1], (upto - guide)[:-1] > 1
 
 
 def _mean_stderr(total: float, total_sq: float, blocks: int) -> tuple[float, float]:
@@ -134,7 +143,6 @@ def simulate_original(
     # a block delivers when its g uniform reaches the cdf entry below the
     # first gain that its spent energy delivers through: no g index needed
     g_uniforms = rng.random(blocks)
-    h_list = h_idx.tolist()
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
     # the energy each played block forwards (0 where the relay did not
@@ -145,8 +153,13 @@ def simulate_original(
     # played_at[i]. n blocks were played, the last m - fresh in a row.
     steady, since, played_at = set(), 0, np.full(h_channel.count, -1)
     m = n = fresh = 0
+    h_list = []  # channel indices as ints, converted as far as the walk gets
     while m < blocks:
-        i = h_list[m]
+        try:
+            i = h_list[m]
+        except IndexError:
+            h_list += h_idx[len(h_list) : m + 4096].tolist()
+            i = h_list[m]
         if i in steady:
             played[fresh:m] = np.arange(n - (m - fresh), n)
             # repeat played blocks up to the next index that is new here,
@@ -183,7 +196,8 @@ def simulate_original(
         m += 1
     played[fresh:] = np.arange(n - (blocks - fresh), n)
     cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
-    success = g_uniforms >= cut[_first_delivering(spent[:n], g_channel, params)][played]
+    first = _first_delivering(spent[:n], _delivery_energies(g_channel, params))
+    success = g_uniforms >= cut[first][played]
     trace = success.astype(np.uint8) if keep_trace else None
     wins = float(np.count_nonzero(success))
     mean, stderr = _mean_stderr(wins, wins, blocks)

@@ -1,14 +1,17 @@
 """Test-only references for the array-built model and the level-chain solver.
 
-The package builds every state's actions in one vectorised pass and solves
+The package builds every state's actions in vectorised blocks and solves
 policy evaluation on the L-state battery-level chain. These references do
 the same work the direct way: the per-state action loop through the scalar
-relay functions, the dense evaluation on the full L*C-state (battery
-level, channel) chain, the exact recurrent-class count of a rule's chain
+relay functions, the whole model in one pass with the delivery index fixed
+up by stepping, improvement as one argmax over every state, the dense
+evaluation on the full L*C-state (battery level, channel) chain, the
+exact recurrent-class count of a rule's chain
 from its strongly connected components, the best gain over every stationary
 deterministic rule by enumeration, the heuristic's closed form as a
 running total over scalar blocks, the channel sampler as one binary
-search per uniform, the continuous-energy simulator that asks the policy
+search per uniform and its guide table as two searches over the bucket
+edges, the continuous-energy simulator that asks the policy
 and plays its action afresh every block, and the discretized simulator
 that indexes the numpy tables block by block.
 """
@@ -24,6 +27,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from swipt_relay import (
+    BatteryGrid,
+    MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
     SimulationResult,
@@ -35,7 +40,8 @@ from swipt_relay import (
     round_up_level,
     success_prob,
 )
-from swipt_relay.mdp import _level_chain
+from swipt_relay.mdp import _IMPROVE_TOL, _level_chain
+from swipt_relay.relay import _split_table
 from swipt_relay.simulate import _mean_stderr
 
 
@@ -108,6 +114,65 @@ def model_actions(model, state):
             )
         )
     return actions
+
+
+def oracle_first_delivering(energies, g_channel, params):
+    """Per finite non-negative transmit energy u, the index of the first
+    relay-destination gain g with u g >= the delivery threshold (count
+    when none does): g_channel.tail of it is delivery_success_prob(u)."""
+    gains, count = g_channel.gains, g_channel.count
+    threshold = params.delivery_threshold
+    with np.errstate(divide="ignore"):
+        first = np.searchsorted(gains, threshold / energies)
+    # The quotient can round across a gain; decide in product form
+    # (u g >= threshold), which is monotone in g, until no index moves.
+    while True:
+        below = gains[np.maximum(first - 1, 0)] * energies >= threshold
+        above = gains[np.minimum(first, count - 1)] * energies < threshold
+        down = (first > 0) & below
+        up = (first < count) & above
+        if not (down.any() or up.any()):
+            return first
+        first = first - down + up
+
+
+def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
+    """build_mdp in one vectorised pass over model-sized arrays, with the
+    delivery index of oracle_first_delivering."""
+    grid = BatteryGrid(n_levels, params.battery_capacity)
+    levels = grid.levels
+    half, pays = _split_table(levels, h_channel, g_channel, params)
+
+    # Fill each action with its transmit energy (0 where the relay cannot
+    # decode), then map every energy to its delivery probability at once.
+    rewards = np.where(pays[..., None], half[..., None] - levels, 0.0)
+    actions = levels <= half[..., None]
+    actions[:, :, 1] &= pays[..., 1, None]
+    rewards[actions] = g_channel.tail[
+        oracle_first_delivering(rewards[actions], g_channel, params)
+    ]
+    rewards[~actions] = -np.inf
+    return MdpModel(
+        grid=grid,
+        h_channel=h_channel,
+        g_channel=g_channel,
+        params=params,
+        rewards=rewards.reshape(n_levels * h_channel.count, 2 * n_levels),
+        exact_up=exact_up,
+    )
+
+
+def oracle_improve(model, values, incumbent=None):
+    """policy_improve as one argmax over the candidates of every state."""
+    candidates = model.rewards + np.tile(values[model.post_of_target], 2)
+    rule = np.argmax(candidates, axis=1)  # first maximum = smallest column
+    if incumbent is not None:
+        states = np.arange(model.n_states)
+        better = (
+            candidates[states, rule] > candidates[states, incumbent] + _IMPROVE_TOL
+        )
+        rule = np.where(better, rule, incumbent)
+    return rule
 
 
 def state_transition_matrix(model, rule):
@@ -225,6 +290,17 @@ def oracle_sample_channel(channel, rng, size):
     uniforms."""
     idx = np.searchsorted(np.cumsum(channel.pmf), rng.random(size), side="right")
     return np.minimum(idx, channel.count - 1)
+
+
+def oracle_guide_table(inner, buckets):
+    """sample_channel's guide table: per bucket, the count of cdf entries
+    below it and whether two or more lie in it, with a 1e-12 margin, by
+    searching the cdf for every bucket edge."""
+    edges = np.arange(buckets + 1) / buckets
+    edges[-1] = np.inf
+    guide = np.searchsorted(inner, edges[:-1] - 1e-12, side="right")
+    crowded = np.searchsorted(inner, edges[1:] + 1e-12, side="right") - guide > 1
+    return guide, crowded
 
 
 def oracle_simulate_original(

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +39,10 @@ from oracles import (
     dense_evaluate,
     kth_action_rule,
     model_actions,
+    oracle_build_mdp,
+    oracle_first_delivering,
     oracle_gain_bruteforce,
+    oracle_improve,
     recurrent_class_count,
     reference_actions,
     state_transition_matrix,
@@ -231,7 +236,8 @@ class TestEnumerateActions:
                 np.random.default_rng(5).uniform(0.0, 0.1, 500),
             ]
         )
-        first = relay_module._first_delivering(energies, channel200, default_params)
+        delivery = relay_module._delivery_energies(channel200, default_params)
+        first = relay_module._first_delivering(energies, delivery)
         probs = channel200.tail[first]
         expected = [
             delivery_success_prob(float(u), channel200, default_params)
@@ -239,8 +245,122 @@ class TestEnumerateActions:
         ]
         assert probs.tolist() == expected
 
+    @given(
+        weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+        scale=st.floats(1e-3, 1e3),
+        # a zero gain delivers nothing; over the subnormal ones the quotient
+        # threshold / g overflows
+        low=st.sampled_from([(), (0.0,), (0.0, 1e-312), (1e-315, 1e-312, 1e-310)]),
+        # subnormal thresholds round the products far from the quotient
+        noise_power=st.floats(1e-6, 1.0) | st.floats(1e-320, 1e-300),
+        rate=st.floats(0.1, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_delivery_table_is_exact(self, weights, scale, low, noise_power, rate):
+        gains = np.concatenate([low, scale * np.cumsum(weights)])
+        channel = channel_from_table(gains, np.full(gains.size, 1.0 / gains.size))
+        params = SystemParams(1.0, noise_power, 1.0, 0.5, rate, 10.0)
+        delivery = relay_module._delivery_energies(channel, params)
+        assert np.all(delivery[1:] >= delivery[:-1])
+        assert gains[0] > 0.0 or delivery[-1] == np.inf
+        least = delivery[np.isfinite(delivery)]
+        largest = np.finfo(float).max
+        energies = np.concatenate([least, np.nextafter(least, 0.0), [0.0, largest]])
+        first = relay_module._first_delivering(energies, delivery)
+        with np.errstate(over="ignore"):  # products with the largest gains
+            assert np.array_equal(
+                first, oracle_first_delivering(energies, channel, params)
+            )
+            expected = [delivery_success_prob(u, channel, params) for u in energies]
+        assert channel.tail[first].tolist() == expected
+        # each least energy reaches its own gain and the one below it does not
+        steps = np.arange(least.size)
+        assert np.all(first[steps] <= gains.size - 1 - steps)
+        assert np.all(first[least.size + steps] > gains.size - 1 - steps)
+
+
+def _random_channel(weights, scale):
+    """Ascending gains from the running sum of the weights, pmf from them."""
+    weights = np.asarray(weights)
+    return channel_from_table(scale * np.cumsum(weights), weights / weights.sum())
+
 
 class TestBuildMdp:
+    @given(
+        h_weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        h_scale=st.floats(0.01, 20.0),
+        g_weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        g_scale=st.floats(0.01, 20.0),
+        source_power=st.floats(0.05, 5.0),
+        noise_power=st.floats(1e-4, 0.5),
+        efficiency=st.floats(0.05, 0.95),
+        rate=st.floats(0.1, 3.0),
+        capacity=st.floats(0.01, 20.0),
+        n_levels=st.integers(2, 12),
+        exact_up=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_pass_build(
+        self,
+        h_weights,
+        h_scale,
+        g_weights,
+        g_scale,
+        source_power,
+        noise_power,
+        efficiency,
+        rate,
+        capacity,
+        n_levels,
+        exact_up,
+    ):
+        args = (
+            _random_channel(h_weights, h_scale),
+            _random_channel(g_weights, g_scale),
+            SystemParams(source_power, noise_power, 1.0, efficiency, rate, capacity),
+            n_levels,
+            exact_up,
+        )
+        assert np.array_equal(build_mdp(*args).rewards, oracle_build_mdp(*args).rewards)
+
+    @given(
+        block=st.integers(1, 400),
+        n_levels=st.integers(2, 9),
+        count=st.integers(1, 30),
+        exact_up=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_straddle_boundaries(
+        self, default_params, block, n_levels, count, exact_up
+    ):
+        # blocks from one entry (under a row) to several rows, rarely a
+        # divisor of the state count
+        channel = quantize_equiprobable_exponential(count)
+        args = (channel, channel, default_params, n_levels, exact_up)
+        with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", block):
+            model = build_mdp(*args)
+            values = np.sin(np.arange(n_levels))
+            rule = policy_improve(model, values)
+        assert np.array_equal(model.rewards, oracle_build_mdp(*args).rewards)
+        assert np.array_equal(rule, oracle_improve(model, values))
+
+    def test_default_blocks_straddle_boundaries(self, default_params, channel200):
+        # 496 states a block, 13 full blocks and one of 152 states
+        assert 33 * 200 % (mdp_module._BLOCK_ENTRIES // 66) != 0
+        args = (channel200, channel200, default_params, 33)
+        assert np.array_equal(build_mdp(*args).rewards, oracle_build_mdp(*args).rewards)
+
+    def test_memory_is_about_the_rewards_array(self, default_params, channel200):
+        assert channel200.tail.size == 201  # cached before tracing starts
+        tracemalloc.start()
+        try:
+            model = build_mdp(channel200, channel200, default_params, 65)
+            upper_bound(model, policy_iteration(model))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * model.rewards.nbytes
+
     def test_four_state_transition_matrix(self, default_params, channel2):
         model = build_mdp(channel2, channel2, default_params, 2)
         assert model.n_states == 4
@@ -338,6 +458,18 @@ class TestMdpModel:
         model = hand_model([0.5, 0.5], 2, layout)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(model, rewards=edit(model.rewards))
+
+    def test_keeps_read_only_rewards_and_copies_writeable_ones(self, hand_model):
+        layout = [[(0.5, 1)], [(0.2, 0), (0.3, 1)], [(0.1, 0)], [(0.4, 1)]]
+        model = hand_model([0.5, 0.5], 2, layout)
+        shared = model.rewards.copy()
+        shared.flags.writeable = False
+        assert dataclasses.replace(model, rewards=shared).rewards is shared
+        writeable = model.rewards.copy()
+        kept = dataclasses.replace(model, rewards=writeable).rewards
+        assert kept is not writeable and not kept.flags.writeable
+        assert writeable.flags.writeable
+        assert np.array_equal(kept, writeable)
 
 
 class TestPolicyEvaluate:
@@ -438,6 +570,34 @@ def _two_loop_rule(model):
 
 
 class TestPolicyImprove:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_levels=st.integers(2, 6),
+        count=st.integers(1, 5),
+        block=st.integers(1, 100),
+        with_incumbent=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_one_argmax(
+        self, default_params, seed, n_levels, count, block, with_incumbent
+    ):
+        # few distinct rewards and values, so most states hold exact ties
+        # and near-ties at the 1e-13 incumbent tolerance
+        rng = np.random.default_rng(seed)
+        channel = quantize_equiprobable_exponential(count)
+        rewards = rng.choice([-np.inf, 0.0, 0.5, 1.0], (n_levels * count, 2 * n_levels))
+        rewards[:, 0] = rng.choice([0.0, 0.5], n_levels * count)
+        model = MdpModel(
+            BatteryGrid(n_levels, 1.0), channel, channel, default_params, rewards
+        )
+        values = rng.choice([0.0, 5e-14, 1e-13, 2e-13, 0.5], n_levels)
+        incumbent = None
+        if with_incumbent:
+            incumbent = np.array([rng.choice(c) for c in action_columns(model)])
+        with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", block):
+            rule = policy_improve(model, values, incumbent)
+        assert np.array_equal(rule, oracle_improve(model, values, incumbent))
+
     def test_zero_bias_is_myopic(self, hand_model):
         # each state's best action sits in a different column
         layout = [

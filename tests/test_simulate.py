@@ -3,8 +3,11 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    oracle_guide_table,
     oracle_sample_channel,
     oracle_simulate_discrete,
     oracle_simulate_original,
@@ -29,6 +32,7 @@ from swipt_relay import (
     simulate_original,
     SystemParams,
 )
+import swipt_relay.simulate as simulate_module
 from swipt_relay.simulate import RESULT_CSV_HEADER
 
 
@@ -120,6 +124,31 @@ class TestSampleChannel:
         want = oracle_sample_channel(channel, np.random.default_rng(seed), 100_000)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @given(
+        count=st.sampled_from([1, 2, 3, 17, 200, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+        crowd=st.floats(0.0, 0.999),
+        near=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_guide_table_matches_edge_searches(self, count, seed, crowd, near):
+        # a share `crowd` of the states carries almost no mass, so their cdf
+        # entries crowd into shared buckets; a share `near` of the entries
+        # is moved to within 2e-12 of a bucket edge, where the margins decide
+        rng = np.random.default_rng(seed)
+        weights = rng.random(count) + 1e-3
+        weights[rng.random(count) < crowd] *= 1e-9
+        inner, buckets = np.cumsum(_table(weights).pmf)[:-1], 8 * count
+        offsets = [-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12]
+        edges = rng.integers(0, buckets + 1, inner.size) / buckets
+        edges += rng.choice(offsets, inner.size)
+        inner = np.sort(np.where(rng.random(inner.size) < near, edges, inner))
+        got = simulate_module._guide_table(inner, buckets)
+        want = oracle_guide_table(inner, buckets)
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part)
 
     @pytest.mark.parametrize("table", sorted(SAMPLER_TABLES))
     def test_boundary_uniforms_match_binary_search_oracle(self, table):
@@ -347,6 +376,24 @@ class TestSimulateOriginalMatchesOracle:
         config = SimulationConfig(
             blocks=100_000, seed=5, initial_energy=default_params.battery_capacity
         )
+        got = simulate_original(
+            policy, channel200, channel200, default_params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel200, channel200, default_params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_walk_through_many_blocks_is_bit_identical(
+        self, channel200, default_params
+    ):
+        # the battery never empties, so the walk plays every block, past
+        # each 4,096-block step in which its channel indices become ints
+        policy = _half_drain(channel200, default_params)
+        config = SimulationConfig(blocks=9000, seed=21)
         got = simulate_original(
             policy, channel200, channel200, default_params, config, keep_trace=True
         )
