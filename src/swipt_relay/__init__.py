@@ -30,7 +30,6 @@ from .mdp import (
 )
 from .experiment import (
     ExperimentConfig,
-    GainReport,
     SweepRow,
     parse_config,
     report_gains,

@@ -27,9 +27,10 @@ _PMF_SUM_TOL = 1e-9
 class FiniteChannel:
     """Finite alphabet of channel power gains with its pmf.
 
-    Gains are strictly ascending and non-negative; pmf entries are all
-    positive and sum to one. Instances are immutable (the arrays are made
-    read-only), so they can be shared freely across concurrent workers.
+    Gains are finite, strictly ascending and non-negative; pmf entries are
+    all positive and sum to one. Instances are immutable (the arrays are
+    made read-only), so they can be shared freely across concurrent
+    workers.
     """
 
     gains: np.ndarray
@@ -44,12 +45,16 @@ class FiniteChannel:
             raise ValueError(
                 f"gains and pmf lengths differ: {gains.size} vs {pmf.size}"
             )
-        if gains[0] < 0.0 or np.any(np.diff(gains) <= 0.0):
-            raise ValueError("gains must be non-negative and strictly ascending")
-        if np.any(pmf <= 0.0):
+        # each check is written so that a NaN fails it
+        ascending = np.all(np.diff(gains) > 0.0)
+        if not (ascending and gains[0] >= 0.0 and np.isfinite(gains[-1])):
+            raise ValueError(
+                "gains must be finite, non-negative and strictly ascending"
+            )
+        if not np.all(pmf > 0.0):
             raise ValueError("every pmf entry must be positive")
         total = float(pmf.sum())
-        if abs(total - 1.0) > _PMF_SUM_EXACT:
+        if not abs(total - 1.0) <= _PMF_SUM_EXACT:
             raise ValueError(
                 f"pmf sums to {total!r}; expected 1 within {_PMF_SUM_EXACT}"
             )
@@ -98,7 +103,7 @@ def channel_from_table(gains, pmf) -> FiniteChannel:
             f"gains and pmf lengths differ: {gains.size} vs {pmf.size}"
         )
     total = float(pmf.sum())
-    if abs(total - 1.0) > _PMF_SUM_TOL:
+    if not abs(total - 1.0) <= _PMF_SUM_TOL:
         raise ValueError(
             f"pmf sums to {total!r}; expected 1 within {_PMF_SUM_TOL}"
         )
@@ -117,7 +122,7 @@ def quantize_equiprobable_exponential(n_states: int) -> FiniteChannel:
 
     which preserves the unit mean of the distribution exactly.
     """
-    if n_states < 1:
+    if not (n_states >= 1 and float(n_states).is_integer()):
         raise ValueError(f"n_states must be a positive integer, got {n_states}")
     n = int(n_states)
     # Lower edges t_0..t_{n-1}; log1p keeps the small quantiles accurate.

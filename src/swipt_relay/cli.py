@@ -8,6 +8,7 @@ heuristic policy, and `sweep` produces the full experiment CSV.
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .experiment import (
     CONFIG_PARSERS,
@@ -81,6 +82,10 @@ def _common_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# channel and simulate write to --out directly; it is not the config key out
+_OUT_HELP = "output path, '-' for stdout"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
     parser = _Parser(
@@ -98,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="dump the quantized channel alphabet as CSV (index,gain,probability)",
     )
-    p_channel.add_argument("--out", default="-", help="output path, '-' for stdout")
+    p_channel.add_argument("--out", dest="out_path", default="-", help=_OUT_HELP)
 
     sub.add_parser(
         "heuristic",
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo of the heuristic policy (CSV: seed,M,mean,stderr)",
     )
     _config_flag(p_sim, "blocks", "number of simulated blocks")
-    p_sim.add_argument("--out", default="-", help="output path, '-' for stdout")
+    p_sim.add_argument("--out", dest="out_path", default="-", help=_OUT_HELP)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -138,13 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    skip = {"command", "config"}
-    if args.command in ("channel", "simulate"):
-        skip.add("out")  # their --out is a direct output path, not config state
     overrides = {
         key: value
         for key, value in vars(args).items()
-        if key not in skip and value is not None
+        if key in CONFIG_PARSERS and value is not None
     }
     return parse_config(args.config, overrides)
 
@@ -163,7 +165,7 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     lines = ["index,gain,probability"]
     for i, (gain, prob) in enumerate(zip(channel.gains, channel.pmf)):
         lines.append(f"{i},{gain:.12g},{prob:.12g}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out_path, "\n".join(lines) + "\n")
     return 0
 
 
@@ -200,7 +202,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params,
         SimulationConfig(blocks=config.blocks, seed=config.seed),
     )
-    _write_text(args.out, RESULT_CSV_HEADER + "\n" + result.csv_row() + "\n")
+    _write_text(args.out_path, RESULT_CSV_HEADER + "\n" + result.csv_row() + "\n")
     return 0
 
 
@@ -216,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     try:
-        for line in report_gains(rows).format_lines():
+        for line in report_gains(rows):
             print(line)
     except ValueError:
         pass  # fewer than two successful sweep points: nothing to report
@@ -238,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (
-        ValueError, OSError, MultichainSuspectedError, NonConvergenceError
+        ValueError, OSError, MultichainSuspectedError, NonConvergenceError,
+        BrokenExecutor,  # a sweep worker died, e.g. killed for memory
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

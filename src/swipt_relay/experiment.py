@@ -25,7 +25,6 @@ from .simulate import SimulationConfig, simulate_original
 __all__ = [
     "CONFIG_PARSERS",
     "ExperimentConfig",
-    "GainReport",
     "SWEEP_CSV_HEADER",
     "SweepRow",
     "parse_config",
@@ -33,11 +32,6 @@ __all__ = [
     "rows_to_csv",
     "run_sweep",
 ]
-
-SWEEP_CSV_HEADER = (
-    "sweep_param,sweep_value,n_levels,p_heuristic_analytic,"
-    "p_heuristic_sim,p_heuristic_sim_stderr,p_upper_bound,status"
-)
 
 # sweep axis -> (its list of values, the SystemParams field they replace)
 SWEEP_AXES = {
@@ -130,7 +124,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (sweep value, n_levels) cell of the result table."""
+    """One (sweep value, n_levels) cell of the result table. Every field
+    but error is a CSV column, in declaration order; a float column is
+    written by _fmt, any other by str."""
 
     sweep_param: str
     sweep_value: float
@@ -144,17 +140,13 @@ class SweepRow:
 
     def csv_row(self) -> str:
         return ",".join(
-            (
-                self.sweep_param,
-                _fmt(self.sweep_value),
-                str(self.n_levels),
-                _fmt(self.p_heuristic_analytic),
-                _fmt(self.p_heuristic_sim),
-                _fmt(self.p_heuristic_sim_stderr),
-                _fmt(self.p_upper_bound),
-                self.status,
-            )
+            (_fmt if f.type is float else str)(getattr(self, f.name))
+            for f in _CSV_FIELDS
         )
+
+
+_CSV_FIELDS = tuple(f for f in fields(SweepRow) if f.name != "error")
+SWEEP_CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 
 
 def _fmt(value: float) -> str:
@@ -230,84 +222,37 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BoundGain:
-    """Percentage change of the bound between consecutive sweep points at
-    a fixed grid resolution; None when the base point is zero."""
-
-    n_levels: int
-    from_value: float
-    to_value: float
-    percent: float | None
+def _percent(value: float, base: float) -> str:
+    """100 (value - base) / base to six significant digits, or
+    "undefined" (not infinity) for a zero base."""
+    if base == 0.0:
+        return "undefined"
+    return f"{100.0 * (value - base) / base:.6g}%"
 
 
-@dataclass(frozen=True)
-class HeuristicGap:
-    """Percentage shortfall of the heuristic against the bound for one
-    row; None when the heuristic is zero (undefined, not infinity)."""
-
-    sweep_value: float
-    n_levels: int
-    percent: float | None
-
-
-@dataclass(frozen=True)
-class GainReport:
-    bound_gains: tuple[BoundGain, ...]
-    heuristic_gaps: tuple[HeuristicGap, ...]
-
-    def format_lines(self) -> list[str]:
-        lines = []
-        for g in self.bound_gains:
-            pct = "undefined" if g.percent is None else f"{g.percent:.6g}%"
-            lines.append(
-                f"bound gain (n_levels={g.n_levels}) "
-                f"{_fmt(g.from_value)} -> {_fmt(g.to_value)}: {pct}"
-            )
-        for g in self.heuristic_gaps:
-            pct = "undefined" if g.percent is None else f"{g.percent:.6g}%"
-            lines.append(
-                f"bound vs heuristic at {_fmt(g.sweep_value)} "
-                f"(n_levels={g.n_levels}): {pct}"
-            )
-        return lines
-
-
-def report_gains(rows: list[SweepRow]) -> GainReport:
-    """Consecutive-point percentage gains of the bound per grid
-    resolution, plus the per-row heuristic-to-bound gap
-    100 (P_bound - P_heuristic) / P_heuristic. Zero denominators report
-    as undefined rather than infinity; failed rows are skipped."""
+def report_gains(rows: list[SweepRow]) -> list[str]:
+    """The lines `swipt-relay sweep` prints: the bound's percentage gain
+    between consecutive sweep points per grid resolution, then the
+    per-row heuristic-to-bound gap 100 (P_bound - P_heuristic) /
+    P_heuristic. Failed rows are skipped."""
     ok_rows = [r for r in rows if r.status == "ok"]
     if len({r.sweep_value for r in ok_rows}) < 2:
         raise ValueError("gain reporting needs at least two sweep points")
-    bound_gains = []
+    lines = []
     for n_levels in sorted({r.n_levels for r in ok_rows}):
         track = [r for r in ok_rows if r.n_levels == n_levels]
-        for prev, cur in zip(track, track[1:]):
-            if prev.p_upper_bound == 0.0:
-                percent = None
-            else:
-                percent = (
-                    100.0
-                    * (cur.p_upper_bound - prev.p_upper_bound)
-                    / prev.p_upper_bound
-                )
-            bound_gains.append(
-                BoundGain(n_levels, prev.sweep_value, cur.sweep_value, percent)
-            )
-    gaps = []
-    for row in ok_rows:
-        if row.p_heuristic_analytic == 0.0:
-            percent = None
-        else:
-            percent = (
-                100.0
-                * (row.p_upper_bound - row.p_heuristic_analytic)
-                / row.p_heuristic_analytic
-            )
-        gaps.append(HeuristicGap(row.sweep_value, row.n_levels, percent))
-    return GainReport(tuple(bound_gains), tuple(gaps))
+        lines.extend(
+            f"bound gain (n_levels={n_levels}) "
+            f"{_fmt(prev.sweep_value)} -> {_fmt(cur.sweep_value)}: "
+            f"{_percent(cur.p_upper_bound, prev.p_upper_bound)}"
+            for prev, cur in zip(track, track[1:])
+        )
+    lines.extend(
+        f"bound vs heuristic at {_fmt(r.sweep_value)} (n_levels={r.n_levels}): "
+        f"{_percent(r.p_upper_bound, r.p_heuristic_analytic)}"
+        for r in ok_rows
+    )
+    return lines
 
 
 def _field_parser(kind):

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from swipt_relay import channel_from_table, quantize_equiprobable_exponential
+from swipt_relay import (
+    FiniteChannel,
+    channel_from_table,
+    quantize_equiprobable_exponential,
+)
 
 
 def bin_edges(n: int) -> np.ndarray:
@@ -65,10 +69,14 @@ class TestQuantizer:
         assert np.all(ch.gains[:-1] < edges[1:])
         assert ch.gains[-1] > edges[-1]
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -3, 2.7, math.nan, math.inf])
     def test_rejects_non_positive_counts(self, bad):
-        with pytest.raises(ValueError):
+        # a non-integral count is rejected too, not truncated
+        with pytest.raises(ValueError, match="positive integer"):
             quantize_equiprobable_exponential(bad)
+
+    def test_accepts_an_integral_float_count(self):
+        assert quantize_equiprobable_exponential(2.0).count == 2
 
     @given(st.integers(min_value=1, max_value=400))
     @settings(max_examples=40, deadline=None)
@@ -103,6 +111,21 @@ class TestChannelFromTable:
     def test_rejects_negative_gain(self):
         with pytest.raises(ValueError):
             channel_from_table([-0.5, 1.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "gains, pmf",
+        [
+            ([1.0, math.nan], [0.5, 0.5]),
+            ([math.nan], [1.0]),
+            ([1.0, math.inf], [0.5, 0.5]),
+            ([1.0, 2.0], [math.nan, 0.5]),
+            ([1.0, 2.0], [math.inf, 0.5]),
+        ],
+    )
+    @pytest.mark.parametrize("build", [FiniteChannel, channel_from_table])
+    def test_rejects_non_finite_tables(self, build, gains, pmf):
+        with pytest.raises(ValueError):
+            build(gains, pmf)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):

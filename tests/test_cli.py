@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,26 @@ class TestSimulateCommand:
         assert float(stderr) == pytest.approx(expected.stderr, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "command", [["channel", "--channel-states", "3"], ["simulate", "--blocks", "100"]]
+)
+def test_out_is_a_direct_path_that_config_out_does_not_redirect(
+    tmp_path, capsys, command
+):
+    # a config file's out is the sweep CSV path, not channel's or simulate's
+    cfg = tmp_path / "run.cfg"
+    redirected = tmp_path / "redirected.csv"
+    cfg.write_text(f"out = {redirected}\n", encoding="utf-8")
+    assert run_cli(command + ["--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "direct.csv"
+    assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == stdout
+    assert stdout.count("\n") >= 2
+    assert not redirected.exists()
+
+
 SWEEP_ARGS = [
     "sweep",
     "--channel-states",
@@ -246,6 +267,32 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "synthetic failure" in err
         assert "failed" in out.read_text(encoding="utf-8")
+
+    def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # what a pool reports when a worker is killed, e.g. for memory; the
+        # stub raises it from map, so no process starts
+        class DeadPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr(
+            experiment_module.concurrent.futures, "ProcessPoolExecutor", DeadPool
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_cli(SWEEP_ARGS + ["--workers", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a worker process died\n"
+        assert not out.exists()
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -275,21 +275,26 @@ def make_row(value, n_levels, heuristic, bound, status="ok"):
 class TestReportGains:
     def test_thirty_percent_gain(self):
         rows = [make_row(4.0, 5, 0.15, 0.2), make_row(10.0, 5, 0.18, 0.26)]
-        report = report_gains(rows)
-        assert len(report.bound_gains) == 1
-        assert report.bound_gains[0].percent == pytest.approx(30.0)
+        assert report_gains(rows) == [
+            "bound gain (n_levels=5) 4 -> 10: 30%",
+            "bound vs heuristic at 4 (n_levels=5): 33.3333%",
+            "bound vs heuristic at 10 (n_levels=5): 44.4444%",
+        ]
 
     def test_equal_bounds_give_zero_gain(self):
         rows = [make_row(4.0, 5, 0.1, 0.2), make_row(10.0, 5, 0.1, 0.2)]
-        report = report_gains(rows)
-        assert report.bound_gains[0].percent == 0.0
+        assert report_gains(rows)[0] == "bound gain (n_levels=5) 4 -> 10: 0%"
 
     def test_zero_heuristic_reports_undefined(self):
         rows = [make_row(4.0, 5, 0.0, 0.2), make_row(10.0, 5, 0.1, 0.25)]
-        report = report_gains(rows)
-        gap = report.heuristic_gaps[0]
-        assert gap.percent is None
-        assert any("undefined" in line for line in report.format_lines())
+        assert report_gains(rows)[1:] == [
+            "bound vs heuristic at 4 (n_levels=5): undefined",
+            "bound vs heuristic at 10 (n_levels=5): 150%",
+        ]
+
+    def test_zero_bound_base_reports_undefined(self):
+        rows = [make_row(4.0, 5, 0.1, 0.0), make_row(10.0, 5, 0.1, 0.25)]
+        assert report_gains(rows)[0] == "bound gain (n_levels=5) 4 -> 10: undefined"
 
     def test_needs_two_sweep_points(self):
         with pytest.raises(ValueError):
@@ -301,10 +306,11 @@ class TestReportGains:
             make_row(4.0, 5, float("nan"), float("nan"), status="failed"),
             make_row(10.0, 5, 0.2, 0.3),
         ]
-        report = report_gains(rows)
-        assert len(report.bound_gains) == 1
-        assert report.bound_gains[0].from_value == 2.0
-        assert report.bound_gains[0].to_value == 10.0
+        assert report_gains(rows) == [
+            "bound gain (n_levels=5) 2 -> 10: 100%",
+            "bound vs heuristic at 2 (n_levels=5): 50%",
+            "bound vs heuristic at 10 (n_levels=5): 50%",
+        ]
 
     def test_tracks_by_levels(self):
         rows = [
@@ -313,13 +319,25 @@ class TestReportGains:
             make_row(4.0, 5, 0.1, 0.24),
             make_row(4.0, 9, 0.1, 0.2),
         ]
-        report = report_gains(rows)
-        got = {(g.n_levels): g.percent for g in report.bound_gains}
-        assert got[5] == pytest.approx(20.0)
-        assert got[9] == pytest.approx(100.0 * (0.2 - 0.18) / 0.18)
+        gains = [line for line in report_gains(rows) if line.startswith("bound gain")]
+        assert gains == [
+            "bound gain (n_levels=5) 2 -> 4: 20%",
+            f"bound gain (n_levels=9) 2 -> 4: {100.0 * (0.2 - 0.18) / 0.18:.6g}%",
+        ]
 
 
 class TestCsvFormatting:
+    def test_header_is_the_recorded_column_list(self):
+        assert SWEEP_CSV_HEADER == (
+            "sweep_param,sweep_value,n_levels,p_heuristic_analytic,"
+            "p_heuristic_sim,p_heuristic_sim_stderr,p_upper_bound,status"
+        )
+
+    def test_columns_follow_the_declared_field_types(self):
+        # sweep_value is declared float: an int value still prints as one
+        row = replace(make_row(4.0, 5, 0.25, 0.5), sweep_value=10**13)
+        assert row.csv_row() == "battery,1e+13,5,0.25,0.25,0.001,0.5,ok"
+
     def test_twelve_significant_digits(self):
         row = make_row(4.0, 5, 1.0 / 3.0, 2.0 / 3.0)
         text = row.csv_row()
