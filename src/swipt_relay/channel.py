@@ -23,14 +23,14 @@ _PMF_SUM_EXACT = 1e-12
 _PMF_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteChannel:
     """Finite alphabet of channel power gains with its pmf.
 
     Gains are finite, strictly ascending and non-negative; pmf entries are
     all positive and sum to one. Instances are immutable (the arrays are
     made read-only), so they can be shared freely across concurrent
-    workers.
+    workers. Equality and hashing are by identity.
     """
 
     gains: np.ndarray

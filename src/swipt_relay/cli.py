@@ -7,6 +7,7 @@ heuristic policy, and `sweep` produces the full experiment CSV.
 """
 
 import argparse
+import functools
 import sys
 from concurrent.futures import BrokenExecutor
 
@@ -234,9 +235,12 @@ _COMMANDS = {
 }
 
 
+# parsing leaves the parser as it was, so one serves every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (

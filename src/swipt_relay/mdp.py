@@ -64,9 +64,10 @@ class NonConvergenceError(RuntimeError):
     """Policy iteration hit its iteration cap without the rule repeating."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatteryGrid:
-    """Uniformly spaced battery levels from empty to full capacity."""
+    """Uniformly spaced battery levels from empty to full capacity.
+    Equality and hashing are by identity."""
 
     n_levels: int
     capacity: float

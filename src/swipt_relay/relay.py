@@ -181,8 +181,14 @@ def delivery_success_prob(
 def _delivery_energies(g_channel: FiniteChannel, params: SystemParams) -> np.ndarray:
     """Per relay-destination gain g, largest first, the least energy u with
     u g >= the delivery threshold in floating point (inf if none is finite):
-    u g is monotone in u, so u delivers through the gains of entries <= u."""
-    gains, threshold = g_channel.gains[::-1], params.delivery_threshold
+    u g is monotone in u, so u delivers through the gains of entries <= u.
+    Read-only, built once per channel object and threshold (16 are kept)."""
+    return _delivery_table(g_channel, params.delivery_threshold)
+
+
+@functools.lru_cache(maxsize=16)
+def _delivery_table(g_channel: FiniteChannel, threshold: float) -> np.ndarray:
+    gains = g_channel.gains[::-1]
     top = np.array(np.inf).view(np.int64)  # bit patterns order floats >= 0
 
     def reaches(bits):
@@ -199,6 +205,7 @@ def _delivery_energies(g_channel: FiniteChannel, params: SystemParams) -> np.nda
             mid = low + (high - low) // 2
             up = reaches(mid)
             low, high = np.where(up, low, mid), np.where(up, mid, high)
+    high.flags.writeable = False
     return high.view(float)
 
 

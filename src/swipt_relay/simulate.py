@@ -68,8 +68,10 @@ class SimulationResult:
         return f"{self.seed},{self.blocks},{self.mean:.12g},{self.stderr:.12g}"
 
 
+# rng's annotation is a string: evaluating it would import numpy.random with
+# the package, which only a simulation needs
 def sample_channel(
-    channel: FiniteChannel, rng: np.random.Generator, size: int
+    channel: FiniteChannel, rng: "np.random.Generator", size: int
 ) -> np.ndarray:
     """size i.i.d. channel-state indices by inverse-cdf lookup on uniforms,
     in cache-sized slices. A guide table (Chen & Asau 1974) over 8 C buckets

@@ -143,6 +143,13 @@ class TestChannelFromTable:
             ch.pmf[0] = 0.9
 
 
+def test_channels_compare_and_hash_by_identity():
+    # value equality over ndarray fields raised instead of answering
+    a, b = (channel_from_table([0.5, 2.0], [0.25, 0.75]) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 class TestDeliveryTail:
     @pytest.mark.parametrize(
         "channel",

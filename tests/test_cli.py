@@ -45,6 +45,10 @@ class TestParser:
         )
         assert set(sub.choices) == {"channel", "heuristic", "bound", "simulate", "sweep"}
 
+    def test_parser_is_built_once(self):
+        assert cli_module._parser() is cli_module._parser()
+        assert build_parser() is not cli_module._parser()
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli([])
@@ -501,15 +505,45 @@ def test_bound_runs_without_scipy():
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "print(status, *loaded, file=sys.stderr)\n"
     )
+    done = run_fresh(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("n_levels,p_upper_bound\n5,")
+    assert done.stderr.split() == ["0"]
+
+
+def test_random_module_loads_only_for_simulation():
+    """The bound-only commands never draw a random number, so a fresh
+    interpreter running them does not load numpy.random; a simulation
+    then loads it and prints the row it always printed."""
+    script = (
+        "import sys\n"
+        "import swipt_relay\n"
+        "from swipt_relay.cli import main\n"
+        "for argv in (\n"
+        "    ['bound', '--levels', '5', '--channel-states', '20'],\n"
+        "    ['heuristic', '--channel-states', '20'],\n"
+        "    ['channel', '--channel-states', '3'],\n"
+        "    ['simulate', '--blocks', '2000', '--channel-states', '20', '--seed', '5'],\n"
+        "):\n"
+        "    print(main(argv), 'numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    done = run_fresh(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == ["0", "False"] * 3 + ["0", "True"]
+    assert done.stdout.endswith(
+        "seed,M,mean,stderr\n5,2000,0.8805,0.00725508050242\n"
+    )
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter that imports the package
+    from this source tree."""
     src = str(Path(cli_module.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("n_levels,p_upper_bound\n5,")
-    assert done.stderr.split() == ["0"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swipt_relay.experiment as experiment_module
+import swipt_relay.relay as relay_module
 from swipt_relay import (
     ExperimentConfig,
     SweepRow,
@@ -185,6 +186,13 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert built == [config.n_channel_states]
         assert all(row.status == "ok" for row in rows)
+
+    def test_delivery_table_built_once_per_sweep(self):
+        # every point shares the g alphabet and the delivery threshold
+        relay_module._delivery_table.cache_clear()
+        rows = run_sweep(ExperimentConfig())
+        assert relay_module._delivery_table.cache_info().misses == 1
+        assert len(rows) == 16 and all(row.status == "ok" for row in rows)
 
     def test_worker_pool_matches_serial(self):
         serial = ExperimentConfig(**SMALL)

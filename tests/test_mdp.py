@@ -65,6 +65,11 @@ class TestBatteryGrid:
         with pytest.raises(ValueError):
             BatteryGrid(3, 0.0)
 
+    def test_compares_and_hashes_by_identity(self):
+        a, b = BatteryGrid(5, 8.0), BatteryGrid(5, 8.0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestRoundUpLevel:
     def test_empty_battery_bumps_to_second_level(self):
@@ -244,6 +249,17 @@ class TestEnumerateActions:
             for u in energies
         ]
         assert probs.tolist() == expected
+
+    def test_delivery_table_is_built_once_and_read_only(self, default_params):
+        channel = quantize_equiprobable_exponential(20)
+        delivery = relay_module._delivery_energies(channel, default_params)
+        assert relay_module._delivery_energies(channel, default_params) is delivery
+        with pytest.raises(ValueError):
+            delivery[0] = 0.0
+        # an equal alphabet in another object gets its own, equal table
+        twin = quantize_equiprobable_exponential(20)
+        other = relay_module._delivery_energies(twin, default_params)
+        assert other is not delivery and other.tolist() == delivery.tolist()
 
     @given(
         weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
