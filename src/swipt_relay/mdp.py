@@ -113,21 +113,19 @@ def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> i
 
 @dataclass(frozen=True, eq=False)
 class MdpModel:
-    """Discrete decision problem: one reward column per (splitting
-    branch, target level) pair.
+    """Discrete decision problem: one reward column per target level.
 
     The states are the battery levels of grid crossed with the
     source-relay channel alphabet h_channel; state (level j, channel i)
-    sits at flat index j * h_channel.count + i. rewards[s, b * L + k],
-    of shape (n_states, 2L) for L battery levels, is the success
-    probability of splitting branch b (0 harvests everything, 1 splits
-    at the largest decodable ratio) landing the residual on level k in
-    flat state s, and -inf where that action does not exist; a read-only
-    float array is kept uncopied, so its owner must not change it. Every
-    action targeting level k leaves the battery at post_of_target[k]
-    after the end-of-block top-up; the next state is that level with a
-    fresh channel draw, so transitions depend on the action only through
-    its target.
+    sits at flat index j * h_channel.count + i. rewards[s, k], of shape
+    (n_states, L) for L battery levels, is the larger success probability
+    of the two splitting branches (harvest everything, or split at the
+    largest decodable ratio) landing the residual on level k in state s,
+    -inf where neither can; a read-only float array is kept uncopied, so
+    its owner must not change it. A rule is one target level per state.
+    Both branches' actions at level k leave the battery at
+    post_of_target[k] after the top-up: the next state is that level with
+    a fresh channel draw.
     """
 
     grid: BatteryGrid
@@ -137,12 +135,17 @@ class MdpModel:
     rewards: np.ndarray
     exact_up: bool = True
     post_of_target: np.ndarray = field(init=False)
+    # Per state: flat offsets of its reward row and level-chain row, and its pmf.
+    _row_starts: np.ndarray = field(init=False, repr=False)
+    _edge_starts: np.ndarray = field(init=False, repr=False)
+    _state_pmf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rewards = np.asarray(self.rewards, dtype=float)
         if rewards.flags.writeable:
             rewards = rewards.copy()
-        shape = (self.n_states, 2 * self.grid.n_levels)
+        n_levels, count = self.grid.n_levels, self.h_channel.count
+        shape = (self.n_states, n_levels)
         if rewards.shape != shape:
             raise ValueError(f"rewards must have shape {shape}, got {rewards.shape}")
         best = rewards.max(axis=1)  # NaN where a row holds one
@@ -150,8 +153,13 @@ class MdpModel:
             raise ValueError("rewards must be finite or -inf")
         if not np.all(best > -np.inf):
             raise ValueError("every state needs at least one action")
-        post_of_target = _round_up(self.grid.levels, self.grid, self.exact_up)
-        for name, value in (("rewards", rewards), ("post_of_target", post_of_target)):
+        for name, value in (
+            ("rewards", rewards),
+            ("post_of_target", _round_up(self.grid.levels, self.grid, self.exact_up)),
+            ("_row_starts", np.arange(self.n_states) * n_levels),
+            ("_edge_starts", np.repeat(np.arange(n_levels) * n_levels, count)),
+            ("_state_pmf", np.tile(self.h_channel.pmf, n_levels)),
+        ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -160,12 +168,13 @@ class MdpModel:
         return self.grid.n_levels * self.h_channel.count
 
     def _check_rule(self, rule: np.ndarray) -> np.ndarray:
-        rule = np.asarray(rule, dtype=np.intp)
+        rule = np.asarray(rule)
+        if rule.dtype.kind not in "iu":
+            raise ValueError(f"rule must hold integer levels, got dtype {rule.dtype}")
         if rule.shape != (self.n_states,):
-            raise ValueError(
-                f"rule must assign one action per state, got shape {rule.shape}"
-            )
-        in_range = (rule >= 0) & (rule < self.rewards.shape[1])
+            raise ValueError(f"rule needs one level per state, got shape {rule.shape}")
+        rule = rule.astype(np.intp, copy=False)
+        in_range = (rule >= 0) & (rule < self.grid.n_levels)
         exists = self.reward_vector(np.where(in_range, rule, 0)) > -np.inf
         bad = np.flatnonzero(~(in_range & exists))
         if bad.size:
@@ -174,13 +183,13 @@ class MdpModel:
         return rule
 
     def reward_vector(self, rule: np.ndarray) -> np.ndarray:
-        """Per-state reward of the rule's chosen columns (unchecked: the
+        """Per-state reward of the rule's target levels (unchecked: the
         public solvers validate a rule once before using it)."""
-        return self.rewards[np.arange(self.n_states), rule]
+        return self.rewards.take(self._row_starts + rule)
 
     def post_levels(self, rule: np.ndarray) -> np.ndarray:
-        """Per-state post-top-up level of the rule's chosen columns."""
-        return self.post_of_target[rule % self.grid.n_levels]
+        """Per-state post-top-up level of the rule's target levels."""
+        return self.post_of_target[rule]
 
 
 def build_mdp(
@@ -193,37 +202,35 @@ def build_mdp(
     """Assemble the discrete model over (battery level, channel state)
     pairs, a block of states at a time into one preallocated array.
 
-    Each state gets one action per splitting branch and reachable grid
-    target: harvest everything (ratio 1) always, plus the largest
-    decodable ratio when the state can succeed at all (dropped when that
-    ratio rounds to 1, where it would repeat the first branch); the
-    transmit energy is whatever lands the residual exactly on the target
-    level. The full-harvest action targeting the empty level is always
-    present. Rewards use the true transmit energy and the arithmetic of
-    relay.success_prob; the top-up happens only after the block.
+    The actions are full harvesting (ratio 1), plus the largest decodable
+    ratio where the state can succeed (not where it rounds to 1), with the
+    transmit energy that lands the residual exactly on a grid target. Each
+    target up to the full-harvest mid-block level (the split's is never
+    higher) gets the larger reward of the two branches: 0.0, or a decoding
+    branch's success probability. Rewards use the true transmit energy and
+    the arithmetic of relay.success_prob; the top-up happens after the block.
     """
     grid = BatteryGrid(n_levels, params.battery_capacity)
-    levels = grid.levels
-    half, pays = _split_table(levels, h_channel, g_channel, params)
-    half, pays = half.reshape(-1, 2, 1), pays.reshape(-1, 2, 1)
+    half, pays = _split_table(grid.levels, h_channel, g_channel, params)
+    # Success never falls as the transmit energy grows, so of the branches that
+    # decode, the one with the higher mid-block level scores most at every target.
+    full = half[..., 0].reshape(-1, 1)
+    decoding = np.where(pays, half, -np.inf).max(axis=2).reshape(-1, 1)
     delivery, tail = _delivery_energies(g_channel, params), g_channel.tail
-    rewards = np.empty((len(half), 2, n_levels))  # [state, branch, target]
-    for rows in _row_blocks(len(half), 2 * n_levels):
-        # An action exists where its target fits under the mid-block level (on
-        # the decodable branch only where that pays); paying ones score delivery.
-        spend = half[rows] - levels
-        fits = spend >= 0.0
-        delivers = fits & pays[rows]
-        fits[:, 1] = delivers[:, 1]
-        rewards[rows] = np.where(fits, 0.0, -np.inf)
-        rewards[rows][delivers] = tail[_first_delivering(spend[delivers], delivery)]
+    rewards = np.empty((len(full), n_levels))  # [state, target]
+    for rows in _row_blocks(len(full), n_levels):
+        spend = decoding[rows] - grid.levels
+        delivers = spend >= 0.0
+        block = np.where(full[rows] >= grid.levels, 0.0, -np.inf)
+        block[delivers] = tail[_first_delivering(spend[delivers], delivery)]
+        rewards[rows] = block
     rewards.flags.writeable = False
     return MdpModel(
         grid=grid,
         h_channel=h_channel,
         g_channel=g_channel,
         params=params,
-        rewards=rewards.reshape(len(half), 2 * n_levels),
+        rewards=rewards,
         exact_up=exact_up,
     )
 
@@ -238,12 +245,9 @@ def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Channel-pmf averaged reward of each battery level under a checked
     rule, and the rule's level-to-level transition matrix."""
     n_levels = model.grid.n_levels
-    pmf = model.h_channel.pmf
-    post = model.post_levels(rule).reshape(n_levels, -1)
-    mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ pmf
-    edges = (np.arange(n_levels)[:, None] * n_levels + post).ravel()
-    weights = np.broadcast_to(pmf, post.shape).ravel()
-    transitions = np.bincount(edges, weights, minlength=n_levels * n_levels)
+    mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ model.h_channel.pmf
+    edges = model._edge_starts + model.post_levels(rule)
+    transitions = np.bincount(edges, model._state_pmf, minlength=n_levels * n_levels)
     return mean_reward, transitions.reshape(n_levels, n_levels)
 
 
@@ -271,7 +275,7 @@ def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
     matrix = np.eye(len(mean_reward)) - transitions
     # W[0] = 0 frees the first column for the gain unknown.
     matrix[:, 0] = 1.0
-    rcond = 1.0 / np.linalg.cond(matrix, 1)  # 0 when singular
+    rcond = _rcond(matrix)
     if not rcond >= _RCOND_MIN:
         raise MultichainSuspectedError(
             f"evaluation system has reciprocal condition {rcond:.3e}; the "
@@ -291,17 +295,27 @@ def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
     return gain, values
 
 
+def _rcond(matrix: np.ndarray) -> float:
+    """1 / np.linalg.cond(matrix, 1) from one inverse: 0 when singular."""
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return 0.0
+    with np.errstate(over="ignore"):  # as np.linalg.cond, the 1-norms' product
+        return 1.0 / (np.abs(matrix).sum(0).max() * np.abs(inverse).sum(0).max())
+
+
 def policy_improve(
     model: MdpModel, values: np.ndarray, incumbent: np.ndarray | None = None
 ) -> np.ndarray:
-    """One improvement sweep over every state's actions.
+    """One improvement sweep over every state's target levels.
 
-    Per state, picks the action maximizing immediate reward plus the
+    Per state, picks the target maximizing its reward column plus the
     level value W of its post-top-up level (the gain would shift every
-    candidate equally, so it is not needed). The incumbent action is
+    candidate equally, so it is not needed). The incumbent target is
     kept unless the best candidate beats it by more than a fixed
     tolerance of 1e-13, the anti-cycling rule; without an incumbent, ties
-    go to the smallest column.
+    go to the lowest target.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (model.grid.n_levels,):
@@ -316,26 +330,22 @@ def policy_improve(
 
 def _improve(model: MdpModel, values: np.ndarray, incumbent) -> np.ndarray:
     """policy_improve of checked inputs: every state has an action."""
-    bonus = np.tile(values[model.post_of_target], 2)
+    bonus = values[model.post_of_target]
     rule = np.empty(model.n_states, dtype=np.intp)
     for rows in _row_blocks(model.n_states, bonus.size):
         candidates = model.rewards[rows] + bonus
-        best = np.argmax(candidates, axis=1)  # first maximum = smallest column
+        best = np.argmax(candidates, axis=1)  # first maximum = lowest target
         if incumbent is not None:
-            at, kept = np.arange(best.size), incumbent[rows]
-            better = candidates[at, best] > candidates[at, kept] + _IMPROVE_TOL
-            best = np.where(better, best, kept)
+            at, kept = model._row_starts[: best.size], incumbent[rows]
+            top, held = candidates.take(at + best), candidates.take(at + kept)
+            best = np.where(top > held + _IMPROVE_TOL, best, kept)
         rule[rows] = best
     return rule
 
 
 def default_initial_rule(model: MdpModel) -> np.ndarray:
-    """Drain-to-empty starting rule: the action that empties the battery
-    on the decodable branch (column L) when one exists, else on the
-    full-harvest branch (column 0); the discrete analogue of the
-    battery-draining heuristic."""
-    n_levels = model.grid.n_levels
-    return np.where(model.rewards[:, n_levels] > -np.inf, n_levels, 0)
+    """Drain-to-empty starting rule: target level 0 in every state."""
+    return np.zeros(model.n_states, dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -64,20 +64,20 @@ def hand_model():
     layout: per state, list of (reward, post_level) action tuples, given as
     a list of length n_levels * len(pmf) in flat state order. The model
     keeps exact grid hits in place, so an action's post level is its
-    target: the first action on post level k goes to column k (branch 0),
-    a second one to column n_levels + k (branch 1).
+    target: an action on post level k goes to column k, which keeps the
+    larger reward of two actions on one post level (its two branches).
     """
 
     def build(pmf, n_levels, layout, capacity=1.0):
         gains = np.arange(1.0, len(pmf) + 1.0)
         channel = channel_from_table(gains, pmf)
         assert len(layout) == n_levels * channel.count
-        rewards = np.full((len(layout), 2 * n_levels), -np.inf)
+        rewards = np.full((len(layout), n_levels), -np.inf)
         for s, state_actions in enumerate(layout):
+            posts = [post for _, post in state_actions]
+            assert all(posts.count(post) <= 2 for post in posts), "two per post at most"
             for reward, post in state_actions:
-                column = post if rewards[s, post] == -np.inf else n_levels + post
-                assert rewards[s, column] == -np.inf, "two actions per post at most"
-                rewards[s, column] = reward
+                rewards[s, post] = max(rewards[s, post], reward)
         return MdpModel(
             grid=BatteryGrid(n_levels, capacity),
             h_channel=channel,

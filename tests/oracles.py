@@ -3,19 +3,21 @@
 The package builds every state's actions in vectorised blocks and solves
 policy evaluation on the L-state battery-level chain. These references do
 the same work the direct way: the per-state action loop through the scalar
-relay functions, the whole model in one pass with the delivery index fixed
-up by stepping, improvement as one argmax over every state, the dense
-evaluation on the full L*C-state (battery level, channel) chain, the
-exact recurrent-class count of a rule's chain
-from its strongly connected components, the best gain over every stationary
-deterministic rule by enumeration, the heuristic's closed form as a
-running total over scalar blocks, the channel sampler as one binary
+relay functions, the rewards with one column per (splitting branch, target
+level) pair that build_mdp folds to one column per target, the whole model
+in one pass with the delivery index fixed up by stepping, improvement as
+one argmax over every state, the dense evaluation on the full L*C-state
+(battery level, channel) chain, the exact recurrent-class count of a rule's
+chain from its strongly connected components, the best gain over every
+stationary deterministic rule by enumeration, the heuristic's closed form
+as a running total over scalar blocks, the channel sampler as one binary
 search per uniform and its guide table as two searches over the bucket
-edges, the continuous-energy simulator that asks the policy
-and plays its action afresh every block, and the discretized simulator
-that indexes the numpy tables block by block.
+edges, the continuous-energy simulator that asks the policy and plays its
+action afresh every block, and the discretized simulator that indexes the
+numpy tables block by block.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -40,8 +42,8 @@ from swipt_relay import (
     round_up_level,
     success_prob,
 )
-from swipt_relay.mdp import _IMPROVE_TOL, _level_chain
-from swipt_relay.relay import _split_table
+from swipt_relay.mdp import _IMPROVE_TOL, _level_chain, _row_blocks
+from swipt_relay.relay import _delivery_energies, _first_delivering, _split_table
 from swipt_relay.simulate import _mean_stderr
 
 
@@ -79,6 +81,59 @@ def reference_actions(energy, gain, g_channel, params, grid, exact_up=True):
     return actions
 
 
+def fold_actions(actions):
+    """One action per target level from an action list: the split at the
+    largest decodable ratio where it scores more than full harvesting,
+    full harvesting otherwise (ties included), in target order."""
+    best = {}
+    for action in actions:
+        held = best.get(action.target_level)
+        if held is None or (action.ps_ratio < 1.0 and action.reward > held.reward):
+            best[action.target_level] = action
+    return [best[target] for target in sorted(best)]
+
+
+def two_branch_rewards(h_channel, g_channel, params, n_levels, exact_up=True):
+    """Rewards of the two-branch model, of shape (L x C, 2L): column
+    b * L + k is splitting branch b (0 harvests everything, 1 splits at
+    the largest decodable ratio) landing the residual on level k, and -inf
+    where that action does not exist. exact_up does not change them."""
+    grid = BatteryGrid(n_levels, params.battery_capacity)
+    levels = grid.levels
+    half, pays = _split_table(levels, h_channel, g_channel, params)
+    half, pays = half.reshape(-1, 2, 1), pays.reshape(-1, 2, 1)
+    delivery, tail = _delivery_energies(g_channel, params), g_channel.tail
+    rewards = np.empty((len(half), 2, n_levels))  # [state, branch, target]
+    for rows in _row_blocks(len(half), 2 * n_levels):
+        # An action exists where its target fits under the mid-block level (on
+        # the decodable branch only where that pays); paying ones score delivery.
+        spend = half[rows] - levels
+        fits = spend >= 0.0
+        delivers = fits & pays[rows]
+        fits[:, 1] = delivers[:, 1]
+        rewards[rows] = np.where(fits, 0.0, -np.inf)
+        rewards[rows][delivers] = tail[_first_delivering(spend[delivers], delivery)]
+    rewards.flags.writeable = False
+    return rewards.reshape(len(half), 2 * n_levels)
+
+
+def fold_branches(rewards):
+    """Per state and target level, the larger reward of the two branches of
+    a (states, 2L) two-branch reward array."""
+    return rewards.reshape(len(rewards), 2, -1).max(axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _model_branch_rewards(model):
+    return two_branch_rewards(
+        model.h_channel,
+        model.g_channel,
+        model.params,
+        model.grid.n_levels,
+        model.exact_up,
+    ).reshape(model.n_states, 2, -1)
+
+
 def action_columns(model):
     """Per flat state, the columns of the actions that exist (finite
     rewards), in ascending order."""
@@ -92,17 +147,23 @@ def kth_action_rule(model, k):
 
 
 def model_actions(model, state):
-    """The actions the model stores for one flat state, decoded from its
-    columns: column b * L + k is branch b (0 harvests everything, 1 splits
-    at the largest decodable ratio) targeting level k."""
+    """The actions the model stores for one flat state of a built model,
+    decoded from its columns: column k targets level k, by the split at
+    the largest decodable ratio where the two-branch rewards score it
+    above full harvesting, and by full harvesting otherwise (ties
+    included)."""
     grid = model.grid
     level, channel = divmod(state, model.h_channel.count)
     energy = float(grid.levels[level])
     gain = float(model.h_channel.gains[channel])
+    full, split = _model_branch_rewards(model)[state]
     actions = []
-    for column in action_columns(model)[state]:
-        branch, target = divmod(int(column), grid.n_levels)
-        ratio = 1.0 if branch == 0 else max_ps_ratio(gain, model.params)
+    for target in action_columns(model)[state]:
+        target = int(target)
+        if split[target] > full[target]:
+            ratio = max_ps_ratio(gain, model.params)
+        else:
+            ratio = 1.0
         half = energy_after_harvest(energy, gain, ratio, model.params)
         actions.append(
             ReducedAction(
@@ -110,7 +171,7 @@ def model_actions(model, state):
                 float(half - grid.levels[target]),
                 target,
                 int(model.post_of_target[target]),
-                float(model.rewards[state, column]),
+                float(model.rewards[state, target]),
             )
         )
     return actions
@@ -137,8 +198,9 @@ def oracle_first_delivering(energies, g_channel, params):
 
 
 def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
-    """build_mdp in one vectorised pass over model-sized arrays, with the
-    delivery index of oracle_first_delivering."""
+    """build_mdp in one vectorised pass over both branches' model-sized
+    arrays, with the delivery index of oracle_first_delivering, folded to
+    the larger reward per target level at the end."""
     grid = BatteryGrid(n_levels, params.battery_capacity)
     levels = grid.levels
     half, pays = _split_table(levels, h_channel, g_channel, params)
@@ -157,15 +219,15 @@ def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
         h_channel=h_channel,
         g_channel=g_channel,
         params=params,
-        rewards=rewards.reshape(n_levels * h_channel.count, 2 * n_levels),
+        rewards=rewards.max(axis=2).reshape(n_levels * h_channel.count, n_levels),
         exact_up=exact_up,
     )
 
 
 def oracle_improve(model, values, incumbent=None):
     """policy_improve as one argmax over the candidates of every state."""
-    candidates = model.rewards + np.tile(values[model.post_of_target], 2)
-    rule = np.argmax(candidates, axis=1)  # first maximum = smallest column
+    candidates = model.rewards + values[model.post_of_target]
+    rule = np.argmax(candidates, axis=1)  # first maximum = lowest target
     if incumbent is not None:
         states = np.arange(model.n_states)
         better = (

@@ -128,12 +128,69 @@ def test_a3_policy_iteration_vs_bruteforce(channel2, default_params):
     assert elapsed < 60.0
 
 
+# Every default-grid bound, by (power, battery, n_levels), as the model with
+# one reward column per (branch, target) pair computed it; the folded model
+# must give the same floats.
+A4_BOUNDS = {
+    (0.5, 2.0, 5): 0.9591462542032995,
+    (0.5, 2.0, 9): 0.9514243484799361,
+    (0.5, 4.0, 5): 0.9652249652223199,
+    (0.5, 4.0, 9): 0.959149998252341,
+    (0.5, 6.0, 5): 0.9652999956997244,
+    (0.5, 6.0, 9): 0.9616249999998189,
+    (0.5, 8.0, 5): 0.9652999956997244,
+    (0.5, 8.0, 9): 0.9652249999999721,
+    (0.5, 10.0, 5): 0.9657749780564521,
+    (0.5, 10.0, 9): 0.9652999202173208,
+    (0.5, 12.0, 5): 0.9700000000000006,
+    (0.5, 12.0, 9): 0.9652999999999965,
+    (0.5, 14.0, 5): 0.9700000000000006,
+    (0.5, 14.0, 9): 0.9652999999999965,
+    (0.5, 16.0, 5): 0.9700000000000006,
+    (0.5, 16.0, 9): 0.9652999999999965,
+    (1.0, 2.0, 5): 0.9758170859978063,
+    (1.0, 2.0, 9): 0.9707462280462432,
+    (1.0, 4.0, 5): 0.980205125283184,
+    (1.0, 4.0, 9): 0.9760350961834311,
+    (1.0, 6.0, 5): 0.9802749908982019,
+    (1.0, 6.0, 9): 0.977774999960213,
+    (1.0, 8.0, 5): 0.9803499989616166,
+    (1.0, 8.0, 9): 0.9802121728583881,
+    (1.0, 10.0, 5): 0.9816749884054488,
+    (1.0, 10.0, 9): 0.980274999406979,
+    (1.0, 12.0, 5): 0.9850000000000007,
+    (1.0, 12.0, 9): 0.9802749999999844,
+    (1.0, 14.0, 5): 0.9850000000000007,
+    (1.0, 14.0, 9): 0.9802749999999988,
+    (1.0, 16.0, 5): 0.9850000000000007,
+    (1.0, 16.0, 9): 0.9803500000000003,
+    (2.0, 2.0, 5): 0.9877532644703371,
+    (2.0, 2.0, 9): 0.9850430083085909,
+    (2.0, 4.0, 5): 0.9905807180851067,
+    (2.0, 4.0, 9): 0.988263130574599,
+    (2.0, 6.0, 5): 0.9908725474624919,
+    (2.0, 6.0, 9): 0.9894877986620686,
+    (2.0, 8.0, 5): 0.9910999951903204,
+    (2.0, 8.0, 9): 0.9906355523324704,
+    (2.0, 10.0, 5): 0.9928249807131905,
+    (2.0, 10.0, 9): 0.9908984403748412,
+    (2.0, 12.0, 5): 0.9950000000000004,
+    (2.0, 12.0, 9): 0.9908749986871074,
+    (2.0, 14.0, 5): 0.9950000000000004,
+    (2.0, 14.0, 9): 0.9908499999994005,
+    (2.0, 16.0, 5): 0.9950000000000004,
+    (2.0, 16.0, 9): 0.9911000000000001,
+}
+
+
 def test_a4_bound_dominance_over_default_grid(default_grid):
     rows_by_power, elapsed = default_grid
     checked = 0
     for power, rows in rows_by_power.items():
         for row in rows:
             assert row.status == "ok", f"power {power}, cell {row}"
+            pinned = A4_BOUNDS[(power, row.sweep_value, row.n_levels)]
+            assert row.p_upper_bound == pinned, (power, row, pinned)
             assert row.p_upper_bound >= row.p_heuristic_analytic - 1e-9, (
                 f"power {power} battery {row.sweep_value} n_levels {row.n_levels}: "
                 f"bound {row.p_upper_bound} vs analytic {row.p_heuristic_analytic}"

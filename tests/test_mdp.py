@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -37,6 +38,8 @@ import swipt_relay.relay as relay_module
 from oracles import (
     action_columns,
     dense_evaluate,
+    fold_actions,
+    fold_branches,
     kth_action_rule,
     model_actions,
     oracle_build_mdp,
@@ -46,7 +49,23 @@ from oracles import (
     recurrent_class_count,
     reference_actions,
     state_transition_matrix,
+    two_branch_rewards,
 )
+
+# (source power, noise power, battery, channel states, levels, exact_up)
+_ENUMERATION_CELLS = [
+    (0.5, 0.02, 0.5, 2, 3, True),
+    (0.35, 0.02, 0.5, 2, 6, True),
+    (0.5, 0.02, 0.5, 5, 7, False),
+    (1.0, 0.001, 10.0, 25, 5, True),
+    (1.0, 0.001, 2.0, 25, 9, False),
+    (2.0, 0.001, 16.0, 40, 9, True),
+    # the largest decodable ratio rounds to 1 in every state
+    (1.0, 1e-20, 10.0, 7, 4, True),
+    # it rounds to 1 in the strongest channel state only: full harvesting
+    # decodes there, the split everywhere else
+    (4.0, 1e-16, 2e-15, 50, 9, True),
+]
 
 
 class TestBatteryGrid:
@@ -131,14 +150,14 @@ class TestEnumerateActions:
     def test_saturated_harvest_reaches_every_level(self, default_params, channel2):
         # from a full battery both branches saturate at capacity
         h_channel = channel_from_table([1.0, 2.0], [0.5, 0.5])
-        model = build_mdp(h_channel, channel2, default_params, 4)
-        actions = model_actions(model, 3 * h_channel.count)
-        per_branch = {}
-        for a in actions:
-            per_branch.setdefault(a.ps_ratio, []).append(a.target_level)
-        assert len(per_branch) == 2
-        for targets in per_branch.values():
-            assert sorted(targets) == list(range(4))
+        args = (h_channel, channel2, default_params, 4)
+        model = build_mdp(*args)
+        state = 3 * h_channel.count
+        actions = model_actions(model, state)
+        assert [a.target_level for a in actions] == list(range(4))
+        # each of the two branches reaches every level on its own
+        per_branch = two_branch_rewards(*args)[state].reshape(2, -1) > -np.inf
+        assert per_branch.all()
 
     def test_partial_harvest_targets_and_energies(self):
         # full-harvest mid-block level of 1.2 uJ on a {0, 1, 2} grid
@@ -150,11 +169,18 @@ class TestEnumerateActions:
         model = build_mdp(h_channel, g_channel, params, 3)
         actions = model_actions(model, 0)
         # full harvest reaches levels 0 and 1 (columns 0 and 1), not 2
-        assert np.isfinite(model.rewards[0, :3]).tolist() == [True, True, False]
-        full_branch = [a for a in actions if a.ps_ratio == 1.0]
-        assert [a.target_level for a in full_branch] == [0, 1]
-        assert [a.transmit_energy for a in full_branch] == pytest.approx([1.2, 0.2])
-        assert [a.post_level for a in full_branch] == [1, 2]
+        assert np.isfinite(model.rewards[0]).tolist() == [True, True, False]
+        full_branch = two_branch_rewards(h_channel, g_channel, params, 3)[0, :3]
+        assert np.isfinite(full_branch).tolist() == [True, True, False]
+        # the split decodes and outscores full harvesting at both targets
+        cap = max_ps_ratio(gain, params)
+        split_half = energy_after_harvest(0.0, gain, cap, params)
+        assert [a.ps_ratio for a in actions] == [cap, cap]
+        assert [a.target_level for a in actions] == [0, 1]
+        assert [a.transmit_energy for a in actions] == pytest.approx(
+            [split_half, split_half - 1.0]
+        )
+        assert [a.post_level for a in actions] == [1, 2]
 
     def test_structure_invariants(self, default_params, channel2):
         model = build_mdp(channel2, channel2, default_params, 4)
@@ -165,9 +191,9 @@ class TestEnumerateActions:
             gain = float(channel2.gains[channel])
             actions = model_actions(model, s)
             assert actions, "action list must never be empty"
-            # per branch, the reachable targets are levels 0, 1, ..., m
-            exists = (model.rewards[s] > -np.inf).reshape(2, -1)
-            assert np.all(exists[:, :-1] >= exists[:, 1:])
+            # the reachable targets are levels 0, 1, ..., m
+            exists = model.rewards[s] > -np.inf
+            assert np.all(exists[:-1] >= exists[1:])
             cap = max_ps_ratio(gain, default_params)
             allowed = {1.0} if cap is None else {1.0, cap}
             seen = set()
@@ -197,17 +223,7 @@ class TestEnumerateActions:
                 assert all(a.reward == 0.0 for a in actions)
 
     @pytest.mark.parametrize(
-        "power, noise, battery, n_states, n_levels, exact_up",
-        [
-            (0.5, 0.02, 0.5, 2, 3, True),
-            (0.35, 0.02, 0.5, 2, 6, True),
-            (0.5, 0.02, 0.5, 5, 7, False),
-            (1.0, 0.001, 10.0, 25, 5, True),
-            (1.0, 0.001, 2.0, 25, 9, False),
-            (2.0, 0.001, 16.0, 40, 9, True),
-            # the largest decodable ratio rounds to 1 in every state
-            (1.0, 1e-20, 10.0, 7, 4, True),
-        ],
+        "power, noise, battery, n_states, n_levels, exact_up", _ENUMERATION_CELLS
     )
     def test_arrays_match_loop_enumeration(
         self, power, noise, battery, n_states, n_levels, exact_up
@@ -226,7 +242,32 @@ class TestEnumerateActions:
                 grid,
                 exact_up=exact_up,
             )
-            assert model_actions(model, s) == expected
+            assert model_actions(model, s) == fold_actions(expected)
+
+    @pytest.mark.parametrize(
+        "power, noise, battery, n_states, n_levels, exact_up", _ENUMERATION_CELLS
+    )
+    def test_rewards_fold_the_two_branch_reference(
+        self, power, noise, battery, n_states, n_levels, exact_up
+    ):
+        params = SystemParams(power, noise, 1.0, 0.5, 1.5, battery)
+        channel = quantize_equiprobable_exponential(n_states)
+        args = (channel, channel, params, n_levels, exact_up)
+        reference = two_branch_rewards(*args)
+        assert np.array_equal(build_mdp(*args).rewards, fold_branches(reference))
+
+    def test_mixed_cell_decodes_on_both_branches(self):
+        # full harvesting and the split each decode in some of its states
+        params = SystemParams(4.0, 1e-16, 1.0, 0.5, 1.5, 2e-15)
+        channel = quantize_equiprobable_exponential(50)
+        model = build_mdp(channel, channel, params, 9)
+        ratios = {
+            a.ps_ratio < 1.0
+            for s in range(model.n_states)
+            for a in model_actions(model, s)
+            if a.reward > 0.0
+        }
+        assert ratios == {False, True}
 
 
     def test_delivery_boundary_matches_scalar(self, default_params, channel200):
@@ -428,6 +469,7 @@ class TestBuildMdp:
         # second channel state can decode
         h_channel = channel_from_table([0.001, 1.0], [0.5, 0.5])
         model = build_mdp(h_channel, channel2, default_params, 3)
+        branches = two_branch_rewards(h_channel, channel2, default_params, 3)
         levels = model.grid.levels
         assert model.n_states == 6
         for s in range(model.n_states):
@@ -435,9 +477,9 @@ class TestBuildMdp:
             energy = float(levels[level])
             gain = float(h_channel.gains[channel])
             half = energy_after_harvest(energy, gain, 1.0, default_params)
-            n_full = np.count_nonzero(model.rewards[s, :3] > -np.inf)
+            n_full = np.count_nonzero(model.rewards[s] > -np.inf)
             assert n_full == np.searchsorted(levels, half, side="right")
-            has_split = bool(np.any(model.rewards[s, 3:] > -np.inf))
+            has_split = bool(np.any(branches[s, 3:] > -np.inf))
             assert has_split == can_succeed(energy, gain, channel2, default_params)
             assert has_split == (channel == 1)
 
@@ -462,7 +504,7 @@ class TestMdpModel:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda r: r[:, :3], "shape"),
+            (lambda r: r[:, :1], "shape"),
             (lambda r: np.where(r == 0.5, np.nan, r), "finite or -inf"),
             (lambda r: np.where(r == 0.5, np.inf, r), "finite or -inf"),
             (lambda r: np.where(r == 0.5, -np.inf, r), "at least one action"),
@@ -577,10 +619,42 @@ class TestPolicyEvaluate:
                     dense_evaluate(model, rule)
 
 
+class TestRcond:
+    def test_equals_inverse_condition_number(self):
+        # every level matrix policy iteration evaluates over part of the
+        # bound scan, which includes a multichain cell (rcond about 5e-19)
+        rcond, matrices = mdp_module._rcond, []
+
+        def recording(matrix):
+            matrices.append(matrix.copy())
+            return rcond(matrix)
+
+        failures = 0
+        for n_states in (5, 20, 50):
+            channel = quantize_equiprobable_exponential(n_states)
+            for power, battery, n_levels in itertools.product(
+                (0.5, 1.0, 2.0), (2.0, 6.0, 10.0, 16.0), (5, 9, 33)
+            ):
+                params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
+                model = build_mdp(channel, channel, params, n_levels)
+                with mock.patch.object(mdp_module, "_rcond", recording):
+                    try:
+                        policy_iteration(model)
+                    except MultichainSuspectedError:
+                        failures += 1
+        assert failures >= 1 and len(matrices) > 300
+        for matrix in matrices:
+            assert rcond(matrix) == 1.0 / np.linalg.cond(matrix, 1)
+
+    def test_singular_matrix_is_zero(self):
+        singular = np.array([[1.0, 0.5], [1.0, 0.5]])
+        assert mdp_module._rcond(singular) == 0.0 == 1.0 / np.linalg.cond(singular, 1)
+
+
 def _two_loop_rule(model):
-    """Full-harvest rule of the three-level tiny model whose chain has a
-    level-1 loop and a level-2 loop: levels 0 and 1 target level 0, level
-    2 targets level 1 (a full-harvest column is its target level)."""
+    """Rule of the three-level tiny model whose chain has a level-1 loop
+    and a level-2 loop: levels 0 and 1 target level 0, level 2 targets
+    level 1."""
     level = np.arange(model.n_states) // model.h_channel.count
     return np.where(level <= 1, 0, 1)
 
@@ -601,7 +675,7 @@ class TestPolicyImprove:
         # and near-ties at the 1e-13 incumbent tolerance
         rng = np.random.default_rng(seed)
         channel = quantize_equiprobable_exponential(count)
-        rewards = rng.choice([-np.inf, 0.0, 0.5, 1.0], (n_levels * count, 2 * n_levels))
+        rewards = rng.choice([-np.inf, 0.0, 0.5, 1.0], (n_levels * count, n_levels))
         rewards[:, 0] = rng.choice([0.0, 0.5], n_levels * count)
         model = MdpModel(
             BatteryGrid(n_levels, 1.0), channel, channel, default_params, rewards
@@ -615,7 +689,7 @@ class TestPolicyImprove:
         assert np.array_equal(rule, oracle_improve(model, values, incumbent))
 
     def test_zero_bias_is_myopic(self, hand_model):
-        # each state's best action sits in a different column
+        # the largest reward wins on either branch of its target
         layout = [
             [(0.2, 0), (0.9, 1)],
             [(0.5, 0), (0.1, 1)],
@@ -624,18 +698,18 @@ class TestPolicyImprove:
         ]
         model = hand_model([0.5, 0.5], 2, layout)
         rule = policy_improve(model, np.zeros(2))
-        assert rule.tolist() == [1, 0, 3, 2]  # the largest reward's column
+        assert rule.tolist() == [1, 0, 1, 0]  # the largest reward's target
 
     def test_tie_prefers_smallest_index(self, hand_model):
-        layout = [[(0.4, 1), (0.4, 1)]] * 4
+        layout = [[(0.4, 0), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
         rule = policy_improve(model, np.zeros(2))
-        assert rule.tolist() == [1, 1, 1, 1]  # column 1, not column 3
+        assert rule.tolist() == [0, 0, 0, 0]  # target 0, not target 1
 
     def test_tie_keeps_incumbent(self, hand_model):
-        layout = [[(0.4, 1), (0.4, 1)]] * 4
+        layout = [[(0.4, 0), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
-        incumbent = np.array([3, 1, 3, 1])
+        incumbent = np.array([1, 0, 1, 0])
         rule = policy_improve(model, np.zeros(2), incumbent=incumbent)
         assert rule.tolist() == incumbent.tolist()
 
@@ -680,6 +754,25 @@ class TestRuleValidation:
         rule[state] = column
         with pytest.raises(ValueError, match=f"state {state}: column {column} "):
             _RULE_USERS[caller](model, rule)
+
+    @pytest.mark.parametrize("caller", sorted(_RULE_USERS))
+    @pytest.mark.parametrize("dtype", [float, bool, object])
+    def test_rejects_a_rule_that_is_not_integer(self, default_params, caller, dtype):
+        # 0.7 past the drain rule's target 0 was once truncated back to it
+        channel = quantize_equiprobable_exponential(20)
+        model = build_mdp(channel, channel, default_params, 5)
+        rule = (default_initial_rule(model) + 0.7).astype(dtype)
+        with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
+            _RULE_USERS[caller](model, rule)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_accepts_any_integer_dtype(self, default_params, dtype):
+        channel = quantize_equiprobable_exponential(20)
+        model = build_mdp(channel, channel, default_params, 5)
+        rule = policy_iteration(model).rule
+        gain, values = policy_evaluate(model, rule)
+        narrow_gain, narrow_values = policy_evaluate(model, rule.astype(dtype))
+        assert narrow_gain == gain and np.array_equal(narrow_values, values)
 
 
 class TestPolicyIteration:
