@@ -393,7 +393,8 @@ def upper_bound(model: MdpModel, result: PolicyIterationResult) -> float:
     from both sides, min_j (TW - W)[j] <= g* <= max_j (TW - W)[j], for any
     W and without a unichain premise (Odoni 1969; Puterman 1994, sec. 8.5).
     The gain is returned only when that whole span lies within 1e-12 of
-    it; otherwise MultichainSuspectedError is raised.
+    it; otherwise MultichainSuspectedError is raised. It is a probability,
+    so a gain that rounds above 1 returns 1.
     """
     model._check_rule(result.rule)
     values = result.bias
@@ -406,4 +407,4 @@ def upper_bound(model: MdpModel, result: PolicyIterationResult) -> float:
             f"Bellman update span [{low!r}, {high!r}] does not pin the gain "
             f"{result.gain!r} to within {_CERTIFICATE_TOL}"
         )
-    return float(result.gain)
+    return min(float(result.gain), 1.0)

@@ -294,11 +294,12 @@ def heuristic_rule(
     the largest still-decodable ratio. The residual battery energy is
     zero either way, which is what makes the long-run average tractable.
     """
-    if can_succeed(energy, gain, g_channel, params):
-        ratio = max_ps_ratio(gain, params)
-    else:
-        ratio = 1.0
-    return ratio, energy_after_harvest(energy, gain, ratio, params)
+    ratio = max_ps_ratio(gain, params)
+    if ratio is not None:  # can_succeed, with its ratio and mid-block level
+        half = energy_after_harvest(energy, gain, ratio, params)
+        if half * g_channel.max_gain >= params.delivery_threshold:
+            return ratio, half
+    return 1.0, energy_after_harvest(energy, gain, 1.0, params)
 
 
 def _split_table(energies, h_channel, g_channel, params: SystemParams):

@@ -80,7 +80,7 @@ def sample_channel(
     # the last entry is left out, so u at or past it draws the last state
     inner, buckets = np.cumsum(channel.pmf)[:-1], 8 * channel.count
     guide, crowded = _guide_table(inner, buckets)
-    following = np.append(inner, np.inf)[guide]
+    following, search = np.append(inner, np.inf)[guide], crowded.any()
     u = rng.random(size)
     idx = np.empty(size, dtype=np.intp)
     for start in range(0, size, 8192):
@@ -88,8 +88,9 @@ def sample_channel(
         bucket = (part * buckets).astype(np.intp)
         guide.take(bucket, out=out, mode="clip")
         out += part >= following.take(bucket, mode="clip")
-        walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
-        out[walk] = np.searchsorted(inner, part[walk], side="right")
+        if search:
+            walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
+            out[walk] = np.searchsorted(inner, part[walk], side="right")
     return idx
 
 
@@ -131,8 +132,11 @@ def simulate_original(
     when the relay decodes and the destination SNR reaches the threshold,
     and advances the battery. Each (energy, channel index) is played once
     while the battery stays at that energy and reused after, so a policy
-    that keeps state between calls is not supported. A rejected action
-    raises its error with the block and the state named.
+    that keeps state between calls is not supported. From the first
+    repeat at an energy, the blocks ahead are scanned in doubling windows
+    and only those with an index new there are played; a stay lasting to
+    the end is scored from a table over the channel indices. A rejected
+    action raises its error with the block and the state named.
     """
     if config.initial_energy > params.battery_capacity:
         raise ValueError(
@@ -148,33 +152,38 @@ def simulate_original(
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
     # the energy each played block forwards (0 where the relay did not
-    # decode), and per block the position there of the block it plays
-    spent, played = np.empty(blocks), np.empty(blocks, dtype=np.intp)
+    # decode), and per block before the tail the position of the one it plays
+    spent, played = [], np.empty(blocks, dtype=np.intp)
     # steady: indices played since the battery reached this energy with
     # played block `since` that left it there; index i repeats played block
     # played_at[i]. n blocks were played, the last m - fresh in a row.
     steady, since, played_at = set(), 0, np.full(h_channel.count, -1)
     m = n = fresh = 0
+    # a batched segment began at block `start`: its next window scans from
+    # `end`, and `window` holds the scanned blocks still to check, last first
+    start = None
     h_list = []  # channel indices as ints, converted as far as the walk gets
     while m < blocks:
-        try:
-            i = h_list[m]
-        except IndexError:
-            h_list += h_idx[len(h_list) : m + 4096].tolist()
-            i = h_list[m]
-        if i in steady:
-            played[fresh:m] = np.arange(n - (m - fresh), n)
-            # repeat played blocks up to the next index that is new here,
-            # or to the end once every index is steady
-            end, width = blocks if len(steady) == h_channel.count else m + 1, 16
-            while end < blocks:
-                new = np.flatnonzero(played_at[h_idx[end : end + width]] < since)
-                if new.size:
-                    end += int(new[0])
-                    break
-                end, width = min(end + width, blocks), 2 * width
-            played[m:end] = played_at[h_idx[m:end]]
-            m = fresh = end
+        if start is None:
+            try:
+                i = h_list[m]
+            except IndexError:
+                h_list += h_idx[len(h_list) : m + 4096].tolist()
+                i = h_list[m]
+            if i in steady:
+                played[fresh:m] = np.arange(n - (m - fresh), n)
+                start, end, width, window = m, m, 16, []
+                continue
+        elif window:
+            m, i = window.pop()
+            if i in steady:
+                continue
+        elif end == blocks or len(steady) == h_channel.count:
+            break
+        else:
+            new = end + np.flatnonzero(played_at[h_idx[end : end + width]] < since)
+            window = list(zip(new.tolist(), h_idx[new].tolist()))[::-1]
+            end, width = min(end + width, blocks), 2 * width
             continue
         gain = gains[i]
         ps_ratio, transmit_energy = policy(energy, gain)
@@ -187,19 +196,28 @@ def simulate_original(
                 f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
                 f"in state (energy={energy}, gain={gain}): {exc}"
             ) from None
-        spent[n] = transmit_energy if decoded else 0.0
+        spent.append(transmit_energy if decoded else 0.0)
         n += 1
         if residual != energy:
             energy, since = residual, n
             steady.clear()
+            if start is not None:
+                played[start:m] = played_at[h_idx[start:m]]
+                start, fresh = None, m
         else:
             steady.add(i)
             played_at[i] = n - 1
         m += 1
-    played[fresh:] = np.arange(n - (blocks - fresh), n)
+    if start is None:
+        played[fresh:] = np.arange(n - (blocks - fresh), n)
+        start = blocks
     cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
-    first = _first_delivering(spent[:n], _delivery_energies(g_channel, params))
-    success = g_uniforms >= cut[first][played]
+    first = _first_delivering(np.array(spent), _delivery_energies(g_channel, params))
+    threshold = cut[first]
+    # the steady tail, blocks `start` on, repeats played blocks at one energy
+    head = g_uniforms[:start] >= threshold[played[:start]]
+    tail = g_uniforms[start:] >= threshold[played_at][h_idx[start:]]
+    success = np.concatenate((head, tail))
     trace = success.astype(np.uint8) if keep_trace else None
     wins = float(np.count_nonzero(success))
     mean, stderr = _mean_stderr(wins, wins, blocks)

@@ -9,12 +9,13 @@ in one pass with the delivery index fixed up by stepping, improvement as
 one argmax over every state, the dense evaluation on the full L*C-state
 (battery level, channel) chain, the exact recurrent-class count of a rule's
 chain from its strongly connected components, the best gain over every
-stationary deterministic rule by enumeration, the heuristic's closed form
-as a running total over scalar blocks, the channel sampler as one binary
-search per uniform and its guide table as two searches over the bucket
-edges, the continuous-energy simulator that asks the policy and plays its
-action afresh every block, and the discretized simulator that indexes the
-numpy tables block by block.
+stationary deterministic rule by enumeration, the draining rule through
+can_succeed, the heuristic's closed form as a running total over scalar
+blocks, the channel sampler as one binary search per uniform and its
+guide table as two searches over the bucket edges, the continuous-energy
+simulator that asks the policy and plays its action afresh every block,
+and the discretized simulator that indexes the numpy tables block by
+block.
 """
 
 import functools
@@ -37,7 +38,6 @@ from swipt_relay import (
     apply_action,
     can_succeed,
     energy_after_harvest,
-    heuristic_rule,
     max_ps_ratio,
     round_up_level,
     success_prob,
@@ -335,14 +335,24 @@ def oracle_gain_bruteforce(
     return best
 
 
+def oracle_heuristic_rule(energy, gain, g_channel, params):
+    """heuristic_rule deciding through can_succeed, then asking
+    max_ps_ratio and energy_after_harvest again for the chosen ratio."""
+    if can_succeed(energy, gain, g_channel, params):
+        ratio = max_ps_ratio(gain, params)
+    else:
+        ratio = 1.0
+    return ratio, energy_after_harvest(energy, gain, ratio, params)
+
+
 def oracle_heuristic_average_success(h_channel, g_channel, params):
     """heuristic_average_success as a running total over the source-relay
     alphabet, each gain's block at the empty battery decided by
-    heuristic_rule and scored by success_prob."""
+    oracle_heuristic_rule and scored by success_prob."""
     total = 0.0
     for gain, prob in zip(h_channel.gains, h_channel.pmf):
         gain = float(gain)
-        action = heuristic_rule(0.0, gain, g_channel, params)
+        action = oracle_heuristic_rule(0.0, gain, g_channel, params)
         total += float(prob) * success_prob(0.0, gain, *action, g_channel, params)
     return total
 

@@ -867,6 +867,15 @@ class TestUpperBound:
         heuristic = heuristic_average_success(channel2, channel2, hard_tiny_params)
         assert heuristic - 1e-9 <= bound <= 1.0
 
+    def test_gain_rounding_above_one_is_returned_as_one(self):
+        # the level solve's gain here is one ulp above the largest reward, 1
+        params = SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0)
+        channel = quantize_equiprobable_exponential(20)
+        model = build_mdp(channel, channel, params, 5)
+        result = policy_iteration(model)
+        assert result.gain > 1.0
+        assert repr(upper_bound(model, result)) == "1.0"
+
     def test_bound_equals_oracle_on_tiny_model(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
@@ -17,7 +17,7 @@ from swipt_relay import (
     quantize_equiprobable_exponential,
     success_prob,
 )
-from oracles import oracle_heuristic_average_success
+from oracles import oracle_heuristic_average_success, oracle_heuristic_rule
 
 # All-fail scenario: noise so large that no gain in a unit-mean alphabet
 # reaches the decoding threshold.
@@ -350,6 +350,33 @@ class TestHeuristic:
         assert ratio == pytest.approx(
             (received - 2.0 * margin) / (received - margin)
         )
+
+    @given(
+        frac=st.floats(0.0, 1.0),
+        gain=st.floats(0.0, 50.0, allow_subnormal=False),
+        g_max=st.floats(0.001, 20.0),
+        # source power, noise power and battery capacity
+        physics=st.tuples(
+            st.floats(0.05, 5.0), st.floats(1e-20, 0.5), st.floats(0.01, 20.0)
+        ),
+    )
+    # deaf: no ratio decodes
+    @example(frac=0.5, gain=1e-3, g_max=1.0, physics=(1.0, 1e-3, 10.0))
+    # the largest decodable ratio rounds to 1
+    @example(frac=0.5, gain=1.0, g_max=1.0, physics=(1.0, 1e-20, 10.0))
+    # the split's mid-block level is clamped at the capacity
+    @example(frac=1.0, gain=5.0, g_max=1.0, physics=(1.0, 1e-3, 0.05))
+    # the split decodes but cannot reach the destination
+    @example(frac=0.0, gain=1.0, g_max=0.01, physics=(1.0, 1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_the_can_succeed_reference(self, frac, gain, g_max, physics):
+        source_power, noise_power, capacity = physics
+        params = SystemParams(source_power, noise_power, 1.0, 0.5, 1.5, capacity)
+        g_channel = channel_from_table([0.5 * g_max, g_max], [0.5, 0.5])
+        energy = frac * capacity
+        got = heuristic_rule(energy, gain, g_channel, params)
+        assert got == oracle_heuristic_rule(energy, gain, g_channel, params)
+        assert [type(value) for value in got] == [float, float]
 
     def test_all_fail_average_is_zero(self, channel2):
         assert heuristic_average_success(channel2, channel2, DEAF_PARAMS) == 0.0

@@ -62,11 +62,46 @@ def _drain_when_half_full(g_channel, params):
     return policy
 
 
+def _grid_like(g_channel, params):
+    """Split at the largest decodable ratio (1 when none decodes) and land
+    the residual on the highest of 41 evenly spaced levels under the
+    mid-block level, or drain on a gain of 3 or more: the battery stays on
+    a level while the gains are weak and moves when one is strong."""
+    levels = np.linspace(0.0, params.battery_capacity, 41).tolist()
+
+    def policy(energy, gain):
+        cap = max_ps_ratio(gain, params)
+        ratio = 1.0 if cap is None else cap
+        half = energy_after_harvest(energy, gain, ratio, params)
+        if gain >= 3.0:
+            return ratio, half
+        return ratio, half - max(level for level in levels if level <= half)
+
+    return policy
+
+
+def _changes_energy_after_a_repeat(states):
+    """Whether, in a run's (energy, gain) per block, the battery leaves an
+    energy after a block there repeated a gain that had kept it there."""
+    steady, repeated = set(), False
+    for (energy, gain), (next_energy, _) in zip(states, states[1:]):
+        if gain in steady:
+            repeated = True
+        elif next_energy == energy:
+            steady.add(gain)
+        elif repeated:
+            return True
+        else:
+            steady.clear()
+    return False
+
+
 POLICIES = {
     "heuristic": make_heuristic_policy,
     "half_drain": _half_drain,
     "save_everything": lambda g_channel, params: lambda energy, gain: (1.0, 0.0),
     "drain_when_half_full": _drain_when_half_full,
+    "grid_like": _grid_like,
 }
 
 START_ENERGIES = ["empty", "third", "full"]
@@ -166,6 +201,23 @@ class TestSampleChannel:
         assert got[0] == 0
         ends = got[1 + 2 * cdf.size : 1 + 2 * cdf.size + past_end.size]
         assert np.all(ends == channel.count - 1)
+
+    def test_one_crowded_bucket_matches_binary_search_oracle(self):
+        # two cdf entries, 0.2 and 0.201, share one of the 32 buckets and
+        # every other bucket holds at most one
+        channel = _table([0.2, 0.001, 0.299, 0.5])
+        inner = np.cumsum(channel.pmf)[:-1]
+        _, crowded = simulate_module._guide_table(inner, 8 * channel.count)
+        assert np.count_nonzero(crowded) == 1
+        for seed in (0, 9):
+            got = sample_channel(channel, np.random.default_rng(seed), 100_000)
+            want = oracle_sample_channel(channel, np.random.default_rng(seed), 100_000)
+            assert np.array_equal(got, want)
+        values = np.linspace(6 / 32, 7 / 32, 1001)  # across the crowded bucket
+        got = sample_channel(channel, _FixedUniforms(values), values.size)
+        want = oracle_sample_channel(channel, _FixedUniforms(values), values.size)
+        assert np.array_equal(got, want)
+        assert set(got.tolist()) == {0, 1, 2}
 
     def test_single_state_always_zero(self):
         channel = channel_from_table([1.0], [1.0])
@@ -435,6 +487,95 @@ class TestSimulateOriginalMatchesOracle:
             repr(want.mean), repr(want.stderr)
         )
         assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_energy_changes_inside_a_batched_window(self, channel200, default_params):
+        # the battery leaves a level after repeats there, part way through
+        # the window of blocks scanned ahead for that level
+        grid_like = _grid_like(channel200, default_params)
+        states = []
+
+        def policy(energy, gain):
+            states.append((energy, gain))
+            return grid_like(energy, gain)
+
+        config = SimulationConfig(blocks=20_000, seed=4)
+        want = oracle_simulate_original(
+            policy, channel200, channel200, default_params, config, keep_trace=True
+        )
+        assert _changes_energy_after_a_repeat(states)
+        assert len({energy for energy, _ in states}) > 5
+        got = simulate_original(
+            grid_like, channel200, channel200, default_params, config, keep_trace=True
+        )
+        assert 0.0 < got.mean < 1.0
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    def test_run_ending_before_every_index_is_seen(self, default_params):
+        # 3000 blocks draw only part of a 1000-state alphabet, so the steady
+        # stay at the empty battery lasts to the end before every index is
+        # played there
+        channel = quantize_equiprobable_exponential(1000)
+        policy = make_heuristic_policy(channel, default_params)
+        config = SimulationConfig(blocks=3000, seed=3)
+        drawn = sample_channel(channel, np.random.default_rng(config.seed), 3000)
+        assert np.unique(drawn).size < channel.count
+        got = simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2, 17])
+    @pytest.mark.parametrize("channel_name", ["channel1", "channel2", "channel200"])
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_short_runs_are_bit_identical(
+        self, request, default_params, policy_name, channel_name, blocks
+    ):
+        channel = request.getfixturevalue(channel_name)
+        policy = POLICIES[policy_name](channel, default_params)
+        config = SimulationConfig(
+            blocks=blocks, seed=6, initial_energy=default_params.battery_capacity
+        )
+        got = simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_untraced_run_agrees_with_the_trace(
+        self, channel200, default_params, policy_name
+    ):
+        policy = POLICIES[policy_name](channel200, default_params)
+        config = SimulationConfig(blocks=5000, seed=10)
+        traced = simulate_original(
+            policy, channel200, channel200, default_params, config, keep_trace=True
+        )
+        got = simulate_original(policy, channel200, channel200, default_params, config)
+        want = oracle_simulate_original(
+            policy, channel200, channel200, default_params, config
+        )
+        assert got.trace is None
+        assert got.mean == traced.trace.sum() / config.blocks
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(traced.mean), repr(traced.stderr)
+        )
 
     def test_delivery_exactly_at_the_threshold_succeeds(self, default_params):
         # a transmit energy of exactly the threshold over a unit gain
