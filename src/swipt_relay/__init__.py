@@ -25,7 +25,6 @@ from .mdp import (
     policy_evaluate,
     policy_improve,
     policy_iteration,
-    round_up_level,
     upper_bound,
 )
 from .experiment import (
@@ -40,20 +39,16 @@ from .relay import (
     InfeasibleActionError,
     SystemParams,
     apply_action,
-    can_succeed,
-    delivery_success_prob,
     energy_after_harvest,
     heuristic_average_success,
     heuristic_rule,
     make_heuristic_policy,
     max_ps_ratio,
-    success_prob,
 )
 from .simulate import (
     SimulationConfig,
     SimulationResult,
     sample_channel,
-    simulate_discrete,
     simulate_original,
 )
 

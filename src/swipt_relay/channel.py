@@ -79,7 +79,8 @@ class FiniteChannel:
     @functools.cached_property
     def tail(self) -> np.ndarray:
         """Read-only tail[k]: mass of gains k, k+1, ... (0 at k = count),
-        summed as relay.delivery_success_prob sums that selection."""
+        summed as numpy sums the selection pmf[gains * u >= threshold] of
+        the gains that a transmit energy u delivers through."""
         tail = np.append([self.pmf[k:].sum() for k in range(self.count)], 0.0)
         tail.flags.writeable = False
         return tail

@@ -9,6 +9,7 @@ Identical configuration and seed reproduce the CSV byte for byte.
 
 import concurrent.futures
 import functools
+import numbers
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -78,6 +79,9 @@ class ExperimentConfig:
             )
         if self.n_channel_states < 1:
             raise ValueError("n_channel_states must be at least 1")
+        for n in self.n_levels:
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"n_levels must hold integers, got {n!r}")
         if not self.n_levels or any(n < 2 for n in self.n_levels):
             raise ValueError("n_levels needs at least one entry, each >= 2")
         if self.workers < 1:

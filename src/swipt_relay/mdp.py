@@ -17,6 +17,7 @@ on the chain of the L battery levels rather than on all L x C
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "policy_evaluate",
     "policy_improve",
     "policy_iteration",
-    "round_up_level",
     "upper_bound",
 ]
 
@@ -74,6 +74,8 @@ class BatteryGrid:
     levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_levels, numbers.Integral):
+            raise ValueError(f"n_levels must be an integer, got {self.n_levels!r}")
         if self.n_levels < 2:
             raise ValueError(f"n_levels must be at least 2, got {self.n_levels}")
         if not (math.isfinite(self.capacity) and self.capacity > 0.0):
@@ -93,22 +95,6 @@ def _round_up(energy, grid: BatteryGrid, exact_up: bool):
     side = "right" if exact_up else "left"
     index = np.searchsorted(grid.levels, energy, side=side)
     return np.minimum(index, grid.n_levels - 1)
-
-
-def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> int:
-    """Level index the hypothetical source tops the battery up to.
-
-    Residual energy inside [level i, level i+1) is driven to level i+1;
-    with exact_up (the literal reading, and the default) an energy
-    exactly on a grid level is also driven one level higher, except at
-    full capacity which stays put. exact_up=False keeps exact grid hits
-    in place instead, for sensitivity checks.
-    """
-    if not 0.0 <= energy <= grid.capacity:
-        raise ValueError(
-            f"energy must lie in [0, {grid.capacity}], got {energy}"
-        )
-    return int(_round_up(energy, grid, exact_up))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +193,13 @@ def build_mdp(
     transmit energy that lands the residual exactly on a grid target. Each
     target up to the full-harvest mid-block level (the split's is never
     higher) gets the larger reward of the two branches: 0.0, or a decoding
-    branch's success probability. Rewards use the true transmit energy and
-    the arithmetic of relay.success_prob; the top-up happens after the block.
+    branch's success probability. Rewards use the true transmit energy, the
+    arithmetic of relay.apply_action and the delivery mass
+    pmf[gains * u >= delivery_threshold].sum(). After the block the residual,
+    inside [level i, level i+1), is topped up to level i+1; with exact_up
+    (the literal reading, and the default) one exactly on a grid level is
+    also driven one level higher, except at full capacity, which stays put.
+    exact_up=False keeps exact grid hits in place, for sensitivity checks.
     """
     grid = BatteryGrid(n_levels, params.battery_capacity)
     half, pays = _split_table(grid.levels, h_channel, g_channel, params)

@@ -25,14 +25,11 @@ __all__ = [
     "InfeasibleActionError",
     "SystemParams",
     "apply_action",
-    "can_succeed",
-    "delivery_success_prob",
     "energy_after_harvest",
     "heuristic_average_success",
     "heuristic_rule",
     "make_heuristic_policy",
     "max_ps_ratio",
-    "success_prob",
 ]
 
 
@@ -159,25 +156,6 @@ def energy_after_harvest(
     return min(energy + harvested, params.battery_capacity)
 
 
-def delivery_success_prob(
-    transmit_energy: float, g_channel: FiniteChannel, params: SystemParams
-) -> float:
-    """Probability that the destination decodes the relay transmission.
-
-    Mass of the relay-destination gains g with g >= T sigma^2 g_t / u,
-    evaluated in product form (u g >= T sigma^2 g_t) so the comparison
-    stays exact at the threshold; zero when no energy is spent.
-    """
-    if transmit_energy < 0.0:
-        raise ValueError(
-            f"transmit_energy must be non-negative, got {transmit_energy}"
-        )
-    if transmit_energy == 0.0:
-        return 0.0
-    reaches = g_channel.gains * transmit_energy >= params.delivery_threshold
-    return float(g_channel.pmf[reaches].sum())
-
-
 def _delivery_energies(g_channel: FiniteChannel, params: SystemParams) -> np.ndarray:
     """Per relay-destination gain g, largest first, the least energy u with
     u g >= the delivery threshold in floating point (inf if none is finite):
@@ -212,7 +190,7 @@ def _delivery_table(g_channel: FiniteChannel, threshold: float) -> np.ndarray:
 def _first_delivering(energies: np.ndarray, delivery: np.ndarray) -> np.ndarray:
     """Per transmit energy u >= 0, the first gain index it delivers through
     by the table of _delivery_energies (count if none): g_channel.tail of it
-    is delivery_success_prob(u)."""
+    is the delivery probability, pmf[gains * u >= delivery_threshold].sum()."""
     return delivery.size - np.searchsorted(delivery, energies, side="right")
 
 
@@ -246,44 +224,6 @@ def apply_action(
     return cap is not None and ps_ratio <= cap, half - transmit_energy
 
 
-def success_prob(
-    energy: float,
-    gain: float,
-    ps_ratio: float,
-    transmit_energy: float,
-    g_channel: FiniteChannel,
-    params: SystemParams,
-) -> float:
-    """End-to-end success probability of one block.
-
-    The action must be feasible at the block's battery energy, the relay
-    must decode at the chosen split, and the destination must decode the
-    forwarded message.
-    """
-    decodes, _ = apply_action(energy, gain, ps_ratio, transmit_energy, params)
-    if not decodes:
-        return 0.0
-    return delivery_success_prob(transmit_energy, g_channel, params)
-
-
-def can_succeed(
-    energy: float, gain: float, g_channel: FiniteChannel, params: SystemParams
-) -> bool:
-    """Whether some feasible action has a positive reward in this state.
-
-    False when the relay cannot decode at any split, or when even the
-    largest feasible transmit energy (harvest at the maximum decodable
-    ratio, then drain) cannot reach the destination threshold through the
-    best relay-destination gain. When True, draining at the maximum
-    decodable ratio is one witness action.
-    """
-    cap = max_ps_ratio(gain, params)
-    if cap is None:
-        return False
-    half = energy_after_harvest(energy, gain, cap, params)
-    return half * g_channel.max_gain >= params.delivery_threshold
-
-
 def heuristic_rule(
     energy: float, gain: float, g_channel: FiniteChannel, params: SystemParams
 ) -> tuple[float, float]:
@@ -295,7 +235,7 @@ def heuristic_rule(
     zero either way, which is what makes the long-run average tractable.
     """
     ratio = max_ps_ratio(gain, params)
-    if ratio is not None:  # can_succeed, with its ratio and mid-block level
+    if ratio is not None:  # decodable: can draining deliver through the best g?
         half = energy_after_harvest(energy, gain, ratio, params)
         if half * g_channel.max_gain >= params.delivery_threshold:
             return ratio, half
@@ -303,11 +243,11 @@ def heuristic_rule(
 
 
 def _split_table(energies, h_channel, g_channel, params: SystemParams):
-    """max_ps_ratio, energy_after_harvest and can_succeed at every battery
-    energy (rows) and source-relay gain (columns), as (half, pays) over the
-    splitting branches (0 harvests everything, 1 splits at the largest
-    decodable ratio): the mid-block level, and whether the relay decodes
-    there and branch 1 exists (not where its ratio rounds to 1)."""
+    """max_ps_ratio, energy_after_harvest and heuristic_rule's success test
+    at every battery energy (rows) and source-relay gain (columns), as (half,
+    pays) over the splitting branches (0 harvests everything, 1 splits at the
+    largest decodable ratio): the mid-block level, and whether the relay
+    decodes there and branch 1 exists (not where its ratio rounds to 1)."""
     gains = h_channel.gains
     # the largest gain decides whether any received power overflows
     _received_power(h_channel.max_gain, params)
@@ -323,8 +263,11 @@ def _split_table(energies, h_channel, g_channel, params: SystemParams):
         harvested = scale * gains * ratio * params.block_duration
         return np.minimum(energies[:, None] + harvested, params.battery_capacity)
 
-    half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
-    reaches = half[..., 1] * g_channel.max_gain >= params.delivery_threshold
+    # A product that overflows to inf decides as the scalar float path does:
+    # the harvest clamps at capacity, and an inf u * g reaches any threshold.
+    with np.errstate(over="ignore"):
+        half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
+        reaches = half[..., 1] * g_channel.max_gain >= params.delivery_threshold
     split = decodable & (cap != 1.0) & reaches
     # A full-harvest block decodes only where the decodable ratio rounds to 1.
     full = np.broadcast_to(decodable & (cap == 1.0), split.shape)

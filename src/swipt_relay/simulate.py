@@ -1,19 +1,17 @@
 """Seeded Monte Carlo of the relay under stationary policies.
 
 Runs the continuous-energy system block by block with true Bernoulli
-outcomes, and the discretized system with expected-reward accounting (the
-per-block success probability is accrued instead of a coin flip) so its
-time average estimates the gain directly at lower variance. All runs are
-reproducible: the same seed and inputs give bit-identical traces.
+outcomes. All runs are reproducible: the same seed and inputs give
+bit-identical traces.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import FiniteChannel
-from .mdp import MdpModel
 from .relay import SystemParams, _delivery_energies, _first_delivering, apply_action
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "sample_channel",
-    "simulate_discrete",
     "simulate_original",
 ]
 
@@ -41,6 +38,10 @@ class SimulationConfig:
     initial_energy: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("blocks", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.blocks < 1:
             raise ValueError(f"blocks must be at least 1, got {self.blocks}")
         if self.seed < 0:
@@ -225,46 +226,3 @@ def simulate_original(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )
 
-
-def simulate_discrete(
-    model: MdpModel,
-    rule: np.ndarray,
-    config: SimulationConfig,
-    *,
-    keep_trace: bool = False,
-) -> SimulationResult:
-    """Run of the discretized chain under a stationary rule.
-
-    Each block accrues the chosen action's success probability rather
-    than a coin flip, so the time average estimates the rule's gain
-    directly; the battery then jumps to the action's post-top-up level.
-    The start level is the highest grid level not above initial_energy.
-    """
-    grid = model.grid
-    if config.initial_energy > grid.capacity:
-        raise ValueError(
-            f"initial_energy {config.initial_energy} exceeds the battery "
-            f"capacity {grid.capacity}"
-        )
-    rule = model._check_rule(rule)
-    n_levels = grid.n_levels
-    n_channels = model.h_channel.count
-    rewards = model.reward_vector(rule).reshape(n_levels, n_channels).tolist()
-    posts = model.post_levels(rule).reshape(n_levels, n_channels).tolist()
-    rng = np.random.default_rng(config.seed)
-    blocks = config.blocks
-    h_idx = sample_channel(model.h_channel, rng, blocks)
-    level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
-    trace = np.zeros(blocks) if keep_trace else None
-    total = total_sq = 0.0
-    for m, i in enumerate(h_idx.tolist()):
-        value = rewards[level][i]
-        total += value
-        total_sq += value * value
-        if trace is not None:
-            trace[m] = value
-        level = posts[level][i]
-    mean, stderr = _mean_stderr(total, total_sq, blocks)
-    return SimulationResult(
-        mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
-    )

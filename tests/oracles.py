@@ -2,20 +2,24 @@
 
 The package builds every state's actions in vectorised blocks and solves
 policy evaluation on the L-state battery-level chain. These references do
-the same work the direct way: the per-state action loop through the scalar
-relay functions, the rewards with one column per (splitting branch, target
-level) pair that build_mdp folds to one column per target, the whole model
-in one pass with the delivery index fixed up by stepping, improvement as
-one argmax over every state, the dense evaluation on the full L*C-state
-(battery level, channel) chain, the exact recurrent-class count of a rule's
-chain from its strongly connected components, the best gain over every
-stationary deterministic rule by enumeration, the draining rule through
-can_succeed, the heuristic's closed form as a running total over scalar
-blocks, the channel sampler as one binary search per uniform and its
-guide table as two searches over the bucket edges, the continuous-energy
-simulator that asks the policy and plays its action afresh every block,
-and the discretized simulator that indexes the numpy tables block by
-block.
+the same work the direct way: the scalar block physics (success_prob,
+delivery_success_prob and can_succeed) and top-up (round_up_level) that
+the package computes as arrays, the per-state action loop through them,
+the rewards with one column per (splitting branch, target level) pair
+that build_mdp folds to one column per target, the whole model in one
+pass with the delivery index fixed up by stepping, improvement as one
+argmax over every state, the dense evaluation on the full L*C-state
+(battery level, channel) chain, the exact recurrent-class count of a
+rule's chain from its strongly connected components, the best gain over
+every stationary deterministic rule by enumeration, the draining rule
+through can_succeed, the heuristic's closed form as a running total over
+scalar blocks, the channel sampler as one binary search per uniform and
+its guide table as two searches over the bucket edges, the
+continuous-energy simulator that asks the policy and plays its action
+afresh every block, and the discretized simulator, which estimates a
+rule's gain by accruing each block's success probability, as
+simulate_discrete over Python lists and as oracle_simulate_discrete
+indexing the numpy tables block by block.
 """
 
 import functools
@@ -31,20 +35,94 @@ import scipy.sparse.csgraph
 
 from swipt_relay import (
     BatteryGrid,
+    FiniteChannel,
     MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
+    SimulationConfig,
     SimulationResult,
+    SystemParams,
     apply_action,
-    can_succeed,
     energy_after_harvest,
     max_ps_ratio,
-    round_up_level,
-    success_prob,
+    sample_channel,
 )
-from swipt_relay.mdp import _IMPROVE_TOL, _level_chain, _row_blocks
+from swipt_relay.mdp import _IMPROVE_TOL, _level_chain, _round_up, _row_blocks
 from swipt_relay.relay import _delivery_energies, _first_delivering, _split_table
 from swipt_relay.simulate import _mean_stderr
+
+
+def delivery_success_prob(
+    transmit_energy: float, g_channel: FiniteChannel, params: SystemParams
+) -> float:
+    """Probability that the destination decodes the relay transmission.
+
+    Mass of the relay-destination gains g with g >= T sigma^2 g_t / u,
+    evaluated in product form (u g >= T sigma^2 g_t) so the comparison
+    stays exact at the threshold; zero when no energy is spent.
+    """
+    if transmit_energy < 0.0:
+        raise ValueError(
+            f"transmit_energy must be non-negative, got {transmit_energy}"
+        )
+    if transmit_energy == 0.0:
+        return 0.0
+    reaches = g_channel.gains * transmit_energy >= params.delivery_threshold
+    return float(g_channel.pmf[reaches].sum())
+
+
+def success_prob(
+    energy: float,
+    gain: float,
+    ps_ratio: float,
+    transmit_energy: float,
+    g_channel: FiniteChannel,
+    params: SystemParams,
+) -> float:
+    """End-to-end success probability of one block.
+
+    The action must be feasible at the block's battery energy, the relay
+    must decode at the chosen split, and the destination must decode the
+    forwarded message.
+    """
+    decodes, _ = apply_action(energy, gain, ps_ratio, transmit_energy, params)
+    if not decodes:
+        return 0.0
+    return delivery_success_prob(transmit_energy, g_channel, params)
+
+
+def can_succeed(
+    energy: float, gain: float, g_channel: FiniteChannel, params: SystemParams
+) -> bool:
+    """Whether some feasible action has a positive reward in this state.
+
+    False when the relay cannot decode at any split, or when even the
+    largest feasible transmit energy (harvest at the maximum decodable
+    ratio, then drain) cannot reach the destination threshold through the
+    best relay-destination gain. When True, draining at the maximum
+    decodable ratio is one witness action.
+    """
+    cap = max_ps_ratio(gain, params)
+    if cap is None:
+        return False
+    half = energy_after_harvest(energy, gain, cap, params)
+    return half * g_channel.max_gain >= params.delivery_threshold
+
+
+def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> int:
+    """Level index the hypothetical source tops the battery up to.
+
+    Residual energy inside [level i, level i+1) is driven to level i+1;
+    with exact_up (the literal reading, and the default) an energy
+    exactly on a grid level is also driven one level higher, except at
+    full capacity which stays put. exact_up=False keeps exact grid hits
+    in place instead, for sensitivity checks.
+    """
+    if not 0.0 <= energy <= grid.capacity:
+        raise ValueError(
+            f"energy must lie in [0, {grid.capacity}], got {energy}"
+        )
+    return int(_round_up(energy, grid, exact_up))
 
 
 class ReducedAction(NamedTuple):
@@ -441,6 +519,50 @@ def oracle_simulate_discrete(model, rule, config, *, keep_trace=False):
         if trace is not None:
             trace[m] = value
         level = post_table[level, i]
+    mean, stderr = _mean_stderr(total, total_sq, blocks)
+    return SimulationResult(
+        mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
+    )
+
+
+def simulate_discrete(
+    model: MdpModel,
+    rule: np.ndarray,
+    config: SimulationConfig,
+    *,
+    keep_trace: bool = False,
+) -> SimulationResult:
+    """Run of the discretized chain under a stationary rule.
+
+    Each block accrues the chosen action's success probability rather
+    than a coin flip, so the time average estimates the rule's gain
+    directly; the battery then jumps to the action's post-top-up level.
+    The start level is the highest grid level not above initial_energy.
+    """
+    grid = model.grid
+    if config.initial_energy > grid.capacity:
+        raise ValueError(
+            f"initial_energy {config.initial_energy} exceeds the battery "
+            f"capacity {grid.capacity}"
+        )
+    rule = model._check_rule(rule)
+    n_levels = grid.n_levels
+    n_channels = model.h_channel.count
+    rewards = model.reward_vector(rule).reshape(n_levels, n_channels).tolist()
+    posts = model.post_levels(rule).reshape(n_levels, n_channels).tolist()
+    rng = np.random.default_rng(config.seed)
+    blocks = config.blocks
+    h_idx = sample_channel(model.h_channel, rng, blocks)
+    level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
+    trace = np.zeros(blocks) if keep_trace else None
+    total = total_sq = 0.0
+    for m, i in enumerate(h_idx.tolist()):
+        value = rewards[level][i]
+        total += value
+        total_sq += value * value
+        if trace is not None:
+            trace[m] = value
+        level = posts[level][i]
     mean, stderr = _mean_stderr(total, total_sq, blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace

@@ -8,16 +8,18 @@ that consume it.
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipt_relay import (
     ExperimentConfig,
     SimulationConfig,
     SystemParams,
     build_mdp,
-    can_succeed,
     default_initial_rule,
     energy_after_harvest,
     heuristic_average_success,
@@ -25,17 +27,18 @@ from swipt_relay import (
     policy_iteration,
     quantize_equiprobable_exponential,
     run_sweep,
-    simulate_discrete,
     simulate_original,
-    success_prob,
     upper_bound,
 )
 from swipt_relay.cli import main as cli_main
 from oracles import (
+    can_succeed,
     kth_action_rule,
     model_actions,
     oracle_gain_bruteforce,
+    simulate_discrete,
     state_transition_matrix,
+    success_prob,
 )
 
 POWER_GRID = (0.5, 1.0, 2.0)
@@ -361,3 +364,68 @@ def test_a9_sweep_determinism(tmp_path, capsys):
     )
     assert code_a == 0 and code_b == 0
     assert identical
+
+
+def _a10_results(channel, params):
+    """The heuristic closed form, the bounds at N = 5 and 9, and a
+    20,000-block seed-5 Monte Carlo (mean, stderr and trace bytes)."""
+    bounds = []
+    for n_levels in (5, 9):
+        model = build_mdp(channel, channel, params, n_levels)
+        bounds.append(upper_bound(model, policy_iteration(model)))
+    sim = simulate_original(
+        make_heuristic_policy(channel, params),
+        channel,
+        channel,
+        params,
+        SimulationConfig(blocks=20_000, seed=5),
+        keep_trace=True,
+    )
+    heuristic = heuristic_average_success(channel, channel, params)
+    return heuristic, *bounds, sim.mean, sim.stderr, sim.trace.tobytes()
+
+
+# Results depend on the physics only through P / sigma^2, B / (T sigma^2), eta
+# and the rate, so scaling by a power of two changes no bit of them.
+A10_MAPS = {
+    "a (P, sigma^2, B)": lambda p, a: replace(
+        p,
+        source_power=a * p.source_power,
+        noise_power=a * p.noise_power,
+        battery_capacity=a * p.battery_capacity,
+    ),
+    "a (T, B)": lambda p, a: replace(
+        p, block_duration=a * p.block_duration, battery_capacity=a * p.battery_capacity
+    ),
+}
+
+
+def test_a10_units_invariance(channel200):
+    cells = sorted({(power, battery) for power, battery, _ in A4_BOUNDS})
+    unscaled = {}
+    checked = []
+
+    @given(
+        cell=st.sampled_from(cells),
+        k=st.integers(min_value=-30, max_value=30),
+        scaling=st.sampled_from(sorted(A10_MAPS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def check(cell, k, scaling):
+        power, battery = cell
+        params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
+        if cell not in unscaled:
+            unscaled[cell] = _a10_results(channel200, params)
+        scaled = A10_MAPS[scaling](params, 2.0**k)
+        assert _a10_results(channel200, scaled) == unscaled[cell], (cell, k, scaling)
+        checked.append((cell, k, scaling))
+
+    start = time.perf_counter()
+    check()
+    elapsed = time.perf_counter() - start
+    report(
+        "A10 units invariance",
+        True,
+        f"{len(checked)} cells scaled by 2^k, k in [-30, 30], bit-identical "
+        f"in {elapsed:.1f} s",
+    )

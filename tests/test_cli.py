@@ -429,6 +429,12 @@ def no_stage_runs(monkeypatch):
         monkeypatch.setattr(experiment_module, name, no_work)
 
 
+# a block so long that the harvest overflows, at a finite delivery threshold
+HUGE_BLOCK = [
+    "--block-duration", "1e308", "--source-power", "100", "--noise-power", "1e-300"
+]
+
+
 class TestOverflowingPhysics:
     @pytest.mark.parametrize(
         "command", ["channel", "heuristic", "bound", "simulate", "sweep"]
@@ -469,6 +475,37 @@ class TestOverflowingPhysics:
         args = ["sweep", *sweep_args, "--channel-states", "20", "--out", str(out)]
         assert assert_one_error_line(capsys, args, start) == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["bound", "--battery-capacity", "1e308", "--levels", "5"],
+                "n_levels,p_upper_bound\n5,0.985\n",
+            ),
+            (["heuristic", *HUGE_BLOCK], "0\n"),
+            (["bound", *HUGE_BLOCK], "n_levels,p_upper_bound\n5,0\n9,0\n"),
+        ],
+        ids=["bound_capacity", "heuristic_block", "bound_block"],
+    )
+    def test_overflowing_products_decide_without_warnings(
+        self, capsys, args, expected
+    ):
+        # the harvest or u * g overflows to inf: a full battery, or a delivery
+        assert main(args) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_overflowing_products_sweep_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        args = ["sweep", "--battery-sweep", "1e307,1e308", "--channel-states", "20"]
+        assert main(args + ["--blocks", "2000", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1:] == [
+            "battery,1e+307,5,0.895,0.8945,0.00687084268774,1,ok",
+            "battery,1e+307,9,0.895,0.8945,0.00687084268774,1,ok",
+            "battery,1e+308,5,0.895,0.8895,0.00701209381924,1,ok",
+            "battery,1e+308,9,0.895,0.8895,0.00701209381924,1,ok",
+        ]
 
     @pytest.mark.parametrize(
         "command", ["channel", "heuristic", "bound", "simulate", "sweep"]

@@ -59,6 +59,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_levels=(5, 4.5)), "n_levels must hold integers, got 4.5"),
+            (dict(blocks=2.5), "blocks must be an integer, got 2.5"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        ],
+        ids=["n_levels", "blocks", "seed"],
+    )
+    def test_rejects_non_integer_counts(self, kwargs, message):
+        # each would otherwise fail every sweep cell deep in numpy
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+
     def test_system_params_tracks_sweep_axis(self):
         config = ExperimentConfig(sweep="power")
         point = config.system_params(0.5)

@@ -17,10 +17,8 @@ from swipt_relay import (
     SimulationConfig,
     SystemParams,
     build_mdp,
-    can_succeed,
     channel_from_table,
     default_initial_rule,
-    delivery_success_prob,
     energy_after_harvest,
     heuristic_average_success,
     max_ps_ratio,
@@ -28,15 +26,14 @@ from swipt_relay import (
     policy_improve,
     policy_iteration,
     quantize_equiprobable_exponential,
-    round_up_level,
-    simulate_discrete,
-    success_prob,
     upper_bound,
 )
 import swipt_relay.mdp as mdp_module
 import swipt_relay.relay as relay_module
 from oracles import (
     action_columns,
+    can_succeed,
+    delivery_success_prob,
     dense_evaluate,
     fold_actions,
     fold_branches,
@@ -48,7 +45,10 @@ from oracles import (
     oracle_improve,
     recurrent_class_count,
     reference_actions,
+    round_up_level,
+    simulate_discrete,
     state_transition_matrix,
+    success_prob,
     two_branch_rewards,
 )
 
@@ -83,6 +83,10 @@ class TestBatteryGrid:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             BatteryGrid(3, 0.0)
+
+    def test_rejects_non_integer_levels(self):
+        with pytest.raises(ValueError, match="n_levels must be an integer"):
+            BatteryGrid(4.5, 8.0)
 
     def test_compares_and_hashes_by_identity(self):
         a, b = BatteryGrid(5, 8.0), BatteryGrid(5, 8.0)

@@ -7,17 +7,20 @@ from swipt_relay import (
     InfeasibleActionError,
     SystemParams,
     apply_action,
-    can_succeed,
     channel_from_table,
-    delivery_success_prob,
     energy_after_harvest,
     heuristic_average_success,
     heuristic_rule,
     max_ps_ratio,
     quantize_equiprobable_exponential,
+)
+from oracles import (
+    can_succeed,
+    delivery_success_prob,
+    oracle_heuristic_average_success,
+    oracle_heuristic_rule,
     success_prob,
 )
-from oracles import oracle_heuristic_average_success, oracle_heuristic_rule
 
 # All-fail scenario: noise so large that no gain in a unit-mean alphabet
 # reaches the decoding threshold.

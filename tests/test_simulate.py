@@ -11,6 +11,7 @@ from oracles import (
     oracle_sample_channel,
     oracle_simulate_discrete,
     oracle_simulate_original,
+    simulate_discrete,
 )
 from swipt_relay import (
     InfeasibleActionError,
@@ -28,7 +29,6 @@ from swipt_relay import (
     policy_iteration,
     quantize_equiprobable_exponential,
     sample_channel,
-    simulate_discrete,
     simulate_original,
     SystemParams,
 )
@@ -262,6 +262,14 @@ class TestSimulationConfig:
         # numpy's PCG64 takes only non-negative seeds
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SimulationConfig(blocks=10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "blocks, seed, name", [(2.5, 1, "blocks"), (10.0, 1, "blocks"), (10, 1.5, "seed")]
+    )
+    def test_rejects_non_integer_counts(self, blocks, seed, name):
+        # numpy would fail on them only once the run draws
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimulationConfig(blocks=blocks, seed=seed)
 
 
 class TestSimulateOriginal:
