@@ -84,6 +84,8 @@ class ExperimentConfig:
                 raise ValueError(f"n_levels must hold integers, got {n!r}")
         if not self.n_levels or any(n < 2 for n in self.n_levels):
             raise ValueError("n_levels needs at least one entry, each >= 2")
+        if not isinstance(self.workers, numbers.Integral):
+            raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         SimulationConfig(self.blocks, self.seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FiniteChannel
-from .relay import SystemParams, _delivery_energies, _first_delivering, _split_table
+from .relay import SystemParams, _first_delivering, _split_table
 
 __all__ = [
     "BatteryGrid",
@@ -104,14 +104,13 @@ class MdpModel:
     The states are the battery levels of grid crossed with the
     source-relay channel alphabet h_channel; state (level j, channel i)
     sits at flat index j * h_channel.count + i. rewards[s, k], of shape
-    (n_states, L) for L battery levels, is the larger success probability
-    of the two splitting branches (harvest everything, or split at the
-    largest decodable ratio) landing the residual on level k in state s,
-    -inf where neither can; a read-only float array is kept uncopied, so
-    its owner must not change it. A rule is one target level per state.
-    Both branches' actions at level k leave the battery at
-    post_of_target[k] after the top-up: the next state is that level with
-    a fresh channel draw.
+    (n_states, L) for L battery levels, is the delivery probability of
+    spending from state s's decoding level down to level k: 0.0 where only
+    full harvesting reaches k, and -inf where nothing does. A read-only
+    float array is kept uncopied, so its owner must not change it. A rule
+    is one target level per state. Every action at level k leaves the
+    battery at post_of_target[k] after the top-up: the next state is that
+    level with a fresh channel draw.
     """
 
     grid: BatteryGrid
@@ -188,12 +187,13 @@ def build_mdp(
     """Assemble the discrete model over (battery level, channel state)
     pairs, a block of states at a time into one preallocated array.
 
-    The actions are full harvesting (ratio 1), plus the largest decodable
-    ratio where the state can succeed (not where it rounds to 1), with the
-    transmit energy that lands the residual exactly on a grid target. Each
-    target up to the full-harvest mid-block level (the split's is never
-    higher) gets the larger reward of the two branches: 0.0, or a decoding
-    branch's success probability. Rewards use the true transmit energy, the
+    An action harvests everything (ratio 1) or splits at the largest
+    decodable ratio, spending what lands the residual exactly on a grid
+    target. Full harvesting decodes only where that ratio rounds to 1, and
+    success never falls as the spend grows, so target k's reward is the
+    delivery probability of spending from the decoding level (the split's
+    mid-block level) down to k: 0.0 where only full harvesting reaches k,
+    and -inf where nothing does. Rewards use the true transmit energy, the
     arithmetic of relay.apply_action and the delivery mass
     pmf[gains * u >= delivery_threshold].sum(). After the block the residual,
     inside [level i, level i+1), is topped up to level i+1; with exact_up
@@ -202,18 +202,15 @@ def build_mdp(
     exact_up=False keeps exact grid hits in place, for sensitivity checks.
     """
     grid = BatteryGrid(n_levels, params.battery_capacity)
-    half, pays = _split_table(grid.levels, h_channel, g_channel, params)
-    # Success never falls as the transmit energy grows, so of the branches that
-    # decode, the one with the higher mid-block level scores most at every target.
-    full = half[..., 0].reshape(-1, 1)
-    decoding = np.where(pays, half, -np.inf).max(axis=2).reshape(-1, 1)
-    delivery, tail = _delivery_energies(g_channel, params), g_channel.tail
+    full, decoding = _split_table(grid.levels, h_channel, params)
+    full, decoding = full.reshape(-1, 1), decoding.reshape(-1, 1)
+    tail = g_channel.tail
     rewards = np.empty((len(full), n_levels))  # [state, target]
     for rows in _row_blocks(len(full), n_levels):
         spend = decoding[rows] - grid.levels
         delivers = spend >= 0.0
         block = np.where(full[rows] >= grid.levels, 0.0, -np.inf)
-        block[delivers] = tail[_first_delivering(spend[delivers], delivery)]
+        block[delivers] = tail[_first_delivering(spend[delivers], g_channel, params)]
         rewards[rows] = block
     rewards.flags.writeable = False
     return MdpModel(

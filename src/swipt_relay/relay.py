@@ -156,16 +156,12 @@ def energy_after_harvest(
     return min(energy + harvested, params.battery_capacity)
 
 
-def _delivery_energies(g_channel: FiniteChannel, params: SystemParams) -> np.ndarray:
-    """Per relay-destination gain g, largest first, the least energy u with
-    u g >= the delivery threshold in floating point (inf if none is finite):
-    u g is monotone in u, so u delivers through the gains of entries <= u.
-    Read-only, built once per channel object and threshold (16 are kept)."""
-    return _delivery_table(g_channel, params.delivery_threshold)
-
-
 @functools.lru_cache(maxsize=16)
 def _delivery_table(g_channel: FiniteChannel, threshold: float) -> np.ndarray:
+    """Per relay-destination gain g, largest first, the least energy u with
+    u g >= threshold in floating point (inf if none is finite): u g is
+    monotone in u, so u delivers through the gains of entries <= u.
+    Read-only, built once per channel object and threshold (16 are kept)."""
     gains = g_channel.gains[::-1]
     top = np.array(np.inf).view(np.int64)  # bit patterns order floats >= 0
 
@@ -187,10 +183,14 @@ def _delivery_table(g_channel: FiniteChannel, threshold: float) -> np.ndarray:
     return high.view(float)
 
 
-def _first_delivering(energies: np.ndarray, delivery: np.ndarray) -> np.ndarray:
-    """Per transmit energy u >= 0, the first gain index it delivers through
-    by the table of _delivery_energies (count if none): g_channel.tail of it
-    is the delivery probability, pmf[gains * u >= delivery_threshold].sum()."""
+def _first_delivering(
+    energies: np.ndarray, g_channel: FiniteChannel, params: SystemParams
+) -> np.ndarray:
+    """Per transmit energy u, the first gain index it delivers through by
+    _delivery_table (count if none): g_channel.tail of it is the delivery
+    probability pmf[gains * u >= delivery_threshold].sum(), 0.0 where u
+    reaches no gain or is -inf (the relay did not decode)."""
+    delivery = _delivery_table(g_channel, params.delivery_threshold)
     return delivery.size - np.searchsorted(delivery, energies, side="right")
 
 
@@ -242,12 +242,15 @@ def heuristic_rule(
     return 1.0, energy_after_harvest(energy, gain, 1.0, params)
 
 
-def _split_table(energies, h_channel, g_channel, params: SystemParams):
-    """max_ps_ratio, energy_after_harvest and heuristic_rule's success test
-    at every battery energy (rows) and source-relay gain (columns), as (half,
-    pays) over the splitting branches (0 harvests everything, 1 splits at the
-    largest decodable ratio): the mid-block level, and whether the relay
-    decodes there and branch 1 exists (not where its ratio rounds to 1)."""
+def _split_table(energies, h_channel, params: SystemParams):
+    """Mid-block levels by max_ps_ratio and energy_after_harvest at every
+    battery energy (rows) and source-relay gain (columns), as (full,
+    decoding): full harvests everything, decoding splits at the largest
+    decodable ratio (equal to full where that ratio rounds to 1) and is -inf
+    where the relay cannot decode; decoding <= full. Only a decoding block
+    delivers, so a reward is the delivery probability of spending from
+    decoding down to a target: 0.0 where only full reaches it, -inf where
+    nothing does."""
     gains = h_channel.gains
     # the largest gain decides whether any received power overflows
     _received_power(h_channel.max_gain, params)
@@ -263,15 +266,11 @@ def _split_table(energies, h_channel, g_channel, params: SystemParams):
         harvested = scale * gains * ratio * params.block_duration
         return np.minimum(energies[:, None] + harvested, params.battery_capacity)
 
-    # A product that overflows to inf decides as the scalar float path does:
-    # the harvest clamps at capacity, and an inf u * g reaches any threshold.
+    # A harvest that overflows to inf clamps at capacity, as the scalar
+    # float path does.
     with np.errstate(over="ignore"):
-        half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
-        reaches = half[..., 1] * g_channel.max_gain >= params.delivery_threshold
-    split = decodable & (cap != 1.0) & reaches
-    # A full-harvest block decodes only where the decodable ratio rounds to 1.
-    full = np.broadcast_to(decodable & (cap == 1.0), split.shape)
-    return half, np.stack([full, split], axis=2)
+        full, decoding = mid_block(1.0), mid_block(cap)
+    return full, np.where(decodable, decoding, -np.inf)
 
 
 def heuristic_average_success(
@@ -283,12 +282,11 @@ def heuristic_average_success(
     second block on the state is (0, h) with h fresh from the
     source-relay pmf and the average is a single expectation over h,
     computed as arrays over the alphabet and summed in alphabet order.
+    A block succeeds with the delivery probability of its whole decoding
+    level, 0.0 where the relay cannot decode.
     """
-    half, pays = _split_table(np.zeros(1), h_channel, g_channel, params)
-    (half_full, half_split), (full, split) = half[0].T, pays[0].T
-    spent = np.where(split, half_split, np.where(full, half_full, 0.0))
-    delivery = _delivery_energies(g_channel, params)
-    probs = g_channel.tail[_first_delivering(spent, delivery)]
+    _, decoding = _split_table(np.zeros(1), h_channel, params)
+    probs = g_channel.tail[_first_delivering(decoding[0], g_channel, params)]
     return float(np.cumsum(h_channel.pmf * probs)[-1])
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FiniteChannel
-from .relay import SystemParams, _delivery_energies, _first_delivering, apply_action
+from .relay import SystemParams, _first_delivering, apply_action
 
 __all__ = [
     "GENERATOR_NAME",
@@ -213,7 +213,7 @@ def simulate_original(
         played[fresh:] = np.arange(n - (blocks - fresh), n)
         start = blocks
     cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
-    first = _first_delivering(np.array(spent), _delivery_energies(g_channel, params))
+    first = _first_delivering(np.array(spent), g_channel, params)
     threshold = cut[first]
     # the steady tail, blocks `start` on, repeats played blocks at one energy
     head = g_uniforms[:start] >= threshold[played[:start]]

@@ -5,8 +5,9 @@ policy evaluation on the L-state battery-level chain. These references do
 the same work the direct way: the scalar block physics (success_prob,
 delivery_success_prob and can_succeed) and top-up (round_up_level) that
 the package computes as arrays, the per-state action loop through them,
-the rewards with one column per (splitting branch, target level) pair
-that build_mdp folds to one column per target, the whole model in one
+each state's mid-block level and decode-and-deliver test per splitting
+branch, the rewards with one column per (splitting branch, target level)
+pair that build_mdp folds to one column per target, the whole model in one
 pass with the delivery index fixed up by stepping, improvement as one
 argmax over every state, the dense evaluation on the full L*C-state
 (battery level, channel) chain, the exact recurrent-class count of a
@@ -48,7 +49,7 @@ from swipt_relay import (
     sample_channel,
 )
 from swipt_relay.mdp import _IMPROVE_TOL, _level_chain, _round_up, _row_blocks
-from swipt_relay.relay import _delivery_energies, _first_delivering, _split_table
+from swipt_relay.relay import _first_delivering, _received_power
 from swipt_relay.simulate import _mean_stderr
 
 
@@ -171,6 +172,38 @@ def fold_actions(actions):
     return [best[target] for target in sorted(best)]
 
 
+def oracle_split_table(energies, h_channel, g_channel, params: SystemParams):
+    """max_ps_ratio, energy_after_harvest and heuristic_rule's success test
+    at every battery energy (rows) and source-relay gain (columns), as (half,
+    pays) over the splitting branches (0 harvests everything, 1 splits at the
+    largest decodable ratio): the mid-block level, and whether the relay
+    decodes there and branch 1 exists (not where its ratio rounds to 1)."""
+    gains = h_channel.gains
+    # the largest gain decides whether any received power overflows
+    _received_power(h_channel.max_gain, params)
+    received = gains * params.source_power
+    noise_margin = params.noise_power * params.threshold_snr
+    decodable = received >= 2.0 * noise_margin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = (received - 2.0 * noise_margin) / (received - noise_margin)
+    cap = np.where(decodable, cap, 0.0)
+    scale = 0.5 * params.conversion_efficiency * params.source_power
+
+    def mid_block(ratio):
+        harvested = scale * gains * ratio * params.block_duration
+        return np.minimum(energies[:, None] + harvested, params.battery_capacity)
+
+    # A product that overflows to inf decides as the scalar float path does:
+    # the harvest clamps at capacity, and an inf u * g reaches any threshold.
+    with np.errstate(over="ignore"):
+        half = np.stack([mid_block(1.0), mid_block(cap)], axis=2)
+        reaches = half[..., 1] * g_channel.max_gain >= params.delivery_threshold
+    split = decodable & (cap != 1.0) & reaches
+    # A full-harvest block decodes only where the decodable ratio rounds to 1.
+    full = np.broadcast_to(decodable & (cap == 1.0), split.shape)
+    return half, np.stack([full, split], axis=2)
+
+
 def two_branch_rewards(h_channel, g_channel, params, n_levels, exact_up=True):
     """Rewards of the two-branch model, of shape (L x C, 2L): column
     b * L + k is splitting branch b (0 harvests everything, 1 splits at
@@ -178,9 +211,9 @@ def two_branch_rewards(h_channel, g_channel, params, n_levels, exact_up=True):
     where that action does not exist. exact_up does not change them."""
     grid = BatteryGrid(n_levels, params.battery_capacity)
     levels = grid.levels
-    half, pays = _split_table(levels, h_channel, g_channel, params)
+    half, pays = oracle_split_table(levels, h_channel, g_channel, params)
     half, pays = half.reshape(-1, 2, 1), pays.reshape(-1, 2, 1)
-    delivery, tail = _delivery_energies(g_channel, params), g_channel.tail
+    tail = g_channel.tail
     rewards = np.empty((len(half), 2, n_levels))  # [state, branch, target]
     for rows in _row_blocks(len(half), 2 * n_levels):
         # An action exists where its target fits under the mid-block level (on
@@ -190,7 +223,8 @@ def two_branch_rewards(h_channel, g_channel, params, n_levels, exact_up=True):
         delivers = fits & pays[rows]
         fits[:, 1] = delivers[:, 1]
         rewards[rows] = np.where(fits, 0.0, -np.inf)
-        rewards[rows][delivers] = tail[_first_delivering(spend[delivers], delivery)]
+        first = _first_delivering(spend[delivers], g_channel, params)
+        rewards[rows][delivers] = tail[first]
     rewards.flags.writeable = False
     return rewards.reshape(len(half), 2 * n_levels)
 
@@ -281,7 +315,7 @@ def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
     the larger reward per target level at the end."""
     grid = BatteryGrid(n_levels, params.battery_capacity)
     levels = grid.levels
-    half, pays = _split_table(levels, h_channel, g_channel, params)
+    half, pays = oracle_split_table(levels, h_channel, g_channel, params)
 
     # Fill each action with its transmit energy (0 where the relay cannot
     # decode), then map every energy to its delivery probability at once.

@@ -24,6 +24,7 @@ from swipt_relay import (
     energy_after_harvest,
     heuristic_average_success,
     make_heuristic_policy,
+    policy_evaluate,
     policy_iteration,
     quantize_equiprobable_exponential,
     run_sweep,
@@ -213,6 +214,29 @@ def test_a4_bound_dominance_over_default_grid(default_grid):
     )
     assert checked == 48
     assert elapsed < 300.0
+
+
+def test_closed_form_is_the_drain_rule_gain(channel200):
+    # With exact_up=False, target 0 keeps the battery empty, so the
+    # drain-to-empty rule's gain on the round-down model is the closed form
+    # up to summation order. Beyond A4's cells: some states at C = 50,
+    # P = 0.05 mW, B = 0.02 uJ decode but cannot deliver.
+    channel50 = quantize_equiprobable_exponential(50)
+    cells = [(channel200, power, battery, n) for power, battery, n in A4_BOUNDS]
+    cells += [(channel50, 0.05, 0.02, n) for n in (5, 9, 33)]
+    worst = 0.0
+    for channel, power, battery, n_levels in cells:
+        params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
+        model = build_mdp(channel, channel, params, n_levels, exact_up=False)
+        gain, _ = policy_evaluate(model, default_initial_rule(model))
+        closed = heuristic_average_success(channel, channel, params)
+        worst = max(worst, abs(gain - closed))
+    report(
+        "Drain rule closed form",
+        worst <= 1e-14,
+        f"{len(cells)} cells, worst gap {worst:.1e}",
+    )
+    assert worst <= 1e-14
 
 
 A5_CELLS = (

@@ -65,11 +65,12 @@ class TestExperimentConfig:
             (dict(n_levels=(5, 4.5)), "n_levels must hold integers, got 4.5"),
             (dict(blocks=2.5), "blocks must be an integer, got 2.5"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(workers=1.5), "workers must be an integer, got 1.5"),
         ],
-        ids=["n_levels", "blocks", "seed"],
+        ids=["n_levels", "blocks", "seed", "workers"],
     )
     def test_rejects_non_integer_counts(self, kwargs, message):
-        # each would otherwise fail every sweep cell deep in numpy
+        # each would otherwise fail every sweep cell deep in numpy or the pool
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
 

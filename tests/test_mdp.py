@@ -286,8 +286,7 @@ class TestEnumerateActions:
                 np.random.default_rng(5).uniform(0.0, 0.1, 500),
             ]
         )
-        delivery = relay_module._delivery_energies(channel200, default_params)
-        first = relay_module._first_delivering(energies, delivery)
+        first = relay_module._first_delivering(energies, channel200, default_params)
         probs = channel200.tail[first]
         expected = [
             delivery_success_prob(float(u), channel200, default_params)
@@ -297,13 +296,14 @@ class TestEnumerateActions:
 
     def test_delivery_table_is_built_once_and_read_only(self, default_params):
         channel = quantize_equiprobable_exponential(20)
-        delivery = relay_module._delivery_energies(channel, default_params)
-        assert relay_module._delivery_energies(channel, default_params) is delivery
+        threshold = default_params.delivery_threshold
+        delivery = relay_module._delivery_table(channel, threshold)
+        assert relay_module._delivery_table(channel, threshold) is delivery
         with pytest.raises(ValueError):
             delivery[0] = 0.0
         # an equal alphabet in another object gets its own, equal table
         twin = quantize_equiprobable_exponential(20)
-        other = relay_module._delivery_energies(twin, default_params)
+        other = relay_module._delivery_table(twin, threshold)
         assert other is not delivery and other.tolist() == delivery.tolist()
 
     @given(
@@ -321,13 +321,13 @@ class TestEnumerateActions:
         gains = np.concatenate([low, scale * np.cumsum(weights)])
         channel = channel_from_table(gains, np.full(gains.size, 1.0 / gains.size))
         params = SystemParams(1.0, noise_power, 1.0, 0.5, rate, 10.0)
-        delivery = relay_module._delivery_energies(channel, params)
+        delivery = relay_module._delivery_table(channel, params.delivery_threshold)
         assert np.all(delivery[1:] >= delivery[:-1])
         assert gains[0] > 0.0 or delivery[-1] == np.inf
         least = delivery[np.isfinite(delivery)]
         largest = np.finfo(float).max
         energies = np.concatenate([least, np.nextafter(least, 0.0), [0.0, largest]])
-        first = relay_module._first_delivering(energies, delivery)
+        first = relay_module._first_delivering(energies, channel, params)
         with np.errstate(over="ignore"):  # products with the largest gains
             assert np.array_equal(
                 first, oracle_first_delivering(energies, channel, params)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
+    BatteryGrid,
     InfeasibleActionError,
     SystemParams,
     apply_action,
@@ -14,6 +15,7 @@ from swipt_relay import (
     max_ps_ratio,
     quantize_equiprobable_exponential,
 )
+from swipt_relay.relay import _split_table
 from oracles import (
     can_succeed,
     delivery_success_prob,
@@ -561,3 +563,89 @@ class TestHeuristicClosedForm:
         assert heuristic_average_success(
             h_channel, g_channel, params
         ) == oracle_heuristic_average_success(h_channel, g_channel, params)
+
+
+_SPLIT_DEFAULTS = dict(
+    source_power=1.0,
+    noise_power=1e-3,
+    block_duration=1.0,
+    efficiency=0.5,
+    rate=1.5,
+    capacity=10.0,
+    n_levels=5,
+)
+
+
+class TestSplitTable:
+    """The vector mid-block levels equal the scalar physics bit for bit."""
+
+    @given(
+        gains=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8, unique=True).map(
+            sorted
+        ),
+        source_power=st.floats(1e-3, 1e2),
+        noise_power=st.floats(1e-6, 1.0),
+        block_duration=st.floats(1e-2, 1e2),
+        efficiency=st.floats(0.05, 0.95),
+        rate=st.floats(0.1, 3.0),
+        capacity=st.floats(1e-3, 1e2),
+        n_levels=st.integers(2, 9),
+    )
+    # a zero gain, which no ratio decodes
+    @example(gains=[0.0, 0.5, 2.0], **_SPLIT_DEFAULTS)
+    # the largest decodable ratio rounds to 1 at the top gain only
+    @example(
+        gains=[0.5, 2.0, 5.0],
+        **{
+            **_SPLIT_DEFAULTS,
+            "source_power": 4.0,
+            "noise_power": 1e-16,
+            "capacity": 2e-15,
+        },
+    )
+    # every level above empty clamps at the capacity
+    @example(gains=[0.5, 2.0, 5.0], **{**_SPLIT_DEFAULTS, "capacity": 1e308})
+    # the harvest overflows to inf
+    @example(
+        gains=[0.5, 2.0, 5.0],
+        **{
+            **_SPLIT_DEFAULTS,
+            "source_power": 100.0,
+            "noise_power": 1e-300,
+            "block_duration": 1e308,
+        },
+    )
+    # at gain 0.3 the relay decodes, but draining its empty battery reaches
+    # the delivery threshold through no gain of the alphabet
+    @example(
+        gains=[0.3, 1.0, 5.0],
+        **{**_SPLIT_DEFAULTS, "source_power": 0.05, "capacity": 0.02},
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_physics(
+        self,
+        gains,
+        source_power,
+        noise_power,
+        block_duration,
+        efficiency,
+        rate,
+        capacity,
+        n_levels,
+    ):
+        channel = channel_from_table(gains, np.full(len(gains), 1.0 / len(gains)))
+        params = SystemParams(
+            source_power, noise_power, block_duration, efficiency, rate, capacity
+        )
+        energies = BatteryGrid(n_levels, capacity).levels
+        full, decoding = _split_table(energies, channel, params)
+        assert full.shape == decoding.shape == (n_levels, len(gains))
+        for j, energy in enumerate(energies.tolist()):
+            for i, gain in enumerate(channel.gains.tolist()):
+                assert full[j, i] == energy_after_harvest(energy, gain, 1.0, params)
+                ratio = max_ps_ratio(gain, params)
+                if ratio is None:
+                    assert decoding[j, i] == -np.inf
+                else:
+                    expected = energy_after_harvest(energy, gain, ratio, params)
+                    assert decoding[j, i] == expected
