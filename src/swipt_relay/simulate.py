@@ -5,6 +5,7 @@ outcomes. All runs are reproducible: the same seed and inputs give
 bit-identical traces.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,6 +28,11 @@ __all__ = [
 GENERATOR_NAME = "pcg64"
 
 RESULT_CSV_HEADER = "seed,M,mean,stderr"
+
+# blocks per slice of simulate_original. Fewer cost more per block; more
+# raise its peak memory, and at 2^14 a default sweep pass takes 3,300 page
+# faults against 1,100, as glibc's malloc trims and maps 128 KiB arrays anew
+_SLICE_BLOCKS = 2**13
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,8 @@ def sample_channel(
     in cache-sized slices. A guide table (Chen & Asau 1974) over 8 C buckets
     keeps, with a 1e-12 margin, each bucket's count of cdf entries below it
     and the next: one comparison per draw, a binary search if it holds two."""
-    # the last entry is left out, so u at or past it draws the last state
-    inner, buckets = np.cumsum(channel.pmf)[:-1], 8 * channel.count
-    guide, crowded = _guide_table(inner, buckets)
-    following, search = np.append(inner, np.inf)[guide], crowded.any()
+    inner, guide, following, crowded = _sampler_tables(channel)
+    buckets, search = guide.size, crowded.any()
     u = rng.random(size)
     idx = np.empty(size, dtype=np.intp)
     for start in range(0, size, 8192):
@@ -93,6 +97,19 @@ def sample_channel(
             walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
             out[walk] = np.searchsorted(inner, part[walk], side="right")
     return idx
+
+
+@functools.lru_cache(maxsize=16)
+def _sampler_tables(channel: FiniteChannel) -> tuple[np.ndarray, ...]:
+    """sample_channel's inner cdf entries (the last is left out, so u at or
+    past it draws the last state), guide table, entry after each guide and
+    crowded buckets: built once per alphabet, read-only."""
+    inner = np.cumsum(channel.pmf)[:-1]
+    guide, crowded = _guide_table(inner, 8 * channel.count)
+    tables = inner, guide, np.append(inner, np.inf)[guide], crowded
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _guide_table(inner: np.ndarray, buckets: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,94 +152,113 @@ def simulate_original(
     while the battery stays at that energy and reused after, so a policy
     that keeps state between calls is not supported. From the first
     repeat at an energy, the blocks ahead are scanned in doubling windows
-    and only those with an index new there are played; a stay lasting to
-    the end is scored from a table over the channel indices. A rejected
-    action raises its error with the block and the state named.
+    and only those with an index new there are played. A rejected action
+    raises its error with the block and the state named.
+
+    The run is walked and scored in slices of _SLICE_BLOCKS blocks, so
+    only the optional trace grows with it. The source-relay uniforms
+    continue default_rng(seed); the relay-destination ones come from the
+    same seed's stream advanced by `blocks`: the draws that follow all the
+    source-relay ones, as when one generator draws both in turn.
     """
     if config.initial_energy > params.battery_capacity:
         raise ValueError(
             f"initial_energy {config.initial_energy} exceeds the battery "
             f"capacity {params.battery_capacity}"
         )
+    blocks, count = config.blocks, h_channel.count
     rng = np.random.default_rng(config.seed)
-    blocks = config.blocks
-    h_idx = sample_channel(h_channel, rng, blocks)
-    # a block delivers when its g uniform reaches the cdf entry below the
-    # first gain that its spent energy delivers through: no g index needed
-    g_uniforms = rng.random(blocks)
+    g_rng = np.random.Generator(np.random.PCG64(config.seed).advance(blocks))
+    cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
-    # the energy each played block forwards (0 where the relay did not
-    # decode), and per block before the tail the position of the one it plays
-    spent, played = [], np.empty(blocks, dtype=np.intp)
-    # steady: indices played since the battery reached this energy with
-    # played block `since` that left it there; index i repeats played block
-    # played_at[i]. n blocks were played, the last m - fresh in a row.
-    steady, since, played_at = set(), 0, np.full(h_channel.count, -1)
-    m = n = fresh = 0
-    # a batched segment began at block `start`: its next window scans from
-    # `end`, and `window` holds the scanned blocks still to check, last first
-    start = None
-    h_list = []  # channel indices as ints, converted as far as the walk gets
-    while m < blocks:
-        if start is None:
+    # steady: indices of the played blocks numbered `since` on, all at this
+    # energy; index i repeats played block played_at[i], whose cut is
+    # carried[i] once its slice is scored. n blocks were played, `wins` won.
+    steady, since, played_at, carried = set(), 0, np.full(count, -1), np.empty(count)
+    n = wins = 0
+    # a batched segment began at block `start` of the slice: its next window
+    # scans from `end`; `window` holds scanned blocks to check, last first
+    start, width = None, 16
+    trace = np.empty(blocks, dtype=np.uint8) if keep_trace else None
+    for offset in range(0, blocks, _SLICE_BLOCKS):
+        size = min(_SLICE_BLOCKS, blocks - offset)
+        h_idx = sample_channel(h_channel, rng, size)
+        # a block delivers when its g uniform reaches the cdf entry below
+        # the first gain that its spent energy delivers through: no g index
+        g_uniforms = g_rng.random(size)
+        # the energy each block played in this slice forwards (0 where the
+        # relay did not decode), and per block the number of the played
+        # block it plays or repeats; the last m - fresh were played in a row
+        spent, played, first = [], np.empty(size, dtype=np.intp), n
+        m = fresh = 0
+        if start is not None:  # the segment goes on from the slice's start
+            start, end, window = 0, 0, []
+        h_list = []  # channel indices as ints, converted as far as the walk gets
+        while m < size:
+            if start is None:
+                try:
+                    i = h_list[m]
+                except IndexError:
+                    h_list += h_idx[len(h_list) : m + 4096].tolist()
+                    i = h_list[m]
+                if i in steady:
+                    played[fresh:m] = np.arange(n - (m - fresh), n)
+                    start, end, width, window = m, m, 16, []
+                    continue
+            elif window:
+                m, i = window.pop()
+                if i in steady:
+                    continue
+            elif end == size or len(steady) == count:
+                break
+            else:
+                new = end + np.flatnonzero(played_at[h_idx[end : end + width]] < since)
+                window = list(zip(new.tolist(), h_idx[new].tolist()))[::-1]
+                end, width = min(end + width, size), 2 * width
+                continue
+            gain = gains[i]
+            ps_ratio, transmit_energy = policy(energy, gain)
             try:
-                i = h_list[m]
-            except IndexError:
-                h_list += h_idx[len(h_list) : m + 4096].tolist()
-                i = h_list[m]
-            if i in steady:
-                played[fresh:m] = np.arange(n - (m - fresh), n)
-                start, end, width, window = m, m, 16, []
-                continue
-        elif window:
-            m, i = window.pop()
-            if i in steady:
-                continue
-        elif end == blocks or len(steady) == h_channel.count:
-            break
+                decoded, residual = apply_action(
+                    energy, gain, ps_ratio, transmit_energy, params
+                )
+            except ValueError as exc:
+                raise type(exc)(
+                    f"block {offset + m}: action (ps_ratio={ps_ratio}, "
+                    f"u={transmit_energy}) in state (energy={energy}, "
+                    f"gain={gain}): {exc}"
+                ) from None
+            spent.append(transmit_energy if decoded else 0.0)
+            n += 1
+            if residual != energy:
+                energy, since = residual, n
+                steady.clear()
+                if start is not None:
+                    played[start:m] = played_at[h_idx[start:m]]
+                    start, fresh = None, m
+            else:
+                steady.add(i)
+                played_at[i] = n - 1
+            m += 1
+        if not spent:  # every block repeats one played before the slice
+            success = g_uniforms >= carried[h_idx]
         else:
-            new = end + np.flatnonzero(played_at[h_idx[end : end + width]] < since)
-            window = list(zip(new.tolist(), h_idx[new].tolist()))[::-1]
-            end, width = min(end + width, blocks), 2 * width
-            continue
-        gain = gains[i]
-        ps_ratio, transmit_energy = policy(energy, gain)
-        try:
-            decoded, residual = apply_action(
-                energy, gain, ps_ratio, transmit_energy, params
-            )
-        except ValueError as exc:
-            raise type(exc)(
-                f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
-                f"in state (energy={energy}, gain={gain}): {exc}"
-            ) from None
-        spent.append(transmit_energy if decoded else 0.0)
-        n += 1
-        if residual != energy:
-            energy, since = residual, n
-            steady.clear()
-            if start is not None:
-                played[start:m] = played_at[h_idx[start:m]]
-                start, fresh = None, m
-        else:
-            steady.add(i)
-            played_at[i] = n - 1
-        m += 1
-    if start is None:
-        played[fresh:] = np.arange(n - (blocks - fresh), n)
-        start = blocks
-    cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
-    first = _first_delivering(np.array(spent), g_channel, params)
-    threshold = cut[first]
-    # the steady tail, blocks `start` on, repeats played blocks at one energy
-    head = g_uniforms[:start] >= threshold[played[:start]]
-    tail = g_uniforms[start:] >= threshold[played_at][h_idx[start:]]
-    success = np.concatenate((head, tail))
-    trace = success.astype(np.uint8) if keep_trace else None
-    wins = float(np.count_nonzero(success))
-    mean, stderr = _mean_stderr(wins, wins, blocks)
+            if start is None:
+                played[fresh:] = np.arange(n - (size - fresh), n)
+            else:
+                played[start:] = played_at[h_idx[start:]]
+            # the cuts of the blocks played before the slice, by channel
+            # index, then of those played in it from play `first` on
+            cuts = cut[_first_delivering(np.array(spent), g_channel, params)]
+            table, played = np.concatenate((carried, cuts)), played - first
+            success = g_uniforms >= table[np.where(played < 0, h_idx, count + played)]
+            recent = played_at >= first
+            carried[recent] = table[count + played_at[recent] - first]
+        wins += int(np.count_nonzero(success))
+        if trace is not None:
+            trace[offset : offset + size] = success
+    mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )
-

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,10 @@ POLICIES = {
 }
 
 START_ENERGIES = ["empty", "third", "full"]
+
+# simulate_original walks and scores a run in slices of SLICE blocks
+SLICE = simulate_module._SLICE_BLOCKS
+SLICE_EDGES = [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 7]
 
 
 def _start_energy(start, params):
@@ -218,6 +223,20 @@ class TestSampleChannel:
         want = oracle_sample_channel(channel, _FixedUniforms(values), values.size)
         assert np.array_equal(got, want)
         assert set(got.tolist()) == {0, 1, 2}
+
+    def test_tables_are_built_once_and_read_only(self):
+        channel = _crowded(1000, 0.9)
+        tables = simulate_module._sampler_tables(channel)
+        sample_channel(channel, np.random.default_rng(0), 10)
+        assert simulate_module._sampler_tables(channel) is tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = table[-1]
+        inner, buckets = np.cumsum(channel.pmf)[:-1], 8 * channel.count
+        guide, crowded = simulate_module._guide_table(inner, buckets)
+        assert np.array_equal(tables[0], inner)
+        assert np.array_equal(tables[1], guide)
+        assert np.array_equal(tables[3], crowded)
 
     def test_single_state_always_zero(self):
         channel = channel_from_table([1.0], [1.0])
@@ -348,6 +367,28 @@ class TestSimulateOriginal:
                 SimulationConfig(blocks=10, seed=1),
             )
         assert "state (energy=0.0, gain=" in str(info.value)
+        # a battery too large to fill in a slice first holds `level` at a
+        # block in the third slice, which the message numbers from the start
+        params = dataclasses.replace(default_params, battery_capacity=1e6)
+        level = 0.25 * (2 * SLICE + 100)  # a block harvests 0.25 uJ on average
+        config = SimulationConfig(blocks=3 * SLICE, seed=1)
+        drawn = sample_channel(channel2, np.random.default_rng(1), config.blocks)
+        energy, m = 0.0, 0
+        while energy < level:
+            gain = float(channel2.gains[drawn[m]])
+            energy, m = energy_after_harvest(energy, gain, 1.0, params), m + 1
+        assert 2 * SLICE < m < 3 * SLICE
+
+        def policy(energy, gain):
+            return (1.0, 0.0) if energy < level else (0.5, 1e9)
+
+        with pytest.raises(InfeasibleActionError) as info:
+            simulate_original(policy, channel2, channel2, params, config)
+        gain = float(channel2.gains[drawn[m]])
+        assert str(info.value).startswith(
+            f"block {m}: action (ps_ratio=0.5, u=1000000000.0) "
+            f"in state (energy={energy}, gain={gain}): "
+        )
 
     @pytest.mark.parametrize(
         "action, message",
@@ -377,6 +418,29 @@ class TestSimulateOriginal:
                 make_heuristic_policy(channel2, default_params),
                 channel2, channel2, default_params, config,
             )
+
+    @pytest.mark.parametrize(
+        "policy_name, blocks", [("heuristic", 1_000_000), ("half_drain", 100_000)]
+    )
+    def test_memory_does_not_grow_with_the_run(
+        self, channel200, default_params, policy_name, blocks
+    ):
+        # the heuristic repeats played blocks from early on; half_drain plays
+        # every block, each with a policy call and a spent energy. A run
+        # that kept a value per block would need 9-33 MB here.
+        policy = POLICIES[policy_name](channel200, default_params)
+        short = SimulationConfig(blocks=10, seed=2)  # builds the cached tables
+        simulate_original(policy, channel200, channel200, default_params, short)
+        tracemalloc.start()
+        try:
+            simulate_original(
+                policy, channel200, channel200, default_params,
+                SimulationConfig(blocks=blocks, seed=2),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
     def test_stderr_shrinks_with_block_count(self, channel2, hard_tiny_params):
         # interior success probability, so the Bernoulli variance is real
@@ -426,6 +490,42 @@ class TestSimulateOriginalMatchesOracle:
         )
         assert got.trace.dtype == want.trace.dtype
         assert got.trace.tobytes() == want.trace.tobytes()
+
+    @pytest.mark.parametrize("blocks", SLICE_EDGES)
+    @pytest.mark.parametrize("params_name", ["default_params", "hard_tiny_params"])
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_slice_edges_are_bit_identical_to_per_block_oracle(
+        self, request, channel200, policy_name, params_name, blocks
+    ):
+        params = request.getfixturevalue(params_name)
+        chosen = POLICIES[policy_name](channel200, params)
+        energies = []  # per block, as the oracle asks the policy every block
+
+        def policy(energy, gain):
+            energies.append(energy)
+            return chosen(energy, gain)
+
+        config = SimulationConfig(
+            blocks=blocks, seed=3, initial_energy=_start_energy("third", params)
+        )
+        want = oracle_simulate_original(
+            policy, channel200, channel200, params, config, keep_trace=True
+        )
+        got = simulate_original(
+            chosen, channel200, channel200, params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+        # the edge cases cross the slices' edge at block SLICE: half_drain
+        # moves the battery on the first block of a slice, and the
+        # heuristic's steady stay at the empty battery spans the edge
+        edge = energies[SLICE - 1 : SLICE + 2]
+        if policy_name == "half_drain" and blocks > SLICE + 1:
+            assert edge[0] != edge[1] != edge[2]
+        if policy_name == "heuristic" and blocks > SLICE:
+            assert set(edge) == {0.0}
 
     def test_heuristic_long_run_from_full_is_bit_identical(
         self, channel200, default_params
@@ -541,7 +641,28 @@ class TestSimulateOriginalMatchesOracle:
         )
         assert got.trace.tobytes() == want.trace.tobytes()
 
-    @pytest.mark.parametrize("blocks", [1, 2, 17])
+    def test_slice_plays_new_indices_among_earlier_repeats(self, default_params):
+        # a 2000-state alphabet shows some indices at the empty battery only
+        # after the first slice, so a later slice plays them among repeats
+        # of blocks played in the first
+        channel = quantize_equiprobable_exponential(2000)
+        policy = make_heuristic_policy(channel, default_params)
+        config = SimulationConfig(blocks=2 * SLICE + 7, seed=3)
+        drawn = sample_channel(channel, np.random.default_rng(3), config.blocks)
+        _, first_block = np.unique(drawn, return_index=True)
+        assert np.count_nonzero(first_block >= SLICE) > 10
+        got = simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        want = oracle_simulate_original(
+            policy, channel, channel, default_params, config, keep_trace=True
+        )
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
+        assert got.trace.tobytes() == want.trace.tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2, 17, *SLICE_EDGES])
     @pytest.mark.parametrize("channel_name", ["channel1", "channel2", "channel200"])
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_short_runs_are_bit_identical(
