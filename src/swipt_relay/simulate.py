@@ -81,29 +81,26 @@ def sample_channel(
     channel: FiniteChannel, rng: "np.random.Generator", size: int
 ) -> np.ndarray:
     """size i.i.d. channel-state indices by inverse-cdf lookup on uniforms,
-    in cache-sized slices. A guide table (Chen & Asau 1974) over 8 C buckets
-    keeps, with a 1e-12 margin, each bucket's count of cdf entries below it
-    and the next: one comparison per draw, a binary search if it holds two."""
+    in one pass. A guide table (Chen & Asau 1974) over 8 C buckets keeps,
+    with a 1e-12 margin, each bucket's count of cdf entries below it and
+    the next: one comparison per draw, a binary search if it holds two."""
     inner, guide, following, crowded = _sampler_tables(channel)
-    buckets, search = guide.size, crowded.any()
     u = rng.random(size)
-    idx = np.empty(size, dtype=np.intp)
-    for start in range(0, size, 8192):
-        part, out = u[start : start + 8192], idx[start : start + 8192]
-        bucket = (part * buckets).astype(np.intp)
-        guide.take(bucket, out=out, mode="clip")
-        out += part >= following.take(bucket, mode="clip")
-        if search:
-            walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
-            out[walk] = np.searchsorted(inner, part[walk], side="right")
+    bucket = (u * guide.size).astype(np.intp)
+    idx = guide.take(bucket, mode="clip")
+    idx += u >= following.take(bucket, mode="clip")
+    if crowded.any():
+        walk = np.flatnonzero(crowded.take(bucket, mode="clip"))
+        idx[walk] = np.searchsorted(inner, u[walk], side="right")
     return idx
 
 
 @functools.lru_cache(maxsize=16)
 def _sampler_tables(channel: FiniteChannel) -> tuple[np.ndarray, ...]:
-    """sample_channel's inner cdf entries (the last is left out, so u at or
-    past it draws the last state), guide table, entry after each guide and
-    crowded buckets: built once per alphabet, read-only."""
+    """The inner cdf entries (the last is left out, so u at or past it draws
+    the last state), which simulate_original's cuts also read, and
+    sample_channel's guide table, entry after each guide and crowded
+    buckets: built once per alphabet, read-only."""
     inner = np.cumsum(channel.pmf)[:-1]
     guide, crowded = _guide_table(inner, 8 * channel.count)
     tables = inner, guide, np.append(inner, np.inf)[guide], crowded
@@ -156,9 +153,12 @@ def simulate_original(
     raises its error with the block and the state named.
 
     The run is walked and scored in slices of _SLICE_BLOCKS blocks, so
-    only the optional trace grows with it. The source-relay uniforms
-    continue default_rng(seed); the relay-destination ones come from the
-    same seed's stream advanced by `blocks`: the draws that follow all the
+    only the optional trace grows with it. A block succeeds when its
+    relay-destination uniform reaches its cut: the g cdf entry below the
+    first gain its forwarded energy delivers through, or for a repeat the
+    cut carried for its index. The source-relay uniforms continue
+    default_rng(seed); the relay-destination ones come from the same
+    seed's stream advanced by `blocks`: the draws that follow all the
     source-relay ones, as when one generator draws both in turn.
     """
     if config.initial_energy > params.battery_capacity:
@@ -169,29 +169,26 @@ def simulate_original(
     blocks, count = config.blocks, h_channel.count
     rng = np.random.default_rng(config.seed)
     g_rng = np.random.Generator(np.random.PCG64(config.seed).advance(blocks))
-    cut = np.concatenate(([-np.inf], np.cumsum(g_channel.pmf)[:-1], [np.inf]))
+    cut = np.concatenate(([-np.inf], _sampler_tables(g_channel)[0], [np.inf]))
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
-    # steady: indices of the played blocks numbered `since` on, all at this
-    # energy; index i repeats played block played_at[i], whose cut is
-    # carried[i] once its slice is scored. n blocks were played, `wins` won.
-    steady, since, played_at, carried = set(), 0, np.full(count, -1), np.empty(count)
-    n = wins = 0
+    # steady: the indices whose play kept the battery at this energy; their
+    # later blocks repeat that play, whose cut is carried[i] once scored
+    steady, carried, wins = set(), np.empty(count), 0
     # a batched segment began at block `start` of the slice: its next window
-    # scans from `end`; `window` holds scanned blocks to check, last first
+    # scans from `end`; `window` holds scanned blocks to check, last first;
+    # known marks the steady indices while it is open
     start, width = None, 16
     trace = np.empty(blocks, dtype=np.uint8) if keep_trace else None
     for offset in range(0, blocks, _SLICE_BLOCKS):
         size = min(_SLICE_BLOCKS, blocks - offset)
         h_idx = sample_channel(h_channel, rng, size)
-        # a block delivers when its g uniform reaches the cdf entry below
-        # the first gain that its spent energy delivers through: no g index
         g_uniforms = g_rng.random(size)
-        # the energy each block played in this slice forwards (0 where the
-        # relay did not decode), and per block the number of the played
-        # block it plays or repeats; the last m - fresh were played in a row
-        spent, played, first = [], np.empty(size, dtype=np.intp), n
-        m = fresh = 0
+        block_cut = np.empty(size)  # each block's cut, written once
+        # the plays not yet scored: the energy each forwards (0 where the relay
+        # did not decode), of blocks fresh, fresh + 1, ... played one by one
+        # (steady from block `settled` on), then of the segment's indices `kept`
+        spent, kept, fresh, settled, m = [], [], 0, 0, 0
         if start is not None:  # the segment goes on from the slice's start
             start, end, window = 0, 0, []
         h_list = []  # channel indices as ints, converted as far as the walk gets
@@ -203,8 +200,8 @@ def simulate_original(
                     h_list += h_idx[len(h_list) : m + 4096].tolist()
                     i = h_list[m]
                 if i in steady:
-                    played[fresh:m] = np.arange(n - (m - fresh), n)
                     start, end, width, window = m, m, 16, []
+                    known = np.bincount(list(steady), minlength=count) > 0
                     continue
             elif window:
                 m, i = window.pop()
@@ -213,7 +210,7 @@ def simulate_original(
             elif end == size or len(steady) == count:
                 break
             else:
-                new = end + np.flatnonzero(played_at[h_idx[end : end + width]] < since)
+                new = end + np.flatnonzero(~known[h_idx[end : end + width]])
                 window = list(zip(new.tolist(), h_idx[new].tolist()))[::-1]
                 end, width = min(end + width, size), 2 * width
                 continue
@@ -229,32 +226,31 @@ def simulate_original(
                     f"u={transmit_energy}) in state (energy={energy}, "
                     f"gain={gain}): {exc}"
                 ) from None
-            spent.append(transmit_energy if decoded else 0.0)
-            n += 1
-            if residual != energy:
-                energy, since = residual, n
-                steady.clear()
-                if start is not None:
-                    played[start:m] = played_at[h_idx[start:m]]
-                    start, fresh = None, m
-            else:
+            if residual == energy:
                 steady.add(i)
-                played_at[i] = n - 1
-            m += 1
-        if not spent:  # every block repeats one played before the slice
-            success = g_uniforms >= carried[h_idx]
-        else:
-            if start is None:
-                played[fresh:] = np.arange(n - (size - fresh), n)
+                if start is not None:
+                    known[i] = True
+                    kept.append(i)
             else:
-                played[start:] = played_at[h_idx[start:]]
-            # the cuts of the blocks played before the slice, by channel
-            # index, then of those played in it from play `first` on
-            cuts = cut[_first_delivering(np.array(spent), g_channel, params)]
-            table, played = np.concatenate((carried, cuts)), played - first
-            success = g_uniforms >= table[np.where(played < 0, h_idx, count + played)]
-            recent = played_at >= first
-            carried[recent] = table[count + played_at[recent] - first]
+                if start is not None:  # the segment ends on this play
+                    cuts = cut[_first_delivering(np.array(spent), g_channel, params)]
+                    block_cut[fresh:start] = cuts[: start - fresh]
+                    carried[h_idx[settled:start]] = block_cut[settled:start]
+                    carried[kept] = cuts[start - fresh :]
+                    block_cut[start:m] = carried[h_idx[start:m]]
+                    start, fresh, spent, kept = None, m, [], []
+                energy, settled = residual, m + 1
+                steady.clear()
+            spent.append(transmit_energy if decoded else 0.0)
+            m += 1
+        # the same at the slice's end (inline: a closure slows the walk's locals)
+        stop = size if start is None else start
+        cuts = cut[_first_delivering(np.array(spent), g_channel, params)]
+        block_cut[fresh:stop] = cuts[: stop - fresh]
+        carried[h_idx[settled:stop]] = block_cut[settled:stop]
+        carried[kept] = cuts[stop - fresh :]
+        block_cut[stop:] = carried[h_idx[stop:]]
+        success = g_uniforms >= block_cut
         wins += int(np.count_nonzero(success))
         if trace is not None:
             trace[offset : offset + size] = success

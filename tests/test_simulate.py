@@ -97,6 +97,20 @@ def _changes_energy_after_a_repeat(states):
     return False
 
 
+def _segment_crosses(states, edge):
+    """Whether, in a run's (energy, gain) per block, the battery's stay at
+    block `edge` repeated a gain before it and ends in a move after it: a
+    batched segment that crosses a slice edge and ends on a battery move."""
+    energy = states[edge][0]
+    first = last = edge
+    while first > 0 and states[first - 1][0] == energy:
+        first -= 1
+    while last + 1 < len(states) and states[last + 1][0] == energy:
+        last += 1
+    gains = [gain for _, gain in states[first:edge]]
+    return len(set(gains)) < len(gains) and last + 1 < len(states)
+
+
 POLICIES = {
     "heuristic": make_heuristic_policy,
     "half_drain": _half_drain,
@@ -499,10 +513,10 @@ class TestSimulateOriginalMatchesOracle:
     ):
         params = request.getfixturevalue(params_name)
         chosen = POLICIES[policy_name](channel200, params)
-        energies = []  # per block, as the oracle asks the policy every block
+        states = []  # per block, as the oracle asks the policy every block
 
         def policy(energy, gain):
-            energies.append(energy)
+            states.append((energy, gain))
             return chosen(energy, gain)
 
         config = SimulationConfig(
@@ -519,13 +533,17 @@ class TestSimulateOriginalMatchesOracle:
         )
         assert got.trace.tobytes() == want.trace.tobytes()
         # the edge cases cross the slices' edge at block SLICE: half_drain
-        # moves the battery on the first block of a slice, and the
-        # heuristic's steady stay at the empty battery spans the edge
-        edge = energies[SLICE - 1 : SLICE + 2]
+        # moves the battery on the first block of a slice, the heuristic's
+        # steady stay at the empty battery spans the edge, and on the hard
+        # cell grid_like's batched segment spans it and ends on a move
+        edge = [energy for energy, _ in states[SLICE - 1 : SLICE + 2]]
         if policy_name == "half_drain" and blocks > SLICE + 1:
             assert edge[0] != edge[1] != edge[2]
         if policy_name == "heuristic" and blocks > SLICE:
             assert set(edge) == {0.0}
+        hard_grid = (policy_name, params_name) == ("grid_like", "hard_tiny_params")
+        if hard_grid and blocks > SLICE + 1:
+            assert _segment_crosses(states, SLICE)
 
     def test_heuristic_long_run_from_full_is_bit_identical(
         self, channel200, default_params
