@@ -39,9 +39,6 @@ __all__ = [
     "upper_bound",
 ]
 
-# 1-norm condition numbers beyond 1e12 are treated as a singular
-# evaluation system, the numerical signature of multiple recurrent classes.
-_RCOND_MIN = 1e-12
 _RESIDUAL_TOL = 1e-9
 # Improvement leaves the incumbent action only for a candidate better by
 # more than this, so floating-point near-ties cannot make the rule cycle.
@@ -56,12 +53,12 @@ _BLOCK_ENTRIES = 1 << 15
 
 class MultichainSuspectedError(RuntimeError):
     """The evaluated chain does not look unichain (singular or inaccurate
-    evaluation system), or a reported gain fails upper_bound's Bellman
-    update certificate."""
+    evaluation system), policy iteration returned to an earlier rule, or a
+    reported gain fails upper_bound's Bellman update certificate."""
 
 
 class NonConvergenceError(RuntimeError):
-    """Policy iteration hit its iteration cap without the rule repeating."""
+    """Policy iteration hit its iteration cap without the rule settling."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,10 +246,10 @@ def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarra
 
     where W[j] is the channel-pmf average of the bias over the states of
     level j, relative to level 0; up to a constant, the bias of state
-    (j, i) is reward - gain + W[post]. A numerically singular level system
-    (exact 1-norm condition number beyond 1e12) raises
-    MultichainSuspectedError, the signature of a chain with more than one
-    recurrent class, as does a residual of the level equations above 1e-9.
+    (j, i) is reward - gain + W[post]. A level system that LAPACK finds
+    singular, the signature of a chain with more than one recurrent class,
+    raises MultichainSuspectedError, as does a residual of the level
+    equations above 1e-9.
     """
     return _evaluate(model, model._check_rule(rule))
 
@@ -263,34 +260,23 @@ def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
     matrix = np.eye(len(mean_reward)) - transitions
     # W[0] = 0 frees the first column for the gain unknown.
     matrix[:, 0] = 1.0
-    rcond = _rcond(matrix)
-    if not rcond >= _RCOND_MIN:
+    try:
+        values = np.linalg.solve(matrix, mean_reward)
+    except np.linalg.LinAlgError as error:
         raise MultichainSuspectedError(
-            f"evaluation system has reciprocal condition {rcond:.3e}; the "
-            f"rule's chain is probably not unichain (rule head {rule[:8]})"
-        )
-    values = np.linalg.solve(matrix, mean_reward)
+            "evaluation system is singular; the rule's chain is probably not unichain"
+        ) from error
     gain = float(values[0])
     values[0] = 0.0
     residual = float(
         np.max(np.abs(mean_reward + transitions @ values - gain - values))
     )
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:  # NaN fails too
         raise MultichainSuspectedError(
             f"evaluation equations solved to residual {residual:.3e} "
             f"(tolerance {_RESIDUAL_TOL}); the linear system is unreliable"
         )
     return gain, values
-
-
-def _rcond(matrix: np.ndarray) -> float:
-    """1 / np.linalg.cond(matrix, 1) from one inverse: 0 when singular."""
-    try:
-        inverse = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        return 0.0
-    with np.errstate(over="ignore"):  # as np.linalg.cond, the 1-norms' product
-        return 1.0 / (np.abs(matrix).sum(0).max() * np.abs(inverse).sum(0).max())
 
 
 def policy_improve(
@@ -352,10 +338,22 @@ def policy_iteration(
     model: MdpModel, max_iterations: int = 10_000
 ) -> PolicyIterationResult:
     """Average-reward policy iteration from default_initial_rule (checked
-    once): alternate evaluation and improvement until the rule repeats."""
+    once): alternate evaluation and improvement until improvement keeps
+    the rule. An improved rule equal to an earlier one, a cycle that exact
+    arithmetic on a unichain model rules out, raises MultichainSuspectedError."""
+    if not isinstance(max_iterations, numbers.Integral) or max_iterations < 1:
+        raise ValueError(f"max_iterations must be an integer >= 1: {max_iterations!r}")
     rule = model._check_rule(default_initial_rule(model))
     gains: list[float] = []
+    seen: dict[int, int] = {}  # rule hash -> iteration; a collision only fails a cell
     for iteration in range(1, max_iterations + 1):
+        key = hash(rule.tobytes())
+        if key in seen:
+            raise MultichainSuspectedError(
+                f"the rule of iteration {iteration} repeats iteration "
+                f"{seen[key]}'s; the chain is probably not unichain"
+            )
+        seen[key] = iteration
         gain, values = _evaluate(model, rule)
         gains.append(gain)
         improved = _improve(model, values, rule)

@@ -136,6 +136,17 @@ class TestBoundCommand:
         assert captured.err == "error: policy iteration failed\n"
         assert captured.out == ""
 
+    def test_multichain_cell_is_one_error_line_after_the_solved_rows(self, capsys):
+        # N = 33 at this operating point evaluates a rule whose chain has
+        # more than one recurrent class
+        args = ["bound", "--channel-states", "20", "--source-power", "0.5"]
+        args += ["--battery-capacity", "6", "--levels", "9,33"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "n_levels,p_upper_bound\n9,0.95\n"
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
 
 class TestSimulateCommand:
     def test_matches_library_run(self, capsys):
