@@ -22,8 +22,6 @@ from .mdp import (
     PolicyIterationResult,
     build_mdp,
     default_initial_rule,
-    policy_evaluate,
-    policy_improve,
     policy_iteration,
     upper_bound,
 )

@@ -102,10 +102,6 @@ def channel_from_table(gains, pmf) -> FiniteChannel:
     """
     gains = np.asarray(gains, dtype=float)
     pmf = np.asarray(pmf, dtype=float)
-    if gains.shape != pmf.shape:
-        raise ValueError(
-            f"gains and pmf lengths differ: {gains.size} vs {pmf.size}"
-        )
     total = float(pmf.sum())
     if not abs(total - 1.0) <= _PMF_SUM_TOL:
         raise ValueError(

@@ -283,13 +283,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
     """Experiment configuration from an optional key = value file plus
     typed overrides (command-line flags); an override beats the file.
 
-    The file is UTF-8 text, one `key = value` per line; anything from a
-    `#` to the end of the line is a comment. Unknown keys and malformed
-    values are rejected.
+    The file is UTF-8 text (a leading byte-order mark is skipped), one
+    `key = value` per line; anything from a `#` to the end of the line is
+    a comment. Unknown keys and malformed values are rejected.
     """
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

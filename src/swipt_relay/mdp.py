@@ -11,9 +11,9 @@ iteration; its gain, certified by one Bellman update, is the bound.
 
 The source-relay channel is redrawn independently every block, so a
 transition depends on the action only through the post-top-up battery
-level. Evaluation, improvement and the bound's certificate therefore work
-on the chain of the L battery levels rather than on all L x C
-(level, channel) states (Puterman, Markov Decision Processes, 1994, ch. 8).
+level. Evaluation therefore solves the chain of the L battery levels, not
+all L x C (level, channel) states, and improvement and the certificate
+need one value per level (Puterman, Markov Decision Processes, 1994, ch. 8).
 """
 
 import math
@@ -33,8 +33,6 @@ __all__ = [
     "PolicyIterationResult",
     "build_mdp",
     "default_initial_rule",
-    "policy_evaluate",
-    "policy_improve",
     "policy_iteration",
     "upper_bound",
 ]
@@ -204,11 +202,9 @@ def build_mdp(
     tail = g_channel.tail
     rewards = np.empty((len(full), n_levels))  # [state, target]
     for rows in _row_blocks(len(full), n_levels):
-        spend = decoding[rows] - grid.levels
-        delivers = spend >= 0.0
-        block = np.where(full[rows] >= grid.levels, 0.0, -np.inf)
-        block[delivers] = tail[_first_delivering(spend[delivers], g_channel, params)]
-        rewards[rows] = block
+        spend = decoding[rows] - grid.levels  # -inf where the relay cannot decode
+        paid = tail[_first_delivering(spend, g_channel, params)]  # 0.0 if spend < 0
+        rewards[rows] = np.where(full[rows] >= grid.levels, paid, -np.inf)
     rewards.flags.writeable = False
     return MdpModel(
         grid=grid,
@@ -236,8 +232,8 @@ def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean_reward, transitions.reshape(n_levels, n_levels)
 
 
-def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain and level values of a stationary rule.
+def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gain and level values of a checked stationary rule.
 
     Solves the unichain average-reward evaluation equations of the
     battery-level chain,
@@ -251,11 +247,6 @@ def policy_evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarra
     raises MultichainSuspectedError, as does a residual of the level
     equations above 1e-9.
     """
-    return _evaluate(model, model._check_rule(rule))
-
-
-def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
-    """policy_evaluate of a checked rule."""
     mean_reward, transitions = _level_chain(model, rule)
     matrix = np.eye(len(mean_reward)) - transitions
     # W[0] = 0 frees the first column for the gain unknown.
@@ -279,42 +270,33 @@ def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
     return gain, values
 
 
-def policy_improve(
+def _improve(
     model: MdpModel, values: np.ndarray, incumbent: np.ndarray | None = None
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """One improvement sweep over every state's target levels.
 
     Per state, picks the target maximizing its reward column plus the
     level value W of its post-top-up level (the gain would shift every
-    candidate equally, so it is not needed). The incumbent target is
-    kept unless the best candidate beats it by more than a fixed
-    tolerance of 1e-13, the anti-cycling rule; without an incumbent, ties
-    go to the lowest target.
+    candidate equally, so it is not needed), and returns that rule with
+    each state's largest candidate. A checked incumbent target is kept
+    unless the best candidate beats it by more than a fixed tolerance of
+    1e-13, the anti-cycling rule; without an incumbent, ties go to the
+    lowest target.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (model.grid.n_levels,):
-        raise ValueError(
-            f"need one value per battery level ({model.grid.n_levels}), "
-            f"got shape {values.shape}"
-        )
-    if incumbent is not None:
-        incumbent = model._check_rule(incumbent)
-    return _improve(model, values, incumbent)
-
-
-def _improve(model: MdpModel, values: np.ndarray, incumbent) -> np.ndarray:
-    """policy_improve of checked inputs: every state has an action."""
     bonus = values[model.post_of_target]
     rule = np.empty(model.n_states, dtype=np.intp)
+    top = np.empty(model.n_states)
     for rows in _row_blocks(model.n_states, bonus.size):
         candidates = model.rewards[rows] + bonus
         best = np.argmax(candidates, axis=1)  # first maximum = lowest target
+        at = model._row_starts[: best.size]
+        top[rows] = candidates.take(at + best)
         if incumbent is not None:
-            at, kept = model._row_starts[: best.size], incumbent[rows]
-            top, held = candidates.take(at + best), candidates.take(at + kept)
-            best = np.where(top > held + _IMPROVE_TOL, best, kept)
+            kept = incumbent[rows]
+            held = candidates.take(at + kept)
+            best = np.where(top[rows] > held + _IMPROVE_TOL, best, kept)
         rule[rows] = best
-    return rule
+    return rule, top
 
 
 def default_initial_rule(model: MdpModel) -> np.ndarray:
@@ -356,7 +338,7 @@ def policy_iteration(
         seen[key] = iteration
         gain, values = _evaluate(model, rule)
         gains.append(gain)
-        improved = _improve(model, values, rule)
+        improved, _ = _improve(model, values, rule)
         if np.array_equal(improved, rule):
             return PolicyIterationResult(
                 gain=gain,
@@ -378,15 +360,21 @@ def upper_bound(model: MdpModel, result: PolicyIterationResult) -> float:
     One Bellman update of the level values W bounds the optimal gain g*
     from both sides, min_j (TW - W)[j] <= g* <= max_j (TW - W)[j], for any
     W and without a unichain premise (Odoni 1969; Puterman 1994, sec. 8.5).
-    The gain is returned only when that whole span lies within 1e-12 of
-    it; otherwise MultichainSuspectedError is raised. It is a probability,
-    so a gain that rounds above 1 returns 1.
+    TW[j] is the channel-pmf average over level j's states of their largest
+    candidate reward + W[post], read off one improvement sweep. The gain is
+    returned only when that whole span lies within 1e-12 of it; otherwise
+    MultichainSuspectedError is raised. It is a probability, so a gain that
+    rounds above 1 returns 1.
     """
     model._check_rule(result.rule)
-    values = result.bias
-    greedy = policy_improve(model, values)
-    mean_reward, transitions = _level_chain(model, greedy)
-    update = mean_reward + transitions @ values - values
+    n_levels = model.grid.n_levels
+    values = np.asarray(result.bias, dtype=float)
+    if values.shape != (n_levels,):
+        raise ValueError(
+            f"need one value per battery level ({n_levels}), got shape {values.shape}"
+        )
+    _, top = _improve(model, values)
+    update = top.reshape(n_levels, -1) @ model.h_channel.pmf - values
     low, high = float(np.min(update)), float(np.max(update))
     if not high - _CERTIFICATE_TOL <= result.gain <= low + _CERTIFICATE_TOL:
         raise MultichainSuspectedError(

@@ -9,7 +9,8 @@ each state's mid-block level and decode-and-deliver test per splitting
 branch, the rewards with one column per (splitting branch, target level)
 pair that build_mdp folds to one column per target, the whole model in one
 pass with the delivery index fixed up by stepping, improvement as one
-argmax over every state, the dense evaluation on the full L*C-state
+argmax over every state, the bound's one Bellman update through the
+greedy rule's level chain, the dense evaluation on the full L*C-state
 (battery level, channel) chain, the exact recurrent-class count of a
 rule's chain from its strongly connected components, the best gain over
 every stationary deterministic rule by enumeration, the draining rule
@@ -337,7 +338,8 @@ def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
 
 
 def oracle_improve(model, values, incumbent=None):
-    """policy_improve as one argmax over the candidates of every state."""
+    """The improvement sweep's rule as one argmax over the candidates of
+    every state."""
     candidates = model.rewards + values[model.post_of_target]
     rule = np.argmax(candidates, axis=1)  # first maximum = lowest target
     if incumbent is not None:
@@ -347,6 +349,14 @@ def oracle_improve(model, values, incumbent=None):
         )
         rule = np.where(better, rule, incumbent)
     return rule
+
+
+def oracle_bellman_update(model, values):
+    """One Bellman update of the level values minus the values, TW - W,
+    through the greedy rule's level chain: its channel-averaged rewards
+    plus its level transitions applied to W."""
+    mean_reward, transitions = _level_chain(model, oracle_improve(model, values))
+    return mean_reward + transitions @ values - values
 
 
 def state_transition_matrix(model, rule):

@@ -24,7 +24,6 @@ from swipt_relay import (
     energy_after_harvest,
     heuristic_average_success,
     make_heuristic_policy,
-    policy_evaluate,
     policy_iteration,
     quantize_equiprobable_exponential,
     run_sweep,
@@ -32,10 +31,12 @@ from swipt_relay import (
     upper_bound,
 )
 from swipt_relay.cli import main as cli_main
+from swipt_relay.mdp import _evaluate, _improve
 from oracles import (
     can_succeed,
     kth_action_rule,
     model_actions,
+    oracle_bellman_update,
     oracle_gain_bruteforce,
     simulate_discrete,
     state_transition_matrix,
@@ -228,7 +229,7 @@ def test_closed_form_is_the_drain_rule_gain(channel200):
     for channel, power, battery, n_levels in cells:
         params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
         model = build_mdp(channel, channel, params, n_levels, exact_up=False)
-        gain, _ = policy_evaluate(model, default_initial_rule(model))
+        gain, _ = _evaluate(model, default_initial_rule(model))
         closed = heuristic_average_success(channel, channel, params)
         worst = max(worst, abs(gain - closed))
     report(
@@ -237,6 +238,28 @@ def test_closed_form_is_the_drain_rule_gain(channel200):
         f"{len(cells)} cells, worst gap {worst:.1e}",
     )
     assert worst <= 1e-14
+
+
+def test_certificate_reads_the_improvement_sweep(channel200):
+    # upper_bound averages the sweep's per-state largest candidates over
+    # each level; the greedy rule's level chain gives the same TW - W up to
+    # summation order, at the converged values and at the drain rule's
+    worst = 0.0
+    for power, battery, n_levels in A4_BOUNDS:
+        params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
+        model = build_mdp(channel200, channel200, params, n_levels)
+        drain_values = _evaluate(model, default_initial_rule(model))[1]
+        for values in (policy_iteration(model).bias, drain_values):
+            top = _improve(model, values)[1]
+            update = top.reshape(n_levels, -1) @ channel200.pmf - values
+            gap = np.max(np.abs(update - oracle_bellman_update(model, values)))
+            worst = max(worst, float(gap))
+    report(
+        "Certificate from the improvement sweep",
+        worst <= 1e-13,
+        f"{len(A4_BOUNDS)} cells, worst gap {worst:.1e}",
+    )
+    assert worst <= 1e-13
 
 
 A5_CELLS = (

@@ -109,6 +109,12 @@ class TestParseConfig:
         assert config.battery_sweep == (1.0, 2.0, 3.0)
         assert config.blocks == 1234
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # as some editors save UTF-8; the mark is not part of the first key
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffsource_power = 2\n", encoding="utf-8")
+        assert parse_config(str(path)).source_power == 2.0
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("voltage = 3\n", encoding="utf-8")

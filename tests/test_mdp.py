@@ -21,8 +21,6 @@ from swipt_relay import (
     energy_after_harvest,
     heuristic_average_success,
     max_ps_ratio,
-    policy_evaluate,
-    policy_improve,
     policy_iteration,
     quantize_equiprobable_exponential,
     upper_bound,
@@ -400,7 +398,7 @@ class TestBuildMdp:
         with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", block):
             model = build_mdp(*args)
             values = np.sin(np.arange(n_levels))
-            rule = policy_improve(model, values)
+            rule = mdp_module._improve(model, values)[0]
         assert np.array_equal(model.rewards, oracle_build_mdp(*args).rewards)
         assert np.array_equal(rule, oracle_improve(model, values))
 
@@ -537,7 +535,7 @@ class TestPolicyEvaluate:
     def test_constant_reward_chain(self, hand_model):
         layout = [[(0.37, 1)], [(0.37, 1)], [(0.37, 0)], [(0.37, 1)]]
         model = hand_model([0.3, 0.7], 2, layout)
-        gain, values = policy_evaluate(model, np.array([1, 1, 0, 1]))
+        gain, values = mdp_module._evaluate(model, np.array([1, 1, 0, 1]))
         assert gain == pytest.approx(0.37, abs=1e-12)
         assert np.max(np.abs(values)) <= 1e-12
 
@@ -548,7 +546,7 @@ class TestPolicyEvaluate:
         rewards = [0.1, 0.2, 0.55, 0.8]
         layout = [[(r, 1)] for r in rewards]
         model = hand_model(pmf, 2, layout)
-        gain, _ = policy_evaluate(model, np.ones(4, dtype=int))
+        gain, _ = mdp_module._evaluate(model, np.ones(4, dtype=int))
         expected = pmf[0] * rewards[2] + pmf[1] * rewards[3]
         assert gain == pytest.approx(expected, abs=1e-12)
 
@@ -563,7 +561,7 @@ class TestPolicyEvaluate:
     def test_residual_is_small(self, default_params, channel200):
         model = build_mdp(channel200, channel200, default_params, 5)
         rule = default_initial_rule(model)
-        gain, values = policy_evaluate(model, rule)
+        gain, values = mdp_module._evaluate(model, rule)
         assert values.shape == (5,)
         assert values[0] == 0.0
         # level equations gain + W = mean reward + expected successor W,
@@ -577,7 +575,7 @@ class TestPolicyEvaluate:
     def test_multichain_rule_is_detected(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         with pytest.raises(MultichainSuspectedError):
-            policy_evaluate(model, _two_loop_rule(model))
+            mdp_module._evaluate(model, _two_loop_rule(model))
 
     @pytest.mark.parametrize(
         "n_states, power, battery, n_levels, exact_up",
@@ -609,7 +607,7 @@ class TestPolicyEvaluate:
             rules.append(_two_loop_rule(model))
         for rule in rules:
             if recurrent_class_count(model, rule) == 1:
-                gain, values = policy_evaluate(model, rule)
+                gain, values = mdp_module._evaluate(model, rule)
                 oracle_gain, oracle_bias = dense_evaluate(model, rule)
                 level_bias = oracle_bias.reshape(n_levels, -1) @ channel.pmf
                 level_bias -= level_bias[0]
@@ -617,7 +615,7 @@ class TestPolicyEvaluate:
                 assert np.max(np.abs(values - level_bias)) <= 1e-10
             else:
                 with pytest.raises(MultichainSuspectedError):
-                    policy_evaluate(model, rule)
+                    mdp_module._evaluate(model, rule)
                 with pytest.raises(MultichainSuspectedError):
                     dense_evaluate(model, rule)
 
@@ -656,8 +654,11 @@ class TestPolicyImprove:
         if with_incumbent:
             incumbent = np.array([rng.choice(c) for c in action_columns(model)])
         with mock.patch.object(mdp_module, "_BLOCK_ENTRIES", block):
-            rule = policy_improve(model, values, incumbent)
+            rule, top = mdp_module._improve(model, values, incumbent)
         assert np.array_equal(rule, oracle_improve(model, values, incumbent))
+        # the largest candidate, whichever target the rule keeps
+        candidates = model.rewards + values[model.post_of_target]
+        assert np.array_equal(top, candidates.max(axis=1))
 
     def test_zero_bias_is_myopic(self, hand_model):
         # the largest reward wins on either branch of its target
@@ -668,41 +669,54 @@ class TestPolicyImprove:
             [(0.1, 1), (0.2, 0), (0.6, 0)],
         ]
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = policy_improve(model, np.zeros(2))
+        rule = mdp_module._improve(model, np.zeros(2))[0]
         assert rule.tolist() == [1, 0, 1, 0]  # the largest reward's target
 
     def test_tie_prefers_smallest_index(self, hand_model):
         layout = [[(0.4, 0), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
-        rule = policy_improve(model, np.zeros(2))
+        rule = mdp_module._improve(model, np.zeros(2))[0]
         assert rule.tolist() == [0, 0, 0, 0]  # target 0, not target 1
 
     def test_tie_keeps_incumbent(self, hand_model):
         layout = [[(0.4, 0), (0.4, 1)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
         incumbent = np.array([1, 0, 1, 0])
-        rule = policy_improve(model, np.zeros(2), incumbent=incumbent)
+        rule = mdp_module._improve(model, np.zeros(2), incumbent)[0]
         assert rule.tolist() == incumbent.tolist()
 
     def test_optimal_rule_is_fixed_point(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         result = policy_iteration(model)
         assert result.bias.shape == (3,)
-        again = policy_improve(model, result.bias, incumbent=result.rule)
+        again = mdp_module._improve(model, result.bias, result.rule)[0]
         assert np.array_equal(again, result.rule)
 
     def test_rejects_per_state_values(self, hand_model):
         layout = [[(0.4, 1), (0.2, 0)]] * 4
         model = hand_model([0.5, 0.5], 2, layout)
+        result = PolicyIterationResult(
+            gain=0.4,
+            bias=np.zeros(4),
+            rule=np.ones(4, dtype=int),
+            iterations=1,
+            gain_history=(0.4,),
+        )
         with pytest.raises(ValueError, match="one value per battery level"):
-            policy_improve(model, np.zeros(4))
+            upper_bound(model, result)
 
 
 # Every public entry point that takes a rule, called with one.
 _RULE_USERS = {
-    "policy_evaluate": lambda model, rule: policy_evaluate(model, rule),
-    "policy_improve": lambda model, rule: policy_improve(
-        model, np.zeros(model.grid.n_levels), incumbent=rule
+    "upper_bound": lambda model, rule: upper_bound(
+        model,
+        PolicyIterationResult(
+            gain=0.0,
+            bias=np.zeros(model.grid.n_levels),
+            rule=rule,
+            iterations=1,
+            gain_history=(0.0,),
+        ),
     ),
     "simulate_discrete": lambda model, rule: simulate_discrete(
         model, rule, SimulationConfig(blocks=10, seed=1)
@@ -740,10 +754,9 @@ class TestRuleValidation:
     def test_accepts_any_integer_dtype(self, default_params, dtype):
         channel = quantize_equiprobable_exponential(20)
         model = build_mdp(channel, channel, default_params, 5)
-        rule = policy_iteration(model).rule
-        gain, values = policy_evaluate(model, rule)
-        narrow_gain, narrow_values = policy_evaluate(model, rule.astype(dtype))
-        assert narrow_gain == gain and np.array_equal(narrow_values, values)
+        result = policy_iteration(model)
+        narrow = dataclasses.replace(result, rule=result.rule.astype(dtype))
+        assert upper_bound(model, narrow) == upper_bound(model, result)
 
 
 class TestPolicyIteration:
@@ -987,7 +1000,7 @@ class TestBruteForceOracle:
         layout = [[(0.2, 1)], [(0.8, 1)], [(0.3, 1)], [(0.6, 0)]]
         model = hand_model([0.4, 0.6], 2, layout)
         rule = np.array([1, 1, 1, 0])
-        gain, _ = policy_evaluate(model, rule)
+        gain, _ = mdp_module._evaluate(model, rule)
         assert oracle_gain_bruteforce(model) == pytest.approx(gain, abs=1e-9)
 
     def test_single_recurrent_state_takes_max_reward(self, hand_model):

@@ -26,7 +26,6 @@ from swipt_relay import (
     heuristic_average_success,
     make_heuristic_policy,
     max_ps_ratio,
-    policy_evaluate,
     policy_iteration,
     quantize_equiprobable_exponential,
     sample_channel,
@@ -34,6 +33,7 @@ from swipt_relay import (
     SystemParams,
 )
 import swipt_relay.simulate as simulate_module
+from swipt_relay.mdp import _evaluate
 from swipt_relay.simulate import RESULT_CSV_HEADER
 
 
@@ -851,7 +851,7 @@ class TestSimulateDiscrete:
         single = channel_from_table([1.0], [1.0])
         model = build_mdp(single, single, default_params, 2)
         rule = default_initial_rule(model)
-        gain, _ = policy_evaluate(model, rule)
+        gain, _ = _evaluate(model, rule)
         sim = simulate_discrete(model, rule, SimulationConfig(blocks=1000, seed=3))
         # one channel state: after the first block the chain is constant
         assert abs(sim.mean - gain) <= 1.0 / 1000 + 1e-12
