@@ -905,6 +905,35 @@ class TestUpperBound:
             upper_bound(model, fake)
 
     @pytest.mark.parametrize(
+        "bias",
+        [np.zeros(1), np.zeros(3), np.zeros((2, 1)), np.float64(0.0)],
+        ids=["short", "long", "column", "scalar"],
+    )
+    def test_rejects_a_bias_that_is_not_one_value_per_level(self, hand_model, bias):
+        # the bias is outside data here; _improve no longer checks it
+        layout = [[(0.4, 1), (0.2, 0)]] * 4
+        model = hand_model([0.5, 0.5], 2, layout)
+        result = PolicyIterationResult(
+            gain=0.4,
+            bias=bias,
+            rule=np.ones(4, dtype=int),
+            iterations=1,
+            gain_history=(0.4,),
+        )
+        with pytest.raises(ValueError, match=r"one value per battery level \(2\)"):
+            upper_bound(model, result)
+
+    def test_solver_steps_are_not_exported(self):
+        # _evaluate and _improve are the only evaluation and improvement
+        # steps; policy_iteration and upper_bound are the checked entry points
+        import swipt_relay
+
+        for name in ("policy_evaluate", "policy_improve"):
+            assert name not in mdp_module.__all__
+            assert not hasattr(mdp_module, name)
+            assert not hasattr(swipt_relay, name)
+
+    @pytest.mark.parametrize(
         "perturb",
         [
             lambda gain, values: (gain + 1e-9, values),
