@@ -8,24 +8,21 @@ bit-identical traces.
 import functools
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import FiniteChannel
-from .relay import SystemParams, _first_delivering, apply_action
+from .relay import SystemParams, _delivery_table, apply_action
 
 __all__ = [
-    "GENERATOR_NAME",
     "RESULT_CSV_HEADER",
     "SimulationConfig",
     "SimulationResult",
     "sample_channel",
     "simulate_original",
 ]
-
-# numpy's PCG64 bit generator: seedable, documented, period 2^128.
-GENERATOR_NAME = "pcg64"
 
 RESULT_CSV_HEADER = "seed,M,mean,stderr"
 
@@ -67,7 +64,6 @@ class SimulationResult:
     stderr: float
     blocks: int
     seed: int
-    generator: str = GENERATOR_NAME
     trace: np.ndarray | None = None
 
     def csv_row(self) -> str:
@@ -155,8 +151,10 @@ def simulate_original(
     The run is walked and scored in slices of _SLICE_BLOCKS blocks, so
     only the optional trace grows with it. A block succeeds when its
     relay-destination uniform reaches its cut: the g cdf entry below the
-    first gain its forwarded energy delivers through, or for a repeat the
-    cut carried for its index. The source-relay uniforms continue
+    first gain its forwarded energy delivers through, found when the block
+    is played. A play that keeps the battery where it is carries its cut
+    for its index, and the blocks a scan skipped take the carried cuts in
+    one step when the scan ends. The source-relay uniforms continue
     default_rng(seed); the relay-destination ones come from the same
     seed's stream advanced by `blocks`: the draws that follow all the
     source-relay ones, as when one generator draws both in turn.
@@ -169,11 +167,15 @@ def simulate_original(
     blocks, count = config.blocks, h_channel.count
     rng = np.random.default_rng(config.seed)
     g_rng = np.random.Generator(np.random.PCG64(config.seed).advance(blocks))
-    cut = np.concatenate(([-np.inf], _sampler_tables(g_channel)[0], [np.inf]))
+    # a play forwarding u (0.0 if the relay did not decode) delivers through
+    # the k = bisect_right(delivery, u) largest gains, so its block succeeds
+    # when its g uniform reaches by_rank[k], the g cdf entry below them
+    delivery = _delivery_table(g_channel, params.delivery_threshold).tolist()
+    by_rank = [np.inf, *_sampler_tables(g_channel)[0][::-1].tolist(), -np.inf]
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
     # steady: the indices whose play kept the battery at this energy; their
-    # later blocks repeat that play, whose cut is carried[i] once scored
+    # later blocks repeat that play, whose cut is carried[i]
     steady, carried, wins = set(), np.empty(count), 0
     # a batched segment began at block `start` of the slice: its next window
     # scans from `end`; `window` holds scanned blocks to check, last first;
@@ -183,22 +185,15 @@ def simulate_original(
     for offset in range(0, blocks, _SLICE_BLOCKS):
         size = min(_SLICE_BLOCKS, blocks - offset)
         h_idx = sample_channel(h_channel, rng, size)
+        h_ints = memoryview(h_idx)  # reads ints faster than h_idx.item
         g_uniforms = g_rng.random(size)
-        block_cut = np.empty(size)  # each block's cut, written once
-        # the plays not yet scored: the energy each forwards (0 where the relay
-        # did not decode), of blocks fresh, fresh + 1, ... played one by one
-        # (steady from block `settled` on), then of the segment's indices `kept`
-        spent, kept, fresh, settled, m = [], [], 0, 0, 0
+        block_cut = np.empty(size)  # each block's cut
+        m = 0
         if start is not None:  # the segment goes on from the slice's start
             start, end, window = 0, 0, []
-        h_list = []  # channel indices as ints, converted as far as the walk gets
         while m < size:
             if start is None:
-                try:
-                    i = h_list[m]
-                except IndexError:
-                    h_list += h_idx[len(h_list) : m + 4096].tolist()
-                    i = h_list[m]
+                i = h_ints[m]
                 if i in steady:
                     start, end, width, window = m, m, 16, []
                     known = np.bincount(list(steady), minlength=count) > 0
@@ -226,30 +221,22 @@ def simulate_original(
                     f"u={transmit_energy}) in state (energy={energy}, "
                     f"gain={gain}): {exc}"
                 ) from None
+            cut = by_rank[bisect_right(delivery, transmit_energy if decoded else 0.0)]
+            block_cut[m] = cut
             if residual == energy:
                 steady.add(i)
+                carried[i] = cut
                 if start is not None:
                     known[i] = True
-                    kept.append(i)
             else:
                 if start is not None:  # the segment ends on this play
-                    cuts = cut[_first_delivering(np.array(spent), g_channel, params)]
-                    block_cut[fresh:start] = cuts[: start - fresh]
-                    carried[h_idx[settled:start]] = block_cut[settled:start]
-                    carried[kept] = cuts[start - fresh :]
                     block_cut[start:m] = carried[h_idx[start:m]]
-                    start, fresh, spent, kept = None, m, [], []
-                energy, settled = residual, m + 1
+                    start = None
+                energy = residual
                 steady.clear()
-            spent.append(transmit_energy if decoded else 0.0)
             m += 1
-        # the same at the slice's end (inline: a closure slows the walk's locals)
-        stop = size if start is None else start
-        cuts = cut[_first_delivering(np.array(spent), g_channel, params)]
-        block_cut[fresh:stop] = cuts[: stop - fresh]
-        carried[h_idx[settled:stop]] = block_cut[settled:stop]
-        carried[kept] = cuts[stop - fresh :]
-        block_cut[stop:] = carried[h_idx[stop:]]
+        if start is not None:  # the segment runs to the slice's end
+            block_cut[start:] = carried[h_idx[start:]]
         success = g_uniforms >= block_cut
         wins += int(np.count_nonzero(success))
         if trace is not None:

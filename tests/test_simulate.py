@@ -34,6 +34,7 @@ from swipt_relay import (
 )
 import swipt_relay.simulate as simulate_module
 from swipt_relay.mdp import _evaluate
+from swipt_relay.relay import _delivery_table
 from swipt_relay.simulate import RESULT_CSV_HEADER
 
 
@@ -109,6 +110,38 @@ def _segment_crosses(states, edge):
         last += 1
     gains = [gain for _, gain in states[first:edge]]
     return len(set(gains)) < len(gains) and last + 1 < len(states)
+
+
+def _transmit_the_threshold(g_channel, params):
+    """Transmit exactly the delivery threshold, which over a unit gain
+    reaches it exactly and over a gain of 0.5 falls short."""
+    needed = params.delivery_threshold
+    return lambda energy, gain: (max_ps_ratio(gain, params), needed)
+
+
+def _transmit_delivery_entries(g_channel, params):
+    """Split at the largest decodable ratio (1 when none decodes) and
+    transmit a delivery-table entry, the least energy that delivers through
+    its gain, or the double just below or above it, picked by the channel
+    index; transmit nothing where that exceeds the mid-block level."""
+    entries = _delivery_table(g_channel, params.delivery_threshold)
+    choices = [
+        entries.tolist(),
+        np.nextafter(entries, 0.0).tolist(),
+        np.nextafter(entries, np.inf).tolist(),
+    ]
+    index = {gain: i for i, gain in enumerate(g_channel.gains.tolist())}
+
+    def policy(energy, gain):
+        i = index[gain]
+        transmit_energy = choices[i % 3][7 * i % len(entries)]
+        cap = max_ps_ratio(gain, params)
+        ratio = 1.0 if cap is None else cap
+        if transmit_energy > energy_after_harvest(energy, gain, ratio, params):
+            return ratio, 0.0
+        return ratio, transmit_energy
+
+    return policy
 
 
 POLICIES = {
@@ -336,7 +369,6 @@ class TestSimulateOriginal:
         )
         assert a.mean == b.mean and a.stderr == b.stderr
         assert np.array_equal(a.trace, b.trace)
-        assert a.generator == "pcg64"
 
     def test_heuristic_start_state_invariance(self, channel2, default_params):
         # the draining rule resets the battery every block, so only the
@@ -440,8 +472,8 @@ class TestSimulateOriginal:
         self, channel200, default_params, policy_name, blocks
     ):
         # the heuristic repeats played blocks from early on; half_drain plays
-        # every block, each with a policy call and a spent energy. A run
-        # that kept a value per block would need 9-33 MB here.
+        # every block, each with a policy call and a cut. A run that kept a
+        # value per block would need 9-33 MB here.
         policy = POLICIES[policy_name](channel200, default_params)
         short = SimulationConfig(blocks=10, seed=2)  # builds the cached tables
         simulate_original(policy, channel200, channel200, default_params, short)
@@ -545,6 +577,44 @@ class TestSimulateOriginalMatchesOracle:
         if hard_grid and blocks > SLICE + 1:
             assert _segment_crosses(states, SLICE)
 
+    @pytest.mark.parametrize("blocks", [3000, SLICE - 1, SLICE + 1, 2 * SLICE + 7])
+    @pytest.mark.parametrize("start", START_ENERGIES)
+    @pytest.mark.parametrize("params_name", ["default_params", "hard_tiny_params"])
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_policy_is_asked_once_per_gain_while_the_energy_stays(
+        self, request, channel200, policy_name, params_name, start, blocks
+    ):
+        params = request.getfixturevalue(params_name)
+        chosen = POLICIES[policy_name](channel200, params)
+        asked = {"oracle": [], "simulator": []}
+
+        def recorded(name):
+            def policy(energy, gain):
+                asked[name].append((energy, gain))
+                return chosen(energy, gain)
+
+            return policy
+
+        config = SimulationConfig(
+            blocks=blocks, seed=3, initial_energy=_start_energy(start, params)
+        )
+        oracle_simulate_original(
+            recorded("oracle"), channel200, channel200, params, config
+        )
+        simulate_original(
+            recorded("simulator"), channel200, channel200, params, config
+        )
+        # the oracle asks every block; within each stay at one energy only
+        # the first block of each gain is asked for
+        firsts, stay = [], set()
+        for energy, gain in asked["oracle"]:
+            if firsts and energy != firsts[-1][0]:
+                stay.clear()
+            if gain not in stay:
+                stay.add(gain)
+                firsts.append((energy, gain))
+        assert asked["simulator"] == firsts
+
     def test_heuristic_long_run_from_full_is_bit_identical(
         self, channel200, default_params
     ):
@@ -568,8 +638,8 @@ class TestSimulateOriginalMatchesOracle:
     def test_walk_through_many_blocks_is_bit_identical(
         self, channel200, default_params
     ):
-        # the battery never empties, so the walk plays every block, past
-        # each 4,096-block step in which its channel indices become ints
+        # the battery never empties, so the walk plays and scores every
+        # block, past the slices' edge at block SLICE
         policy = _half_drain(channel200, default_params)
         config = SimulationConfig(blocks=9000, seed=21)
         got = simulate_original(
@@ -724,24 +794,56 @@ class TestSimulateOriginalMatchesOracle:
             repr(traced.mean), repr(traced.stderr)
         )
 
-    def test_delivery_exactly_at_the_threshold_succeeds(self, default_params):
-        # a transmit energy of exactly the threshold over a unit gain
-        # reaches it exactly; over gain 0.5 it falls short
-        channel = channel_from_table([0.5, 1.0], [0.5, 0.5])
-        needed = default_params.delivery_threshold
+    @pytest.mark.parametrize(
+        "make_channel, make_policy, blocks, kinds_played",
+        [
+            (
+                lambda: channel_from_table([0.5, 1.0], [0.5, 0.5]),
+                _transmit_the_threshold,
+                2000,
+                {"exact"},
+            ),
+            (
+                functools.partial(quantize_equiprobable_exponential, 200),
+                _transmit_delivery_entries,
+                20_000,
+                {"exact", "below", "above"},
+            ),
+        ],
+        ids=["two_gains", "channel200_delivery_table"],
+    )
+    def test_delivery_exactly_at_the_threshold_succeeds(
+        self, default_params, make_channel, make_policy, blocks, kinds_played
+    ):
+        channel = make_channel()
+        chosen = make_policy(channel, default_params)
+        entries = _delivery_table(channel, default_params.delivery_threshold)
+        near = {
+            "exact": entries,
+            "below": np.nextafter(entries, 0.0),
+            "above": np.nextafter(entries, np.inf),
+        }
+        kinds = set()
 
         def policy(energy, gain):
-            return max_ps_ratio(gain, default_params), needed
+            ps_ratio, transmit_energy = chosen(energy, gain)
+            kinds.update(
+                kind for kind, values in near.items() if transmit_energy in values
+            )
+            return ps_ratio, transmit_energy
 
-        config = SimulationConfig(blocks=2000, seed=8)
+        config = SimulationConfig(blocks=blocks, seed=8)
         got = simulate_original(
             policy, channel, channel, default_params, config, keep_trace=True
         )
         want = oracle_simulate_original(
             policy, channel, channel, default_params, config, keep_trace=True
         )
+        assert kinds_played <= kinds
         assert 0.0 < got.mean < 1.0
-        assert got.mean == want.mean
+        assert (repr(got.mean), repr(got.stderr)) == (
+            repr(want.mean), repr(want.stderr)
+        )
         assert got.trace.tobytes() == want.trace.tobytes()
 
     def test_rejection_names_the_first_block_of_its_channel_index(
