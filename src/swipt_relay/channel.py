@@ -88,10 +88,6 @@ class FiniteChannel:
         tail.flags.writeable = False
         return tail
 
-    def mean_gain(self) -> float:
-        """Expected power gain under the pmf."""
-        return float(self.gains @ self.pmf)
-
 
 def channel_from_table(gains, pmf) -> FiniteChannel:
     """Validated channel from explicit gain and probability tables.

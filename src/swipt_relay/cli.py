@@ -218,11 +218,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{row.error}",
                 file=sys.stderr,
             )
-    try:
-        for line in report_gains(rows):
-            print(line)
-    except ValueError:
-        pass  # fewer than two successful sweep points: nothing to report
+    for line in report_gains(rows):
+        print(line)
     return 0 if all(row.status == "ok" for row in rows) else 1
 
 

@@ -240,10 +240,11 @@ def report_gains(rows: list[SweepRow]) -> list[str]:
     """The lines `swipt-relay sweep` prints: the bound's percentage gain
     between consecutive sweep points per grid resolution, then the
     per-row heuristic-to-bound gap 100 (P_bound - P_heuristic) /
-    P_heuristic. Failed rows are skipped."""
+    P_heuristic. Failed rows are skipped, and below two successful sweep
+    points there is nothing to report."""
     ok_rows = [r for r in rows if r.status == "ok"]
     if len({r.sweep_value for r in ok_rows}) < 2:
-        raise ValueError("gain reporting needs at least two sweep points")
+        return []
     lines = []
     for n_levels in sorted({r.n_levels for r in ok_rows}):
         track = [r for r in ok_rows if r.n_levels == n_levels]

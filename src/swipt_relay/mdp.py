@@ -81,16 +81,6 @@ class BatteryGrid:
         levels.flags.writeable = False
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def spacing(self) -> float:
-        return self.capacity / (self.n_levels - 1)
-
-
-def _round_up(energy, grid: BatteryGrid, exact_up: bool):
-    side = "right" if exact_up else "left"
-    index = np.searchsorted(grid.levels, energy, side=side)
-    return np.minimum(index, grid.n_levels - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class MdpModel:
@@ -103,8 +93,9 @@ class MdpModel:
     spending from state s's decoding level down to level k: 0.0 where only
     full harvesting reaches k, and -inf where nothing does. A read-only
     float array is kept uncopied, so its owner must not change it. A rule
-    is one target level per state. Every action at level k leaves the
-    battery at post_of_target[k] after the top-up: the next state is that
+    is one target level per state. Every action spends exactly down to its
+    target level k, so the top-up leaves the battery at post_of_target[k] =
+    min(k + 1, L - 1), or at k without exact_up: the next state is that
     level with a fresh channel draw.
     """
 
@@ -133,9 +124,10 @@ class MdpModel:
             raise ValueError("rewards must be finite or -inf")
         if not np.all(best > -np.inf):
             raise ValueError("every state needs at least one action")
+        posts = np.minimum(np.arange(n_levels) + bool(self.exact_up), n_levels - 1)
         for name, value in (
             ("rewards", rewards),
-            ("post_of_target", _round_up(self.grid.levels, self.grid, self.exact_up)),
+            ("post_of_target", posts),
             ("_row_starts", np.arange(self.n_states) * n_levels),
             ("_edge_starts", np.repeat(np.arange(n_levels) * n_levels, count)),
             ("_state_pmf", np.tile(self.h_channel.pmf, n_levels)),
@@ -167,10 +159,6 @@ class MdpModel:
         public solvers validate a rule once before using it)."""
         return self.rewards.take(self._row_starts + rule)
 
-    def post_levels(self, rule: np.ndarray) -> np.ndarray:
-        """Per-state post-top-up level of the rule's target levels."""
-        return self.post_of_target[rule]
-
 
 def build_mdp(
     h_channel: FiniteChannel,
@@ -194,7 +182,9 @@ def build_mdp(
     inside [level i, level i+1), is topped up to level i+1; with exact_up
     (the literal reading, and the default) one exactly on a grid level is
     also driven one level higher, except at full capacity, which stays put.
-    exact_up=False keeps exact grid hits in place, for sensitivity checks.
+    Every action lands exactly on its target k, so its post-top-up level is
+    min(k + 1, L - 1). exact_up=False keeps exact grid hits in place, at k,
+    for sensitivity checks.
     """
     grid = BatteryGrid(n_levels, params.battery_capacity)
     full, decoding = _split_table(grid.levels, h_channel, params)
@@ -227,7 +217,7 @@ def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndar
     rule, and the rule's level-to-level transition matrix."""
     n_levels = model.grid.n_levels
     mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ model.h_channel.pmf
-    edges = model._edge_starts + model.post_levels(rule)
+    edges = model._edge_starts + model.post_of_target[rule]
     transitions = np.bincount(edges, model._state_pmf, minlength=n_levels * n_levels)
     return mean_reward, transitions.reshape(n_levels, n_levels)
 

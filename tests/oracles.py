@@ -9,11 +9,13 @@ each state's mid-block level and decode-and-deliver test per splitting
 branch, the rewards with one column per (splitting branch, target level)
 pair that build_mdp folds to one column per target, the whole model in one
 pass with the delivery index fixed up by stepping, improvement as one
-argmax over every state, the bound's one Bellman update through the
-greedy rule's level chain, the dense evaluation on the full L*C-state
-(battery level, channel) chain, the exact recurrent-class count of a
-rule's chain from its strongly connected components, the best gain over
-every stationary deterministic rule by enumeration, the draining rule
+argmax over every state, a rule's level chain accrued state by state
+with each target's top-up level from round_up_level, the bound's one
+Bellman update through the greedy rule's level chain, the dense
+evaluation on the full L*C-state (battery level, channel) chain, the
+exact recurrent-class count of a rule's chain from its strongly
+connected components, the best gain over every stationary deterministic
+rule by enumeration, the draining rule
 through can_succeed, the heuristic's closed form as a running total over
 scalar blocks, the channel sampler as one binary search per uniform and
 its guide table as two searches over the bucket edges, the
@@ -49,7 +51,7 @@ from swipt_relay import (
     max_ps_ratio,
     sample_channel,
 )
-from swipt_relay.mdp import _IMPROVE_TOL, _level_chain, _round_up, _row_blocks
+from swipt_relay.mdp import _IMPROVE_TOL, _row_blocks
 from swipt_relay.relay import _first_delivering, _received_power
 from swipt_relay.simulate import _mean_stderr
 
@@ -124,7 +126,32 @@ def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> i
         raise ValueError(
             f"energy must lie in [0, {grid.capacity}], got {energy}"
         )
-    return int(_round_up(energy, grid, exact_up))
+    index = np.searchsorted(grid.levels, energy, side="right" if exact_up else "left")
+    return int(min(index, grid.n_levels - 1))
+
+
+def oracle_post_levels(model):
+    """Per target level, the level round_up_level tops an exact landing on
+    it up to."""
+    grid = model.grid
+    return [round_up_level(float(level), grid, model.exact_up) for level in grid.levels]
+
+
+def oracle_level_chain(model, rule, posts):
+    """Channel-pmf averaged reward of each battery level under a rule, and
+    the rule's level-to-level transition matrix, accrued state by state:
+    state (level j, channel i) adds pmf[i] times its reward to level j's
+    and pmf[i] to the transition from j to posts[target], its target's
+    post-top-up level."""
+    n_levels = model.grid.n_levels
+    pmf = model.h_channel.pmf
+    mean_reward = np.zeros(n_levels)
+    transitions = np.zeros((n_levels, n_levels))
+    for s, target in enumerate(rule):
+        level, channel = divmod(s, pmf.size)
+        mean_reward[level] += pmf[channel] * model.rewards[s, target]
+        transitions[level, posts[target]] += pmf[channel]
+    return mean_reward, transitions
 
 
 class ReducedAction(NamedTuple):
@@ -340,7 +367,7 @@ def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
 def oracle_improve(model, values, incumbent=None):
     """The improvement sweep's rule as one argmax over the candidates of
     every state."""
-    candidates = model.rewards + values[model.post_of_target]
+    candidates = model.rewards + values[oracle_post_levels(model)]
     rule = np.argmax(candidates, axis=1)  # first maximum = lowest target
     if incumbent is not None:
         states = np.arange(model.n_states)
@@ -355,7 +382,9 @@ def oracle_bellman_update(model, values):
     """One Bellman update of the level values minus the values, TW - W,
     through the greedy rule's level chain: its channel-averaged rewards
     plus its level transitions applied to W."""
-    mean_reward, transitions = _level_chain(model, oracle_improve(model, values))
+    mean_reward, transitions = oracle_level_chain(
+        model, oracle_improve(model, values), oracle_post_levels(model)
+    )
     return mean_reward + transitions @ values - values
 
 
@@ -364,7 +393,7 @@ def state_transition_matrix(model, rule):
     in the block of columns of its post-top-up level."""
     pmf = model.h_channel.pmf
     matrix = np.zeros((model.n_states, model.n_states))
-    for s, post in enumerate(model.post_levels(rule)):
+    for s, post in enumerate(model.post_of_target[rule]):
         matrix[s, post * pmf.size : (post + 1) * pmf.size] = pmf
     return matrix
 
@@ -398,7 +427,7 @@ def recurrent_class_count(model, rule):
     its strongly-connected-component condensation."""
     n = model.n_states
     n_channels = model.h_channel.count
-    posts = model.post_levels(rule)
+    posts = model.post_of_target[rule]
     rows = np.repeat(np.arange(n), n_channels)
     cols = (posts[:, None] * n_channels + np.arange(n_channels)).ravel()
     graph = scipy.sparse.coo_matrix(
@@ -439,9 +468,10 @@ def oracle_gain_bruteforce(
             f"enumeration budget of {max_rules}"
         )
     identity = np.eye(model.grid.n_levels)
+    posts = oracle_post_levels(model)
     best = -np.inf
     for combo in itertools.product(*columns):
-        mean_reward, transitions = _level_chain(model, np.array(combo, dtype=np.intp))
+        mean_reward, transitions = oracle_level_chain(model, combo, posts)
         lazy = 0.5 * (identity + transitions)
         for _ in range(max_doublings):
             squared = lazy @ lazy
@@ -547,7 +577,7 @@ def oracle_simulate_discrete(model, rule, config, *, keep_trace=False):
     n_levels = grid.n_levels
     n_channels = model.h_channel.count
     reward_table = model.reward_vector(rule).reshape(n_levels, n_channels)
-    post_table = model.post_levels(rule).reshape(n_levels, n_channels)
+    post_table = model.post_of_target[rule].reshape(n_levels, n_channels)
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = oracle_sample_channel(model.h_channel, rng, blocks)
@@ -593,7 +623,7 @@ def simulate_discrete(
     n_levels = grid.n_levels
     n_channels = model.h_channel.count
     rewards = model.reward_vector(rule).reshape(n_levels, n_channels).tolist()
-    posts = model.post_levels(rule).reshape(n_levels, n_channels).tolist()
+    posts = model.post_of_target[rule].reshape(n_levels, n_channels).tolist()
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = sample_channel(model.h_channel, rng, blocks)

@@ -69,7 +69,7 @@ def test_a1_quantizer_exactness():
     channel = quantize_equiprobable_exponential(200)
     elapsed = time.perf_counter() - start
     pmf_dev = float(np.max(np.abs(channel.pmf - 1.0 / 200)))
-    mean_dev = abs(channel.mean_gain() - 1.0)
+    mean_dev = abs(float(channel.gains @ channel.pmf) - 1.0)
     passed = pmf_dev <= 1e-12 and mean_dev <= 1e-9 and elapsed < 0.1
     report(
         "A1 quantizer exactness",

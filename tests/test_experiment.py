@@ -325,9 +325,8 @@ class TestReportGains:
         rows = [make_row(4.0, 5, 0.1, 0.0), make_row(10.0, 5, 0.1, 0.25)]
         assert report_gains(rows)[0] == "bound gain (n_levels=5) 4 -> 10: undefined"
 
-    def test_needs_two_sweep_points(self):
-        with pytest.raises(ValueError):
-            report_gains([make_row(4.0, 5, 0.1, 0.2)])
+    def test_reports_nothing_below_two_sweep_points(self):
+        assert report_gains([make_row(4.0, 5, 0.1, 0.2)]) == []
 
     def test_failed_rows_are_skipped(self):
         rows = [

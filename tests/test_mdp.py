@@ -70,8 +70,7 @@ class TestBatteryGrid:
         grid = BatteryGrid(5, 8.0)
         assert grid.levels[0] == 0.0
         assert grid.levels[-1] == 8.0
-        assert np.allclose(np.diff(grid.levels), grid.spacing)
-        assert grid.spacing == 2.0
+        assert np.array_equal(np.diff(grid.levels), [2.0, 2.0, 2.0, 2.0])
 
     def test_rejects_single_level(self):
         with pytest.raises(ValueError):
@@ -133,7 +132,28 @@ class TestRoundUpLevel:
         if energy < grid.capacity:
             # the chosen level is the nearest one strictly above
             assert grid.levels[level] > energy
-            assert grid.levels[level] - energy <= grid.spacing
+            assert grid.levels[level] - energy <= grid.capacity / (n_levels - 1)
+
+    @pytest.mark.parametrize("exact_up", [True, False])
+    @pytest.mark.parametrize("capacity", [2e-15, 1.0, 10.0, 1e308])
+    @pytest.mark.parametrize("n_levels", [2, 3, 5, 9, 33, 129])
+    def test_model_posts_are_the_top_up_of_each_target(
+        self, channel2, default_params, n_levels, capacity, exact_up
+    ):
+        grid = BatteryGrid(n_levels, capacity)
+        model = MdpModel(
+            grid=grid,
+            h_channel=channel2,
+            g_channel=channel2,
+            params=default_params,
+            rewards=np.zeros((n_levels * channel2.count, n_levels)),
+            exact_up=exact_up,
+        )
+        posts = model.post_of_target
+        assert posts.dtype == np.intp
+        assert not posts.flags.writeable
+        for k, level in enumerate(grid.levels):
+            assert posts[k] == round_up_level(float(level), grid, exact_up)
 
 
 class TestEnumerateActions:
@@ -443,7 +463,7 @@ class TestBuildMdp:
         f = channel2.pmf
         for k in range(model.rewards.shape[1]):
             rule = kth_action_rule(model, k)
-            posts = model.post_levels(rule)
+            posts = model.post_of_target[rule]
             matrix = state_transition_matrix(model, rule)
             for s, post in enumerate(posts):
                 row = matrix[s]
@@ -568,7 +588,7 @@ class TestPolicyEvaluate:
         # with both averages taken over the channel pmf directly
         pmf = channel200.pmf
         rewards = model.reward_vector(rule).reshape(5, -1) @ pmf
-        successor = values[model.post_levels(rule)].reshape(5, -1) @ pmf
+        successor = values[model.post_of_target[rule]].reshape(5, -1) @ pmf
         residual = np.max(np.abs(rewards + successor - gain - values))
         assert residual <= 1e-9
 
