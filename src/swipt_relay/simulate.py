@@ -142,19 +142,22 @@ def simulate_original(
     it and decides whether the relay decodes), scores a Bernoulli success
     when the relay decodes and the destination SNR reaches the threshold,
     and advances the battery. Each (energy, channel index) is played once
-    while the battery stays at that energy and reused after, so a policy
-    that keeps state between calls is not supported. From the first
-    repeat at an energy, the blocks ahead are scanned in doubling windows
-    and only those with an index new there are played. A rejected action
+    while the battery stays at that energy and repeated after, so a policy
+    that keeps state between calls is not supported. A rejected action
     raises its error with the block and the state named.
 
     The run is walked and scored in slices of _SLICE_BLOCKS blocks, so
-    only the optional trace grows with it. A block succeeds when its
-    relay-destination uniform reaches its cut: the g cdf entry below the
-    first gain its forwarded energy delivers through, found when the block
-    is played. A play that keeps the battery where it is carries its cut
-    for its index, and the blocks a scan skipped take the carried cuts in
-    one step when the scan ends. The source-relay uniforms continue
+    only the optional trace grows with it. The walk steps through the
+    blocks one by one and skips a block whose index repeats a play of the
+    stay; once every index has kept the battery where it is, no block is
+    played again and the stay lasts to the end of the run. So a long stay
+    that never plays every index still costs a Python step per block. A
+    block succeeds when its relay-destination uniform reaches its cut: the
+    g cdf entry below the first gain its forwarded energy delivers
+    through, found when the block is played. A play that keeps the
+    battery where it is carries its cut for its index, and the stay's
+    skipped blocks take the carried cuts in one step when a play moves
+    the battery or the slice ends. The source-relay uniforms continue
     default_rng(seed); the relay-destination ones come from the same
     seed's stream advanced by `blocks`: the draws that follow all the
     source-relay ones, as when one generator draws both in turn.
@@ -175,39 +178,18 @@ def simulate_original(
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
     # steady: the indices whose play kept the battery at this energy; their
-    # later blocks repeat that play, whose cut is carried[i]
+    # later blocks in the stay repeat that play, whose cut is carried[i]
     steady, carried, wins = set(), np.empty(count), 0
-    # a batched segment began at block `start` of the slice: its next window
-    # scans from `end`; `window` holds scanned blocks to check, last first;
-    # known marks the steady indices while it is open
-    start, width = None, 16
     trace = np.empty(blocks, dtype=np.uint8) if keep_trace else None
     for offset in range(0, blocks, _SLICE_BLOCKS):
         size = min(_SLICE_BLOCKS, blocks - offset)
         h_idx = sample_channel(h_channel, rng, size)
-        h_ints = memoryview(h_idx)  # reads ints faster than h_idx.item
         g_uniforms = g_rng.random(size)
         block_cut = np.empty(size)  # each block's cut
-        m = 0
-        if start is not None:  # the segment goes on from the slice's start
-            start, end, window = 0, 0, []
-        while m < size:
-            if start is None:
-                i = h_ints[m]
-                if i in steady:
-                    start, end, width, window = m, m, 16, []
-                    known = np.bincount(list(steady), minlength=count) > 0
-                    continue
-            elif window:
-                m, i = window.pop()
-                if i in steady:
-                    continue
-            elif end == size or len(steady) == count:
-                break
-            else:
-                new = end + np.flatnonzero(~known[h_idx[end : end + width]])
-                window = list(zip(new.tolist(), h_idx[new].tolist()))[::-1]
-                end, width = min(end + width, size), 2 * width
+        since = 0  # the blocks from here to the next move take carried cuts
+        # once every index is steady, no block is played again
+        for m, i in enumerate(h_idx.tolist() if len(steady) < count else ()):
+            if i in steady:
                 continue
             gain = gains[i]
             ps_ratio, transmit_energy = policy(energy, gain)
@@ -222,21 +204,19 @@ def simulate_original(
                     f"gain={gain}): {exc}"
                 ) from None
             cut = by_rank[bisect_right(delivery, transmit_energy if decoded else 0.0)]
-            block_cut[m] = cut
             if residual == energy:
                 steady.add(i)
                 carried[i] = cut
-                if start is not None:
-                    known[i] = True
-            else:
-                if start is not None:  # the segment ends on this play
-                    block_cut[start:m] = carried[h_idx[start:m]]
-                    start = None
+                if len(steady) == count:
+                    break
+            else:  # the stay ends on this play
+                if since < m:
+                    block_cut[since:m] = carried[h_idx[since:m]]
+                block_cut[m] = cut
+                since = m + 1
                 energy = residual
                 steady.clear()
-            m += 1
-        if start is not None:  # the segment runs to the slice's end
-            block_cut[start:] = carried[h_idx[start:]]
+        block_cut[since:] = carried[h_idx[since:]]
         success = g_uniforms >= block_cut
         wins += int(np.count_nonzero(success))
         if trace is not None:

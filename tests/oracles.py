@@ -51,9 +51,8 @@ from swipt_relay import (
     max_ps_ratio,
     sample_channel,
 )
-from swipt_relay.mdp import _IMPROVE_TOL, _row_blocks
-from swipt_relay.relay import _first_delivering, _received_power
-from swipt_relay.simulate import _mean_stderr
+from swipt_relay.mdp import _IMPROVE_TOL
+from swipt_relay.relay import _received_power
 
 
 def delivery_success_prob(
@@ -241,18 +240,15 @@ def two_branch_rewards(h_channel, g_channel, params, n_levels, exact_up=True):
     levels = grid.levels
     half, pays = oracle_split_table(levels, h_channel, g_channel, params)
     half, pays = half.reshape(-1, 2, 1), pays.reshape(-1, 2, 1)
-    tail = g_channel.tail
-    rewards = np.empty((len(half), 2, n_levels))  # [state, branch, target]
-    for rows in _row_blocks(len(half), 2 * n_levels):
-        # An action exists where its target fits under the mid-block level (on
-        # the decodable branch only where that pays); paying ones score delivery.
-        spend = half[rows] - levels
-        fits = spend >= 0.0
-        delivers = fits & pays[rows]
-        fits[:, 1] = delivers[:, 1]
-        rewards[rows] = np.where(fits, 0.0, -np.inf)
-        first = _first_delivering(spend[delivers], g_channel, params)
-        rewards[rows][delivers] = tail[first]
+    # An action exists where its target fits under the mid-block level (on
+    # the decodable branch only where that pays); paying ones score delivery.
+    spend = half - levels  # [state, branch, target]
+    fits = spend >= 0.0
+    delivers = fits & pays
+    fits[:, 1] = delivers[:, 1]
+    rewards = np.where(fits, 0.0, -np.inf)
+    first = oracle_first_delivering(spend[delivers], g_channel, params)
+    rewards[delivers] = g_channel.tail[first]
     rewards.flags.writeable = False
     return rewards.reshape(len(half), 2 * n_levels)
 
@@ -527,6 +523,16 @@ def oracle_guide_table(inner, buckets):
     return guide, crowded
 
 
+def mean_stderr(total, total_sq, blocks):
+    """Sample mean of a run's per-block values from their sum and sum of
+    squares, and its i.i.d. standard error (0.0 for one block)."""
+    mean = total / blocks
+    if blocks < 2:
+        return mean, 0.0
+    variance = max(total_sq - blocks * mean * mean, 0.0) / (blocks - 1)
+    return mean, math.sqrt(variance / blocks)
+
+
 def oracle_simulate_original(
     policy, h_channel, g_channel, params, config, *, keep_trace=False
 ):
@@ -563,7 +569,7 @@ def oracle_simulate_original(
         if trace is not None:
             trace[m] = success
         energy = residual
-    mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
+    mean, stderr = mean_stderr(float(wins), float(wins), blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )
@@ -593,7 +599,7 @@ def oracle_simulate_discrete(model, rule, config, *, keep_trace=False):
         if trace is not None:
             trace[m] = value
         level = post_table[level, i]
-    mean, stderr = _mean_stderr(total, total_sq, blocks)
+    mean, stderr = mean_stderr(total, total_sq, blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )
@@ -637,7 +643,7 @@ def simulate_discrete(
         if trace is not None:
             trace[m] = value
         level = posts[level][i]
-    mean, stderr = _mean_stderr(total, total_sq, blocks)
+    mean, stderr = mean_stderr(total, total_sq, blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )

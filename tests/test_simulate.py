@@ -98,10 +98,11 @@ def _changes_energy_after_a_repeat(states):
     return False
 
 
-def _segment_crosses(states, edge):
+def _stay_crosses(states, edge):
     """Whether, in a run's (energy, gain) per block, the battery's stay at
     block `edge` repeated a gain before it and ends in a move after it: a
-    batched segment that crosses a slice edge and ends on a battery move."""
+    stay with skipped blocks that crosses a slice edge and ends on a
+    battery move."""
     energy = states[edge][0]
     first = last = edge
     while first > 0 and states[first - 1][0] == energy:
@@ -168,6 +169,15 @@ def _table(weights):
     """Channel with gains 1..C and a pmf proportional to weights."""
     weights = np.asarray(weights, dtype=float)
     gains = np.arange(1.0, weights.size + 1.0)
+    return channel_from_table(gains, weights / weights.sum())
+
+
+def _rare_first_state():
+    """The 200 equiprobable exponential gains, with index 0 drawn with
+    probability 1e-7 times that of each other state."""
+    weights = np.ones(200)
+    weights[0] = 1e-7
+    gains = quantize_equiprobable_exponential(200).gains
     return channel_from_table(gains, weights / weights.sum())
 
 
@@ -567,7 +577,7 @@ class TestSimulateOriginalMatchesOracle:
         # the edge cases cross the slices' edge at block SLICE: half_drain
         # moves the battery on the first block of a slice, the heuristic's
         # steady stay at the empty battery spans the edge, and on the hard
-        # cell grid_like's batched segment spans it and ends on a move
+        # cell a grid_like stay with skipped blocks spans it and ends on a move
         edge = [energy for energy, _ in states[SLICE - 1 : SLICE + 2]]
         if policy_name == "half_drain" and blocks > SLICE + 1:
             assert edge[0] != edge[1] != edge[2]
@@ -575,7 +585,7 @@ class TestSimulateOriginalMatchesOracle:
             assert set(edge) == {0.0}
         hard_grid = (policy_name, params_name) == ("grid_like", "hard_tiny_params")
         if hard_grid and blocks > SLICE + 1:
-            assert _segment_crosses(states, SLICE)
+            assert _stay_crosses(states, SLICE)
 
     @pytest.mark.parametrize("blocks", [3000, SLICE - 1, SLICE + 1, 2 * SLICE + 7])
     @pytest.mark.parametrize("start", START_ENERGIES)
@@ -619,7 +629,7 @@ class TestSimulateOriginalMatchesOracle:
         self, channel200, default_params
     ):
         # the battery sits at 0.0 from block 1 on, so once every index has
-        # been played a jump runs to the end of the run
+        # been played there the walk stops and the stay lasts to the end
         policy = make_heuristic_policy(channel200, default_params)
         config = SimulationConfig(
             blocks=100_000, seed=5, initial_energy=default_params.battery_capacity
@@ -684,9 +694,9 @@ class TestSimulateOriginalMatchesOracle:
         )
         assert got.trace.tobytes() == want.trace.tobytes()
 
-    def test_energy_changes_inside_a_batched_window(self, channel200, default_params):
-        # the battery leaves a level after repeats there, part way through
-        # the window of blocks scanned ahead for that level
+    def test_energy_changes_after_repeats_in_a_stay(self, channel200, default_params):
+        # the battery leaves a level after repeats there, so the stay's
+        # skipped blocks take their carried cuts before the move's own
         grid_like = _grid_like(channel200, default_params)
         states = []
 
@@ -709,20 +719,40 @@ class TestSimulateOriginalMatchesOracle:
         )
         assert got.trace.tobytes() == want.trace.tobytes()
 
-    def test_run_ending_before_every_index_is_seen(self, default_params):
-        # 3000 blocks draw only part of a 1000-state alphabet, so the steady
-        # stay at the empty battery lasts to the end before every index is
-        # played there
-        channel = quantize_equiprobable_exponential(1000)
-        policy = make_heuristic_policy(channel, default_params)
-        config = SimulationConfig(blocks=3000, seed=3)
-        drawn = sample_channel(channel, np.random.default_rng(config.seed), 3000)
-        assert np.unique(drawn).size < channel.count
+    @pytest.mark.parametrize(
+        "alphabet, blocks",
+        [
+            (lambda: quantize_equiprobable_exponential(1000), 3000),
+            (_rare_first_state, 2 * SLICE + 7),
+        ],
+        ids=["equiprobable1000", "rare_first200"],
+    )
+    def test_run_ending_before_every_index_is_seen(
+        self, default_params, alphabet, blocks
+    ):
+        # the run draws only part of the alphabet (3000 blocks of 1000
+        # states, or never the 1e-7 state), so the steady stay at the empty
+        # battery lasts to the end before every index is played there
+        channel = alphabet()
+        heuristic = make_heuristic_policy(channel, default_params)
+        asked = []
+
+        def policy(energy, gain):
+            asked.append(gain)
+            return heuristic(energy, gain)
+
+        config = SimulationConfig(blocks=blocks, seed=3)
+        drawn = sample_channel(channel, np.random.default_rng(config.seed), blocks)
+        seen = np.unique(drawn)
+        assert seen.size < channel.count
+        if channel.pmf[0] < 1e-6:  # every state but the rare one is drawn
+            assert seen.tolist() == list(range(1, channel.count))
         got = simulate_original(
             policy, channel, channel, default_params, config, keep_trace=True
         )
+        assert len(asked) == seen.size
         want = oracle_simulate_original(
-            policy, channel, channel, default_params, config, keep_trace=True
+            heuristic, channel, channel, default_params, config, keep_trace=True
         )
         assert (repr(got.mean), repr(got.stderr)) == (
             repr(want.mean), repr(want.stderr)
