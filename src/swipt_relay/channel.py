@@ -81,9 +81,10 @@ class FiniteChannel:
         """Read-only tail[k]: mass of gains k, k+1, ... (0 at k = count),
         summed as numpy sums the selection pmf[gains * u >= threshold] of
         the gains that a transmit energy u delivers through. Each entry is
-        numpy's sum of its own suffix, which keeps the closed form and the
-        model bit-identical to the scalar reference; its O(C^2) cost is paid
-        first: 0.14 s at C = 2e4, 0.56 s at 5e4, 2.3 s at 1e5 (2-vCPU Xeon)."""
+        numpy's sum of its own suffix, which keeps the closed form, the model
+        and the Monte Carlo's scores bit-identical to the scalar reference;
+        whichever of them reads it first pays its O(C^2) cost: 0.14 s at
+        C = 2e4, 0.56 s at 5e4, 2.3 s at 1e5 (2-vCPU Xeon)."""
         tail = np.append([self.pmf[k:].sum() for k in range(self.count)], 0.0)
         tail.flags.writeable = False
         return tail

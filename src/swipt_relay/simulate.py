@@ -1,8 +1,8 @@
 """Seeded Monte Carlo of the relay under stationary policies.
 
-Runs the continuous-energy system block by block with true Bernoulli
-outcomes. All runs are reproducible: the same seed and inputs give
-bit-identical traces.
+Runs the continuous-energy system block by block, scoring each block by
+its probability of delivery. All runs are reproducible: the same seed and
+inputs give bit-identical traces.
 """
 
 import functools
@@ -58,7 +58,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Time-average success estimate with its standard error."""
+    """Time-average success estimate with its standard error, and the
+    per-block scores (float64) when the run kept its trace."""
 
     mean: float
     stderr: float
@@ -94,9 +95,8 @@ def sample_channel(
 @functools.lru_cache(maxsize=16)
 def _sampler_tables(channel: FiniteChannel) -> tuple[np.ndarray, ...]:
     """The inner cdf entries (the last is left out, so u at or past it draws
-    the last state), which simulate_original's cuts also read, and
-    sample_channel's guide table, entry after each guide and crowded
-    buckets: built once per alphabet, read-only."""
+    the last state), sample_channel's guide table, entry after each guide
+    and crowded buckets: built once per alphabet, read-only."""
     inner = np.cumsum(channel.pmf)[:-1]
     guide, crowded = _guide_table(inner, 8 * channel.count)
     tables = inner, guide, np.append(inner, np.inf)[guide], crowded
@@ -137,14 +137,16 @@ def simulate_original(
     """Block-by-block run of the continuous-energy system.
 
     policy is a stationary callable (energy, gain) -> (ps_ratio,
-    transmit_energy). Every block draws the two link gains independently,
-    plays the policy's action through relay.apply_action (which validates
-    it and decides whether the relay decodes), scores a Bernoulli success
-    when the relay decodes and the destination SNR reaches the threshold,
-    and advances the battery. Each (energy, channel index) is played once
-    while the battery stays at that energy and repeated after, so a policy
-    that keeps state between calls is not supported. A rejected action
-    raises its error with the block and the state named.
+    transmit_energy). Every block draws its source-relay gain, plays the
+    policy's action through relay.apply_action (which validates it and
+    decides whether the relay decodes), updates the battery and scores
+    the probability that the forwarded energy reaches the destination (0.0
+    if the relay does not decode): the relay-destination gain, fresh each
+    block, never moves the battery, so this estimates the mean that a draw
+    of it would, with a smaller error. Each (energy, channel index) is
+    played once while the battery stays at that energy and repeated after,
+    so a policy that keeps state between calls is not supported. A
+    rejected action raises its error with the block and the state named.
 
     The run is walked and scored in slices of _SLICE_BLOCKS blocks, so
     only the optional trace grows with it. The walk steps through the
@@ -152,15 +154,13 @@ def simulate_original(
     stay; once every index has kept the battery where it is, no block is
     played again and the stay lasts to the end of the run. So a long stay
     that never plays every index still costs a Python step per block. A
-    block succeeds when its relay-destination uniform reaches its cut: the
-    g cdf entry below the first gain its forwarded energy delivers
-    through, found when the block is played. A play that keeps the
-    battery where it is carries its cut for its index, and the stay's
-    skipped blocks take the carried cuts in one step when a play moves
-    the battery or the slice ends. The source-relay uniforms continue
-    default_rng(seed); the relay-destination ones come from the same
-    seed's stream advanced by `blocks`: the draws that follow all the
-    source-relay ones, as when one generator draws both in turn.
+    block scores g_channel.tail[first], first being the first gain its
+    forwarded energy delivers through, found when the block is played. A
+    play that keeps the battery where it is carries its first for its
+    index, and the stay's skipped blocks take the carried ones in one step
+    when a play moves the battery or the slice ends. The blocks are
+    tallied per first, so the sums of the scores and their squares, taken
+    once at the end, do not depend on the slice size.
     """
     if config.initial_energy > params.battery_capacity:
         raise ValueError(
@@ -169,24 +169,22 @@ def simulate_original(
         )
     blocks, count = config.blocks, h_channel.count
     rng = np.random.default_rng(config.seed)
-    g_rng = np.random.Generator(np.random.PCG64(config.seed).advance(blocks))
     # a play forwarding u (0.0 if the relay did not decode) delivers through
-    # the k = bisect_right(delivery, u) largest gains, so its block succeeds
-    # when its g uniform reaches by_rank[k], the g cdf entry below them
+    # the k = bisect_right(delivery, u) largest gains, from index last - k on
     delivery = _delivery_table(g_channel, params.delivery_threshold).tolist()
-    by_rank = [np.inf, *_sampler_tables(g_channel)[0][::-1].tolist(), -np.inf]
+    tail, last = g_channel.tail, len(delivery)
     gains = h_channel.gains.tolist()
     energy = float(config.initial_energy)
     # steady: the indices whose play kept the battery at this energy; their
-    # later blocks in the stay repeat that play, whose cut is carried[i]
-    steady, carried, wins = set(), np.empty(count), 0
-    trace = np.empty(blocks, dtype=np.uint8) if keep_trace else None
+    # later blocks in the stay repeat that play, whose first is carried[i]
+    steady, carried = set(), np.empty(count, dtype=np.intp)
+    tally = np.zeros(last + 1, dtype=np.int64)  # blocks per first
+    trace = np.empty(blocks) if keep_trace else None
     for offset in range(0, blocks, _SLICE_BLOCKS):
         size = min(_SLICE_BLOCKS, blocks - offset)
         h_idx = sample_channel(h_channel, rng, size)
-        g_uniforms = g_rng.random(size)
-        block_cut = np.empty(size)  # each block's cut
-        since = 0  # the blocks from here to the next move take carried cuts
+        block_first = np.empty(size, dtype=np.intp)
+        since = 0  # the blocks from here to the next move take carried firsts
         # once every index is steady, no block is played again
         for m, i in enumerate(h_idx.tolist() if len(steady) < count else ()):
             if i in steady:
@@ -203,25 +201,25 @@ def simulate_original(
                     f"u={transmit_energy}) in state (energy={energy}, "
                     f"gain={gain}): {exc}"
                 ) from None
-            cut = by_rank[bisect_right(delivery, transmit_energy if decoded else 0.0)]
+            first = last - bisect_right(delivery, transmit_energy if decoded else 0.0)
             if residual == energy:
                 steady.add(i)
-                carried[i] = cut
+                carried[i] = first
                 if len(steady) == count:
                     break
             else:  # the stay ends on this play
                 if since < m:
-                    block_cut[since:m] = carried[h_idx[since:m]]
-                block_cut[m] = cut
+                    block_first[since:m] = carried[h_idx[since:m]]
+                block_first[m] = first
                 since = m + 1
                 energy = residual
                 steady.clear()
-        block_cut[since:] = carried[h_idx[since:]]
-        success = g_uniforms >= block_cut
-        wins += int(np.count_nonzero(success))
+        block_first[since:] = carried[h_idx[since:]]
+        tally += np.bincount(block_first, minlength=last + 1)
         if trace is not None:
-            trace[offset : offset + size] = success
-    mean, stderr = _mean_stderr(float(wins), float(wins), blocks)
+            trace[offset : offset + size] = tail[block_first]
+    scores = tally * tail
+    mean, stderr = _mean_stderr(math.fsum(scores), math.fsum(scores * tail), blocks)
     return SimulationResult(
         mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
     )

@@ -20,8 +20,9 @@ through can_succeed, the heuristic's closed form as a running total over
 scalar blocks, the channel sampler as one binary search per uniform and
 its guide table as two searches over the bucket edges, the
 continuous-energy simulator that asks the policy and plays its action
-afresh every block, and the discretized simulator, which estimates a
-rule's gain by accruing each block's success probability, as
+afresh every block and scores its delivery probability, and the
+discretized simulator, which estimates a rule's gain by accruing each
+block's success probability, as
 simulate_discrete over Python lists and as oracle_simulate_discrete
 indexing the numpy tables block by block.
 """
@@ -537,8 +538,9 @@ def oracle_simulate_original(
     policy, h_channel, g_channel, params, config, *, keep_trace=False
 ):
     """simulate_original with one policy call and one apply_action per
-    block: the same draws in the same order, the block decided and scored
-    with scalar arithmetic."""
+    block: the same draws in the same order, the block decided with scalar
+    arithmetic and scored by delivery_success_prob (0.0 when the relay does
+    not decode), the run's sums taken from oracle_first_delivering."""
     if config.initial_energy > params.battery_capacity:
         raise ValueError(
             f"initial_energy {config.initial_energy} exceeds the battery "
@@ -547,11 +549,8 @@ def oracle_simulate_original(
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_gains = h_channel.gains[oracle_sample_channel(h_channel, rng, blocks)]
-    g_gains = g_channel.gains[oracle_sample_channel(g_channel, rng, blocks)]
-    needed = params.delivery_threshold
     energy = float(config.initial_energy)
-    trace = np.zeros(blocks, dtype=np.uint8) if keep_trace else None
-    wins = 0
+    scores, forwarded = np.zeros(blocks), np.zeros(blocks)
     for m in range(blocks):
         gain = float(h_gains[m])
         ps_ratio, transmit_energy = policy(energy, gain)
@@ -564,14 +563,23 @@ def oracle_simulate_original(
                 f"block {m}: action (ps_ratio={ps_ratio}, u={transmit_energy}) "
                 f"in state (energy={energy}, gain={gain}): {exc}"
             ) from None
-        success = decodes and transmit_energy * float(g_gains[m]) >= needed
-        wins += success
-        if trace is not None:
-            trace[m] = success
+        if decodes:
+            scores[m] = delivery_success_prob(transmit_energy, g_channel, params)
+            forwarded[m] = transmit_energy
         energy = residual
-    mean, stderr = mean_stderr(float(wins), float(wins), blocks)
+    # summed as simulate_original sums the scores: blocks tallied per first
+    # delivering gain, then fsum of tally * tail and of tally * tail * tail
+    first = oracle_first_delivering(forwarded, g_channel, params)
+    pmf = g_channel.pmf
+    tail = np.array([pmf[k:].sum() for k in range(pmf.size)] + [0.0])
+    sums = np.bincount(first, minlength=tail.size) * tail
+    mean, stderr = mean_stderr(math.fsum(sums), math.fsum(sums * tail), blocks)
     return SimulationResult(
-        mean=mean, stderr=stderr, blocks=blocks, seed=config.seed, trace=trace
+        mean=mean,
+        stderr=stderr,
+        blocks=blocks,
+        seed=config.seed,
+        trace=scores if keep_trace else None,
     )
 
 

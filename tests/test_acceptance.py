@@ -115,6 +115,28 @@ def test_a2_heuristic_closed_form_vs_simulation(channel200):
     report("A2 heuristic closed form vs simulation", all_ok, "; ".join(details))
 
 
+def test_simulation_stderr_is_below_the_bernoulli_one(channel200):
+    # each block scores its delivery probability, not a draw of it, so the
+    # error bar is well under that of n coin flips at the closed form p
+    ratios = []
+    for _, params, seed in A2_SETS:
+        p = heuristic_average_success(channel200, channel200, params)
+        sim = simulate_original(
+            make_heuristic_policy(channel200, params),
+            channel200,
+            channel200,
+            params,
+            SimulationConfig(blocks=100_000, seed=seed),
+        )
+        ratios.append(sim.stderr / np.sqrt(p * (1.0 - p) / (sim.blocks - 1)))
+    report(
+        "Simulation stderr below Bernoulli",
+        all(0.5 <= ratio <= 0.7 for ratio in ratios),
+        ", ".join(f"{ratio:.3f}" for ratio in ratios),
+    )
+    assert all(0.5 <= ratio <= 0.7 for ratio in ratios), ratios
+
+
 def test_a3_policy_iteration_vs_bruteforce(channel2, default_params):
     start = time.perf_counter()
     model = build_mdp(channel2, channel2, default_params, 3)
@@ -205,6 +227,12 @@ def test_a4_bound_dominance_over_default_grid(default_grid):
             ), (
                 f"power {power} battery {row.sweep_value} n_levels {row.n_levels}: "
                 f"bound {row.p_upper_bound} vs sim {row.p_heuristic_sim}"
+            )
+            gap = abs(row.p_heuristic_sim - row.p_heuristic_analytic)
+            assert gap <= 4.0 * row.p_heuristic_sim_stderr, (
+                f"power {power} battery {row.sweep_value} n_levels {row.n_levels}: "
+                f"sim {row.p_heuristic_sim} +- {row.p_heuristic_sim_stderr} "
+                f"vs analytic {row.p_heuristic_analytic}"
             )
             checked += 1
     passed = checked == 48 and elapsed < 300.0

@@ -383,16 +383,16 @@ class TestSweepCommand:
 # p_heuristic_sim and p_heuristic_sim_stderr of
 # `sweep --seed 5 --blocks 20000 --channel-states 50`, one pair per battery
 # point (both grid resolutions share the heuristic's run), as the
-# searchsorted sampler and the block-by-block simulator wrote them.
+# simulator that scores each block's delivery probability wrote them.
 PINNED_SIM_COLUMNS = {
-    "2": ("0.8902", "0.00221075606346"),
-    "4": ("0.89615", "0.00215719529704"),
-    "6": ("0.89805", "0.00213963519716"),
-    "8": ("0.8961", "0.00215765434526"),
-    "10": ("0.8944", "0.00217317006546"),
-    "12": ("0.89615", "0.00215719529704"),
-    "14": ("0.897", "0.00214936757886"),
-    "16": ("0.8993", "0.00212795721529"),
+    "2": ("0.894132", "0.00129475254316"),
+    "4": ("0.89633", "0.00125929974462"),
+    "6": ("0.896651", "0.00126424369706"),
+    "8": ("0.896658", "0.00126945268809"),
+    "10": ("0.894041", "0.0012886506691"),
+    "12": ("0.89665", "0.00126843498902"),
+    "14": ("0.894984", "0.00127654512869"),
+    "16": ("0.896414", "0.00127728328997"),
 }
 
 
@@ -512,10 +512,10 @@ class TestOverflowingPhysics:
         assert main(args + ["--blocks", "2000", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[1:] == [
-            "battery,1e+307,5,0.895,0.8945,0.00687084268774,1,ok",
-            "battery,1e+307,9,0.895,0.8945,0.00687084268774,1,ok",
-            "battery,1e+308,5,0.895,0.8895,0.00701209381924,1,ok",
-            "battery,1e+308,9,0.895,0.8895,0.00701209381924,1,ok",
+            "battery,1e+307,5,0.895,0.895575,0.00423863984332,1,ok",
+            "battery,1e+307,9,0.895,0.895575,0.00423863984332,1,ok",
+            "battery,1e+308,5,0.895,0.8881,0.00448865447651,1,ok",
+            "battery,1e+308,9,0.895,0.8881,0.00448865447651,1,ok",
         ]
 
     @pytest.mark.parametrize(
@@ -562,7 +562,7 @@ def test_bound_runs_without_scipy():
 def test_random_module_loads_only_for_simulation():
     """The bound-only commands never draw a random number, so a fresh
     interpreter running them does not load numpy.random; a simulation
-    then loads it and prints the row it always printed."""
+    then loads it and prints its pinned row."""
     script = (
         "import sys\n"
         "import swipt_relay\n"
@@ -579,7 +579,7 @@ def test_random_module_loads_only_for_simulation():
     assert done.returncode == 0, done.stderr
     assert done.stderr.split() == ["0", "False"] * 3 + ["0", "True"]
     assert done.stdout.endswith(
-        "seed,M,mean,stderr\n5,2000,0.8805,0.00725508050242\n"
+        "seed,M,mean,stderr\n5,2000,0.8868,0.00456955363358\n"
     )
 
 
