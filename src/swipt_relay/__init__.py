@@ -9,6 +9,12 @@ and (c) seeded Monte Carlo estimates of both on the original
 continuous-energy system.
 """
 
+import os
+
+# Before numpy loads: one BLAS thread halves start-up, keeps the bound's last
+# bits off the core count and avoids 10-20x slower solves in some processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (
     FiniteChannel,
     channel_from_table,

@@ -1,6 +1,4 @@
-import numpy as np
-import pytest
-
+# The package before numpy, so in-process solves run on its one BLAS thread.
 from swipt_relay import (
     BatteryGrid,
     MdpModel,
@@ -8,6 +6,9 @@ from swipt_relay import (
     channel_from_table,
     quantize_equiprobable_exponential,
 )
+
+import numpy as np
+import pytest
 
 # Scalar operating point used across the suite (the experiment defaults).
 DEFAULT_PARAMS = SystemParams(

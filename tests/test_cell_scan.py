@@ -6,8 +6,9 @@ B in {2, 4, ..., 16} uJ x N in {5, 9, 17, 33, 65}, each cell solved with
 exact_up on (the bound) and off (the round-down model). A row holds the
 cell's status (ok, or the type of the exception that failed it), its
 bound as %.12g and policy iteration's iteration count. The last bits of
-a bound follow the BLAS thread count and the platform's LAPACK, so bounds
-are compared within 1e-12; status and iterations are compared exactly.
+a bound follow the platform's LAPACK, and the BLAS thread count only when
+a caller overrides the package's one thread, so bounds are compared within
+1e-12; status and iterations are compared exactly.
 
 A change that moves a cell regenerates the fixture with
 

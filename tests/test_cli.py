@@ -583,14 +583,87 @@ def test_random_module_loads_only_for_simulation():
     )
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
+@pytest.mark.parametrize("setting, kept", [(None, "1"), ("2", "2")])
+def test_import_pins_one_blas_thread_unless_the_caller_set_one(setting, kept):
+    """Importing the package sets OPENBLAS_NUM_THREADS to 1 where the
+    caller left it unset, and keeps the caller's own value."""
+    script = (
+        "import os\n"
+        "import swipt_relay\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    done = run_fresh(script, env=blas_env(setting))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{kept}\n"
+
+
+def test_loaded_openblas_runs_one_thread():
+    """The pin is set before numpy loads OpenBLAS, so the library itself
+    reports one thread (checked where it exports a thread getter)."""
+    script = (
+        "import ctypes\n"
+        "import swipt_relay\n"
+        "with open('/proc/self/maps', encoding='utf-8') as handle:\n"
+        "    paths = {line.split()[-1] for line in handle if 'openblas' in line.lower()}\n"
+        "for path in sorted(paths):\n"
+        "    try:\n"
+        "        lib = ctypes.CDLL(path)\n"
+        "    except OSError:\n"
+        "        continue\n"
+        "    for symbol in ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',\n"
+        "                   'openblas_get_num_threads64_', 'openblas_get_num_threads'):\n"
+        "        getter = getattr(lib, symbol, None)\n"
+        "        if getter is not None:\n"
+        "            getter.restype = ctypes.c_int\n"
+        "            getter.argtypes = []\n"
+        "            print(getter())\n"
+        "            raise SystemExit\n"
+    )
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
+    done = run_fresh(script, env=blas_env(None))
+    assert done.returncode == 0, done.stderr
+    if not done.stdout:
+        pytest.skip("the loaded BLAS exports no OpenBLAS thread getter")
+    assert done.stdout == "1\n"
+
+
+def test_bound_bits_do_not_follow_the_core_count():
+    """The N = 129 bound at the default physics has the same bits whether
+    the caller leaves OPENBLAS_NUM_THREADS unset or sets it to 1."""
+    script = (
+        "from swipt_relay import ExperimentConfig, build_mdp, policy_iteration, upper_bound\n"
+        "config = ExperimentConfig()\n"
+        "h_channel, g_channel = config.channels()\n"
+        "model = build_mdp(h_channel, g_channel, config.system_params(), 129)\n"
+        "print(upper_bound(model, policy_iteration(model)).hex())\n"
+    )
+    bits = []
+    for setting in (None, "1"):
+        done = run_fresh(script, env=blas_env(setting))
+        assert done.returncode == 0, done.stderr
+        bits.append(done.stdout)
+    assert bits[0] == bits[1]
+
+
+def blas_env(setting: str | None) -> dict:
+    """This process's environment with OPENBLAS_NUM_THREADS set to
+    `setting`, or removed when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    return env
+
+
+def run_fresh(script: str, env: dict | None = None) -> subprocess.CompletedProcess:
     """Run a Python script in a fresh interpreter that imports the package
-    from this source tree."""
+    from this source tree, in `env` (default: this process's environment)."""
+    env = os.environ if env is None else env
     src = str(Path(cli_module.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
