@@ -21,7 +21,6 @@ from .channel import (
     quantize_equiprobable_exponential,
 )
 from .mdp import (
-    BatteryGrid,
     MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,

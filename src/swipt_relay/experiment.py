@@ -14,7 +14,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 
 from .channel import FiniteChannel, quantize_equiprobable_exponential
-from .mdp import build_mdp, policy_iteration, upper_bound
+from .mdp import _check_n_levels, build_mdp, policy_iteration, upper_bound
 from .relay import (
     SystemParams,
     _received_power,
@@ -79,11 +79,10 @@ class ExperimentConfig:
             )
         if self.n_channel_states < 1:
             raise ValueError("n_channel_states must be at least 1")
+        if not self.n_levels:
+            raise ValueError("n_levels needs at least one entry")
         for n in self.n_levels:
-            if not isinstance(n, numbers.Integral):
-                raise ValueError(f"n_levels must hold integers, got {n!r}")
-        if not self.n_levels or any(n < 2 for n in self.n_levels):
-            raise ValueError("n_levels needs at least one entry, each >= 2")
+            _check_n_levels(n)
         if not isinstance(self.workers, numbers.Integral):
             raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:

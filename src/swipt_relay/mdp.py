@@ -16,7 +16,6 @@ all L x C (level, channel) states, and improvement and the certificate
 need one value per level (Puterman, Markov Decision Processes, 1994, ch. 8).
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .channel import FiniteChannel
 from .relay import SystemParams, _first_delivering, _split_table
 
 __all__ = [
-    "BatteryGrid",
     "MdpModel",
     "MultichainSuspectedError",
     "NonConvergenceError",
@@ -60,46 +58,24 @@ class NonConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class BatteryGrid:
-    """Uniformly spaced battery levels from empty to full capacity.
-    Equality and hashing are by identity."""
-
-    n_levels: int
-    capacity: float
-    levels: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_levels, numbers.Integral):
-            raise ValueError(f"n_levels must be an integer, got {self.n_levels!r}")
-        if self.n_levels < 2:
-            raise ValueError(f"n_levels must be at least 2, got {self.n_levels}")
-        if not (math.isfinite(self.capacity) and self.capacity > 0.0):
-            raise ValueError(
-                f"capacity must be finite and positive, got {self.capacity}"
-            )
-        levels = np.linspace(0.0, self.capacity, self.n_levels)
-        levels.flags.writeable = False
-        object.__setattr__(self, "levels", levels)
-
-
-@dataclass(frozen=True, eq=False)
 class MdpModel:
     """Discrete decision problem: one reward column per target level.
 
-    The states are the battery levels of grid crossed with the
-    source-relay channel alphabet h_channel; state (level j, channel i)
-    sits at flat index j * h_channel.count + i. rewards[s, k], of shape
-    (n_states, L) for L battery levels, is the delivery probability of
-    spending from state s's decoding level down to level k: 0.0 where only
-    full harvesting reaches k, and -inf where nothing does. A read-only
-    float array is kept uncopied, so its owner must not change it. A rule
-    is one target level per state. Every action spends exactly down to its
-    target level k, so the top-up leaves the battery at post_of_target[k] =
-    min(k + 1, L - 1), or at k without exact_up: the next state is that
-    level with a fresh channel draw.
+    The states are the L battery levels crossed with the source-relay
+    channel alphabet h_channel; state (level j, channel i) sits at flat
+    index j * h_channel.count + i. rewards[s, k], of shape (n_states, L),
+    is the delivery probability of spending from state s's decoding level
+    down to level k: 0.0 where only full harvesting reaches k, and -inf
+    where nothing does. levels holds the L battery energies, ascending. A
+    writeable rewards or levels array is copied; a read-only one is kept
+    uncopied, so its owner must not change it. A rule is one target level
+    per state. Every action spends exactly down to its target level k, so
+    the top-up leaves the battery at post_of_target[k] = min(k + 1, L - 1),
+    or at k without exact_up: the next state is that level with a fresh
+    channel draw.
     """
 
-    grid: BatteryGrid
+    levels: np.ndarray
     h_channel: FiniteChannel
     g_channel: FiniteChannel
     params: SystemParams
@@ -112,11 +88,17 @@ class MdpModel:
     _state_pmf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rewards = np.asarray(self.rewards, dtype=float)
-        if rewards.flags.writeable:
-            rewards = rewards.copy()
-        n_levels, count = self.grid.n_levels, self.h_channel.count
-        shape = (self.n_states, n_levels)
+        rewards, levels = (
+            value.copy() if value.flags.writeable else value
+            for value in (
+                np.asarray(self.rewards, dtype=float),
+                np.asarray(self.levels, dtype=float),
+            )
+        )
+        if levels.ndim != 1:
+            raise ValueError(f"levels must be 1-D, got shape {levels.shape}")
+        n_levels, count = levels.size, self.h_channel.count
+        shape = (n_levels * count, n_levels)
         if rewards.shape != shape:
             raise ValueError(f"rewards must have shape {shape}, got {rewards.shape}")
         best = rewards.max(axis=1)  # NaN where a row holds one
@@ -127,8 +109,9 @@ class MdpModel:
         posts = np.minimum(np.arange(n_levels) + bool(self.exact_up), n_levels - 1)
         for name, value in (
             ("rewards", rewards),
+            ("levels", levels),
             ("post_of_target", posts),
-            ("_row_starts", np.arange(self.n_states) * n_levels),
+            ("_row_starts", np.arange(n_levels * count) * n_levels),
             ("_edge_starts", np.repeat(np.arange(n_levels) * n_levels, count)),
             ("_state_pmf", np.tile(self.h_channel.pmf, n_levels)),
         ):
@@ -137,7 +120,7 @@ class MdpModel:
 
     @property
     def n_states(self) -> int:
-        return self.grid.n_levels * self.h_channel.count
+        return self.levels.size * self.h_channel.count
 
     def _check_rule(self, rule: np.ndarray) -> np.ndarray:
         rule = np.asarray(rule)
@@ -146,15 +129,15 @@ class MdpModel:
         if rule.shape != (self.n_states,):
             raise ValueError(f"rule needs one level per state, got shape {rule.shape}")
         rule = rule.astype(np.intp, copy=False)
-        in_range = (rule >= 0) & (rule < self.grid.n_levels)
-        exists = self.reward_vector(np.where(in_range, rule, 0)) > -np.inf
+        in_range = (rule >= 0) & (rule < self.levels.size)
+        exists = self._reward_vector(np.where(in_range, rule, 0)) > -np.inf
         bad = np.flatnonzero(~(in_range & exists))
         if bad.size:
             s = int(bad[0])
             raise ValueError(f"state {s}: column {rule[s]} is not an action")
         return rule
 
-    def reward_vector(self, rule: np.ndarray) -> np.ndarray:
+    def _reward_vector(self, rule: np.ndarray) -> np.ndarray:
         """Per-state reward of the rule's target levels (unchecked: the
         public solvers validate a rule once before using it)."""
         return self.rewards.take(self._row_starts + rule)
@@ -186,24 +169,34 @@ def build_mdp(
     min(k + 1, L - 1). exact_up=False keeps exact grid hits in place, at k,
     for sensitivity checks.
     """
-    grid = BatteryGrid(n_levels, params.battery_capacity)
-    full, decoding = _split_table(grid.levels, h_channel, params)
+    _check_n_levels(n_levels)
+    levels = np.linspace(0.0, params.battery_capacity, n_levels)
+    levels.flags.writeable = False
+    full, decoding = _split_table(levels, h_channel, params)
     full, decoding = full.reshape(-1, 1), decoding.reshape(-1, 1)
     tail = g_channel.tail
     rewards = np.empty((len(full), n_levels))  # [state, target]
     for rows in _row_blocks(len(full), n_levels):
-        spend = decoding[rows] - grid.levels  # -inf where the relay cannot decode
+        spend = decoding[rows] - levels  # -inf where the relay cannot decode
         paid = tail[_first_delivering(spend, g_channel, params)]  # 0.0 if spend < 0
-        rewards[rows] = np.where(full[rows] >= grid.levels, paid, -np.inf)
+        rewards[rows] = np.where(full[rows] >= levels, paid, -np.inf)
     rewards.flags.writeable = False
     return MdpModel(
-        grid=grid,
+        levels=levels,
         h_channel=h_channel,
         g_channel=g_channel,
         params=params,
         rewards=rewards,
         exact_up=exact_up,
     )
+
+
+def _check_n_levels(n_levels: int) -> None:
+    """Reject a battery level count that is not an integer of at least 2."""
+    if not isinstance(n_levels, numbers.Integral):
+        raise ValueError(f"n_levels must be an integer, got {n_levels!r}")
+    if n_levels < 2:
+        raise ValueError(f"n_levels must be at least 2, got {n_levels}")
 
 
 def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
@@ -215,8 +208,8 @@ def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
 def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Channel-pmf averaged reward of each battery level under a checked
     rule, and the rule's level-to-level transition matrix."""
-    n_levels = model.grid.n_levels
-    mean_reward = model.reward_vector(rule).reshape(n_levels, -1) @ model.h_channel.pmf
+    n_levels = model.levels.size
+    mean_reward = model._reward_vector(rule).reshape(n_levels, -1) @ model.h_channel.pmf
     edges = model._edge_starts + model.post_of_target[rule]
     transitions = np.bincount(edges, model._state_pmf, minlength=n_levels * n_levels)
     return mean_reward, transitions.reshape(n_levels, n_levels)
@@ -357,7 +350,7 @@ def upper_bound(model: MdpModel, result: PolicyIterationResult) -> float:
     rounds above 1 returns 1.
     """
     model._check_rule(result.rule)
-    n_levels = model.grid.n_levels
+    n_levels = model.levels.size
     values = np.asarray(result.bias, dtype=float)
     if values.shape != (n_levels,):
         raise ValueError(

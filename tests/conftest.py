@@ -1,6 +1,5 @@
 # The package before numpy, so in-process solves run on its one BLAS thread.
 from swipt_relay import (
-    BatteryGrid,
     MdpModel,
     SystemParams,
     channel_from_table,
@@ -80,7 +79,7 @@ def hand_model():
             for reward, post in state_actions:
                 rewards[s, post] = max(rewards[s, post], reward)
         return MdpModel(
-            grid=BatteryGrid(n_levels, capacity),
+            levels=np.linspace(0.0, capacity, n_levels),
             h_channel=channel,
             g_channel=channel,
             params=DEFAULT_PARAMS,

@@ -39,7 +39,6 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from swipt_relay import (
-    BatteryGrid,
     FiniteChannel,
     MdpModel,
     MultichainSuspectedError,
@@ -113,28 +112,32 @@ def can_succeed(
     return half * g_channel.max_gain >= params.delivery_threshold
 
 
-def round_up_level(energy: float, grid: BatteryGrid, exact_up: bool = True) -> int:
+def round_up_level(energy: float, levels: np.ndarray, exact_up: bool = True) -> int:
     """Level index the hypothetical source tops the battery up to.
 
     Residual energy inside [level i, level i+1) is driven to level i+1;
     with exact_up (the literal reading, and the default) an energy
     exactly on a grid level is also driven one level higher, except at
     full capacity which stays put. exact_up=False keeps exact grid hits
-    in place instead, for sensitivity checks.
+    in place instead, for sensitivity checks. The capacity is levels[-1].
     """
-    if not 0.0 <= energy <= grid.capacity:
-        raise ValueError(
-            f"energy must lie in [0, {grid.capacity}], got {energy}"
-        )
-    index = np.searchsorted(grid.levels, energy, side="right" if exact_up else "left")
-    return int(min(index, grid.n_levels - 1))
+    capacity = levels[-1]
+    if not 0.0 <= energy <= capacity:
+        raise ValueError(f"energy must lie in [0, {capacity}], got {energy}")
+    index = np.searchsorted(levels, energy, side="right" if exact_up else "left")
+    return int(min(index, len(levels) - 1))
 
 
 def oracle_post_levels(model):
     """Per target level, the level round_up_level tops an exact landing on
     it up to."""
-    grid = model.grid
-    return [round_up_level(float(level), grid, model.exact_up) for level in grid.levels]
+    levels = model.levels
+    return [round_up_level(float(level), levels, model.exact_up) for level in levels]
+
+
+def rule_rewards(model, rule):
+    """Per flat state, the reward of the rule's target level."""
+    return model.rewards[np.arange(model.n_states), rule]
 
 
 def oracle_level_chain(model, rule, posts):
@@ -143,7 +146,7 @@ def oracle_level_chain(model, rule, posts):
     state (level j, channel i) adds pmf[i] times its reward to level j's
     and pmf[i] to the transition from j to posts[target], its target's
     post-top-up level."""
-    n_levels = model.grid.n_levels
+    n_levels = model.levels.size
     pmf = model.h_channel.pmf
     mean_reward = np.zeros(n_levels)
     transitions = np.zeros((n_levels, n_levels))
@@ -166,7 +169,7 @@ class ReducedAction(NamedTuple):
     reward: float
 
 
-def reference_actions(energy, gain, g_channel, params, grid, exact_up=True):
+def reference_actions(energy, gain, g_channel, params, levels, exact_up=True):
     """Reduced action list of one state, enumerated by a loop over the
     splitting branches and grid targets with the scalar relay functions."""
     branches = [1.0]
@@ -176,13 +179,13 @@ def reference_actions(energy, gain, g_channel, params, grid, exact_up=True):
     seen = set()
     for ratio in branches:
         half = energy_after_harvest(energy, gain, ratio, params)
-        last_target = int(np.searchsorted(grid.levels, half, side="right")) - 1
+        last_target = int(np.searchsorted(levels, half, side="right")) - 1
         for target in range(last_target + 1):
             if (ratio, target) in seen:
                 continue
             seen.add((ratio, target))
-            spend = float(half - grid.levels[target])
-            post = round_up_level(float(grid.levels[target]), grid, exact_up)
+            spend = float(half - levels[target])
+            post = round_up_level(float(levels[target]), levels, exact_up)
             reward = success_prob(energy, gain, ratio, spend, g_channel, params)
             actions.append(ReducedAction(ratio, spend, target, post, reward))
     return actions
@@ -237,8 +240,7 @@ def two_branch_rewards(h_channel, g_channel, params, n_levels, exact_up=True):
     b * L + k is splitting branch b (0 harvests everything, 1 splits at
     the largest decodable ratio) landing the residual on level k, and -inf
     where that action does not exist. exact_up does not change them."""
-    grid = BatteryGrid(n_levels, params.battery_capacity)
-    levels = grid.levels
+    levels = np.linspace(0.0, params.battery_capacity, n_levels)
     half, pays = oracle_split_table(levels, h_channel, g_channel, params)
     half, pays = half.reshape(-1, 2, 1), pays.reshape(-1, 2, 1)
     # An action exists where its target fits under the mid-block level (on
@@ -266,7 +268,7 @@ def _model_branch_rewards(model):
         model.h_channel,
         model.g_channel,
         model.params,
-        model.grid.n_levels,
+        model.levels.size,
         model.exact_up,
     ).reshape(model.n_states, 2, -1)
 
@@ -289,9 +291,8 @@ def model_actions(model, state):
     the largest decodable ratio where the two-branch rewards score it
     above full harvesting, and by full harvesting otherwise (ties
     included)."""
-    grid = model.grid
     level, channel = divmod(state, model.h_channel.count)
-    energy = float(grid.levels[level])
+    energy = float(model.levels[level])
     gain = float(model.h_channel.gains[channel])
     full, split = _model_branch_rewards(model)[state]
     actions = []
@@ -305,7 +306,7 @@ def model_actions(model, state):
         actions.append(
             ReducedAction(
                 ratio,
-                float(half - grid.levels[target]),
+                float(half - model.levels[target]),
                 target,
                 int(model.post_of_target[target]),
                 float(model.rewards[state, target]),
@@ -338,8 +339,7 @@ def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
     """build_mdp in one vectorised pass over both branches' model-sized
     arrays, with the delivery index of oracle_first_delivering, folded to
     the larger reward per target level at the end."""
-    grid = BatteryGrid(n_levels, params.battery_capacity)
-    levels = grid.levels
+    levels = np.linspace(0.0, params.battery_capacity, n_levels)
     half, pays = oracle_split_table(levels, h_channel, g_channel, params)
 
     # Fill each action with its transmit energy (0 where the relay cannot
@@ -352,7 +352,7 @@ def oracle_build_mdp(h_channel, g_channel, params, n_levels, exact_up=True):
     ]
     rewards[~actions] = -np.inf
     return MdpModel(
-        grid=grid,
+        levels=levels,
         h_channel=h_channel,
         g_channel=g_channel,
         params=params,
@@ -413,7 +413,7 @@ def dense_evaluate(model, rule):
     rcond, _ = gecon[0](lu, norm)
     if not np.isfinite(rcond) or rcond < 1e-12:
         raise MultichainSuspectedError(f"reciprocal condition {rcond:.3e}")
-    solution = scipy.linalg.lu_solve((lu, piv), model.reward_vector(rule))
+    solution = scipy.linalg.lu_solve((lu, piv), rule_rewards(model, rule))
     bias = solution.copy()
     bias[0] = 0.0
     return float(solution[0]), bias
@@ -464,7 +464,7 @@ def oracle_gain_bruteforce(
             f"{n_rules} stationary deterministic rules exceed the "
             f"enumeration budget of {max_rules}"
         )
-    identity = np.eye(model.grid.n_levels)
+    identity = np.eye(model.levels.size)
     posts = oracle_post_levels(model)
     best = -np.inf
     for combo in itertools.product(*columns):
@@ -586,16 +586,15 @@ def oracle_simulate_original(
 def oracle_simulate_discrete(model, rule, config, *, keep_trace=False):
     """simulate_discrete indexing the numpy reward and post-level tables
     block by block, on channel draws from oracle_sample_channel."""
-    grid = model.grid
     rule = model._check_rule(rule)
-    n_levels = grid.n_levels
+    n_levels = model.levels.size
     n_channels = model.h_channel.count
-    reward_table = model.reward_vector(rule).reshape(n_levels, n_channels)
+    reward_table = rule_rewards(model, rule).reshape(n_levels, n_channels)
     post_table = model.post_of_target[rule].reshape(n_levels, n_channels)
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = oracle_sample_channel(model.h_channel, rng, blocks)
-    level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
+    level = int(np.searchsorted(model.levels, config.initial_energy, side="right")) - 1
     trace = np.zeros(blocks) if keep_trace else None
     total = 0.0
     total_sq = 0.0
@@ -627,21 +626,21 @@ def simulate_discrete(
     directly; the battery then jumps to the action's post-top-up level.
     The start level is the highest grid level not above initial_energy.
     """
-    grid = model.grid
-    if config.initial_energy > grid.capacity:
+    capacity = model.levels[-1]
+    if config.initial_energy > capacity:
         raise ValueError(
             f"initial_energy {config.initial_energy} exceeds the battery "
-            f"capacity {grid.capacity}"
+            f"capacity {capacity}"
         )
     rule = model._check_rule(rule)
-    n_levels = grid.n_levels
+    n_levels = model.levels.size
     n_channels = model.h_channel.count
-    rewards = model.reward_vector(rule).reshape(n_levels, n_channels).tolist()
+    rewards = rule_rewards(model, rule).reshape(n_levels, n_channels).tolist()
     posts = model.post_of_target[rule].reshape(n_levels, n_channels).tolist()
     rng = np.random.default_rng(config.seed)
     blocks = config.blocks
     h_idx = sample_channel(model.h_channel, rng, blocks)
-    level = int(np.searchsorted(grid.levels, config.initial_energy, side="right")) - 1
+    level = int(np.searchsorted(model.levels, config.initial_energy, side="right")) - 1
     trace = np.zeros(blocks) if keep_trace else None
     total = total_sq = 0.0
     for m, i in enumerate(h_idx.tolist()):

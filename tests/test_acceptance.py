@@ -353,7 +353,7 @@ def test_a7_structural_invariants(channel200, default_params):
     for s in range(model.n_states):
         level, channel_idx = divmod(s, channel200.count)
         hopeless = not can_succeed(
-            float(model.grid.levels[level]),
+            float(model.levels[level]),
             float(channel200.gains[channel_idx]),
             channel200,
             default_params,

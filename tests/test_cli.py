@@ -460,6 +460,19 @@ class TestOverflowingPhysics:
         assert assert_one_error_line(capsys, args, "error: rate 600 ") == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_single_level_grid_exits_two_before_work(
+        self, tmp_path, capsys, no_stage_runs, command
+    ):
+        # the config rejects a level count with build_mdp's own message
+        out = tmp_path / "out.csv"
+        args = [command, "--levels", "5,1"]
+        if command == "sweep":
+            args += ["--out", str(out)]
+        message = "error: n_levels must be at least 2, got 1\n"
+        assert assert_one_error_line(capsys, args, message) == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["heuristic", "bound", "simulate"])
     def test_overflowing_received_power_exits_two(self, capsys, command):
         args = [command, "--source-power", "1e308", "--channel-states", "20"]

@@ -62,7 +62,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(n_levels=(5, 4.5)), "n_levels must hold integers, got 4.5"),
+            (dict(n_levels=(5, 4.5)), "n_levels must be an integer, got 4.5"),
             (dict(blocks=2.5), "blocks must be an integer, got 2.5"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
             (dict(workers=1.5), "workers must be an integer, got 1.5"),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
-    BatteryGrid,
     MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
@@ -65,60 +64,62 @@ _ENUMERATION_CELLS = [
 ]
 
 
-class TestBatteryGrid:
-    def test_levels_span_zero_to_capacity(self):
-        grid = BatteryGrid(5, 8.0)
-        assert grid.levels[0] == 0.0
-        assert grid.levels[-1] == 8.0
-        assert np.array_equal(np.diff(grid.levels), [2.0, 2.0, 2.0, 2.0])
+class TestLevels:
+    """The battery levels build_mdp builds."""
 
-    def test_rejects_single_level(self):
-        with pytest.raises(ValueError):
-            BatteryGrid(1, 8.0)
+    def test_levels_span_zero_to_capacity(self, channel2, default_params):
+        params = dataclasses.replace(default_params, battery_capacity=8.0)
+        levels = build_mdp(channel2, channel2, params, 5).levels
+        assert levels[0] == 0.0
+        assert levels[-1] == 8.0
+        assert np.array_equal(np.diff(levels), [2.0, 2.0, 2.0, 2.0])
 
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            BatteryGrid(3, 0.0)
+    @pytest.mark.parametrize("n_levels", [2, 9, 129])
+    def test_levels_are_the_read_only_linspace(self, channel2, default_params, n_levels):
+        levels = build_mdp(channel2, channel2, default_params, n_levels).levels
+        assert not levels.flags.writeable
+        expected = np.linspace(0.0, default_params.battery_capacity, n_levels)
+        assert levels.tobytes() == expected.tobytes()
 
-    def test_rejects_non_integer_levels(self):
-        with pytest.raises(ValueError, match="n_levels must be an integer"):
-            BatteryGrid(4.5, 8.0)
-
-    def test_compares_and_hashes_by_identity(self):
-        a, b = BatteryGrid(5, 8.0), BatteryGrid(5, 8.0)
-        assert a == a and a != b
-        assert len({a, b, a}) == 2
+    @pytest.mark.parametrize(
+        "n_levels, message",
+        [
+            (1, "n_levels must be at least 2, got 1"),
+            (4.5, "n_levels must be an integer, got 4.5"),
+        ],
+    )
+    def test_rejects_bad_level_counts(self, channel2, default_params, n_levels, message):
+        # a bad capacity is SystemParams' to reject:
+        # test_relay.py::TestSystemParams::test_rejects_bad_fields
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_mdp(channel2, channel2, default_params, n_levels)
 
 
 class TestRoundUpLevel:
+    LEVELS = np.linspace(0.0, 2.0, 3)
+
     def test_empty_battery_bumps_to_second_level(self):
-        grid = BatteryGrid(3, 2.0)
-        assert round_up_level(0.0, grid) == 1  # energy 1.0
+        assert round_up_level(0.0, self.LEVELS) == 1  # energy 1.0
 
     def test_full_battery_stays(self):
-        grid = BatteryGrid(3, 2.0)
-        assert round_up_level(2.0, grid) == 2
+        assert round_up_level(2.0, self.LEVELS) == 2
 
     def test_interior_value_goes_up(self):
-        grid = BatteryGrid(3, 2.0)
-        assert round_up_level(1.5, grid) == 2  # energy 2.0
+        assert round_up_level(1.5, self.LEVELS) == 2  # energy 2.0
 
     def test_exact_grid_hit_goes_up_by_default(self):
-        grid = BatteryGrid(3, 2.0)
-        assert round_up_level(1.0, grid) == 2
+        assert round_up_level(1.0, self.LEVELS) == 2
 
     def test_exact_grid_hit_stays_without_exact_up(self):
-        grid = BatteryGrid(3, 2.0)
-        assert round_up_level(1.0, grid, exact_up=False) == 1
-        assert round_up_level(0.0, grid, exact_up=False) == 0
-        assert round_up_level(1.5, grid, exact_up=False) == 2
+        assert round_up_level(1.0, self.LEVELS, exact_up=False) == 1
+        assert round_up_level(0.0, self.LEVELS, exact_up=False) == 0
+        assert round_up_level(1.5, self.LEVELS, exact_up=False) == 2
 
     def test_domain_errors(self):
-        grid = BatteryGrid(3, 2.0)
         with pytest.raises(ValueError):
-            round_up_level(-0.1, grid)
+            round_up_level(-0.1, self.LEVELS)
         with pytest.raises(ValueError):
-            round_up_level(2.1, grid)
+            round_up_level(2.1, self.LEVELS)
 
     @given(
         energy=st.floats(min_value=0.0, max_value=6.0, allow_subnormal=False),
@@ -126,13 +127,13 @@ class TestRoundUpLevel:
     )
     @settings(max_examples=150, deadline=None)
     def test_interval_containment(self, energy, n_levels):
-        grid = BatteryGrid(n_levels, 6.0)
-        level = round_up_level(energy, grid)
-        assert grid.levels[level] >= energy
-        if energy < grid.capacity:
+        levels = np.linspace(0.0, 6.0, n_levels)
+        level = round_up_level(energy, levels)
+        assert levels[level] >= energy
+        if energy < 6.0:
             # the chosen level is the nearest one strictly above
-            assert grid.levels[level] > energy
-            assert grid.levels[level] - energy <= grid.capacity / (n_levels - 1)
+            assert levels[level] > energy
+            assert levels[level] - energy <= 6.0 / (n_levels - 1)
 
     @pytest.mark.parametrize("exact_up", [True, False])
     @pytest.mark.parametrize("capacity", [2e-15, 1.0, 10.0, 1e308])
@@ -140,9 +141,9 @@ class TestRoundUpLevel:
     def test_model_posts_are_the_top_up_of_each_target(
         self, channel2, default_params, n_levels, capacity, exact_up
     ):
-        grid = BatteryGrid(n_levels, capacity)
+        levels = np.linspace(0.0, capacity, n_levels)
         model = MdpModel(
-            grid=grid,
+            levels=levels,
             h_channel=channel2,
             g_channel=channel2,
             params=default_params,
@@ -152,8 +153,8 @@ class TestRoundUpLevel:
         posts = model.post_of_target
         assert posts.dtype == np.intp
         assert not posts.flags.writeable
-        for k, level in enumerate(grid.levels):
-            assert posts[k] == round_up_level(float(level), grid, exact_up)
+        for k, level in enumerate(levels):
+            assert posts[k] == round_up_level(float(level), levels, exact_up)
 
 
 class TestEnumerateActions:
@@ -205,10 +206,10 @@ class TestEnumerateActions:
 
     def test_structure_invariants(self, default_params, channel2):
         model = build_mdp(channel2, channel2, default_params, 4)
-        grid = model.grid
+        levels = model.levels
         for s in range(model.n_states):
             level, channel = divmod(s, channel2.count)
-            level_energy = float(grid.levels[level])
+            level_energy = float(levels[level])
             gain = float(channel2.gains[channel])
             actions = model_actions(model, s)
             assert actions, "action list must never be empty"
@@ -226,11 +227,11 @@ class TestEnumerateActions:
                     level_energy, gain, a.ps_ratio, default_params
                 )
                 assert a.transmit_energy == pytest.approx(
-                    half - grid.levels[a.target_level]
+                    half - levels[a.target_level]
                 )
                 assert a.transmit_energy >= 0.0
                 assert a.post_level == round_up_level(
-                    float(grid.levels[a.target_level]), grid
+                    float(levels[a.target_level]), levels
                 )
                 assert a.reward == success_prob(
                     level_energy,
@@ -252,15 +253,15 @@ class TestEnumerateActions:
         params = SystemParams(power, noise, 1.0, 0.5, 1.5, battery)
         channel = quantize_equiprobable_exponential(n_states)
         model = build_mdp(channel, channel, params, n_levels, exact_up=exact_up)
-        grid = model.grid
+        levels = np.linspace(0.0, battery, n_levels)
         for s in range(model.n_states):
             level, i = divmod(s, channel.count)
             expected = reference_actions(
-                float(grid.levels[level]),
+                float(levels[level]),
                 float(channel.gains[i]),
                 channel,
                 params,
-                grid,
+                levels,
                 exact_up=exact_up,
             )
             assert model_actions(model, s) == fold_actions(expected)
@@ -491,7 +492,7 @@ class TestBuildMdp:
         h_channel = channel_from_table([0.001, 1.0], [0.5, 0.5])
         model = build_mdp(h_channel, channel2, default_params, 3)
         branches = two_branch_rewards(h_channel, channel2, default_params, 3)
-        levels = model.grid.levels
+        levels = model.levels
         assert model.n_states == 6
         for s in range(model.n_states):
             level, channel = divmod(s, h_channel.count)
@@ -550,6 +551,23 @@ class TestMdpModel:
         assert writeable.flags.writeable
         assert np.array_equal(kept, writeable)
 
+    def test_keeps_read_only_levels_and_copies_writeable_ones(self, hand_model):
+        layout = [[(0.5, 1)], [(0.2, 0), (0.3, 1)], [(0.1, 0)], [(0.4, 1)]]
+        model = hand_model([0.5, 0.5], 2, layout)
+        shared = np.linspace(0.0, 3.0, 2)
+        shared.flags.writeable = False
+        assert dataclasses.replace(model, levels=shared).levels is shared
+        writeable = np.linspace(0.0, 3.0, 2)
+        kept = dataclasses.replace(model, levels=writeable).levels
+        writeable[1] = 5.0  # the caller's later change does not reach the model
+        assert kept.tolist() == [0.0, 3.0] and not kept.flags.writeable
+
+    def test_rejects_levels_that_are_not_one_dimensional(self, hand_model):
+        layout = [[(0.5, 1)], [(0.2, 0), (0.3, 1)], [(0.1, 0)], [(0.4, 1)]]
+        model = hand_model([0.5, 0.5], 2, layout)
+        with pytest.raises(ValueError, match="levels must be 1-D"):
+            dataclasses.replace(model, levels=model.levels.reshape(1, 2))
+
 
 class TestPolicyEvaluate:
     def test_constant_reward_chain(self, hand_model):
@@ -587,7 +605,7 @@ class TestPolicyEvaluate:
         # level equations gain + W = mean reward + expected successor W,
         # with both averages taken over the channel pmf directly
         pmf = channel200.pmf
-        rewards = model.reward_vector(rule).reshape(5, -1) @ pmf
+        rewards = model.rewards[np.arange(model.n_states), rule].reshape(5, -1) @ pmf
         successor = values[model.post_of_target[rule]].reshape(5, -1) @ pmf
         residual = np.max(np.abs(rewards + successor - gain - values))
         assert residual <= 1e-9
@@ -667,7 +685,7 @@ class TestPolicyImprove:
         rewards = rng.choice([-np.inf, 0.0, 0.5, 1.0], (n_levels * count, n_levels))
         rewards[:, 0] = rng.choice([0.0, 0.5], n_levels * count)
         model = MdpModel(
-            BatteryGrid(n_levels, 1.0), channel, channel, default_params, rewards
+            np.linspace(0.0, 1.0, n_levels), channel, channel, default_params, rewards
         )
         values = rng.choice([0.0, 5e-14, 1e-13, 2e-13, 0.5], n_levels)
         incumbent = None
@@ -732,7 +750,7 @@ _RULE_USERS = {
         model,
         PolicyIterationResult(
             gain=0.0,
-            bias=np.zeros(model.grid.n_levels),
+            bias=np.zeros(model.levels.size),
             rule=rule,
             iterations=1,
             gain_history=(0.0,),
@@ -864,7 +882,7 @@ class TestPolicyIteration:
             action = model_actions(model, s)[position]
             assert action.target_level == 0
             level, channel = divmod(s, channel2.count)
-            energy = float(model.grid.levels[level])
+            energy = float(model.levels[level])
             gain = float(channel2.gains[channel])
             if can_succeed(energy, gain, channel2, default_params):
                 assert action.ps_ratio < 1.0
@@ -952,6 +970,18 @@ class TestUpperBound:
             assert name not in mdp_module.__all__
             assert not hasattr(mdp_module, name)
             assert not hasattr(swipt_relay, name)
+
+    def test_model_has_no_grid_class_or_public_reward_vector(self, hand_model):
+        # the model holds its levels as an array; a rule's rewards are
+        # gathered, unchecked, only inside the solvers
+        import swipt_relay
+
+        for module in (mdp_module, swipt_relay):
+            assert "BatteryGrid" not in getattr(module, "__all__", ())
+            assert not hasattr(module, "BatteryGrid")
+        model = hand_model([1.0], 2, [[(0.5, 1)], [(0.5, 0)]])
+        assert not hasattr(model, "reward_vector")
+        assert not hasattr(model, "grid")
 
     @pytest.mark.parametrize(
         "perturb",

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
-    BatteryGrid,
     InfeasibleActionError,
     SystemParams,
     apply_action,
@@ -55,6 +54,7 @@ class TestSystemParams:
             ("conversion_efficiency", 1.0),
             ("rate", 0.0),
             ("battery_capacity", float("inf")),
+            ("battery_capacity", 0.0),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -637,7 +637,7 @@ class TestSplitTable:
         params = SystemParams(
             source_power, noise_power, block_duration, efficiency, rate, capacity
         )
-        energies = BatteryGrid(n_levels, capacity).levels
+        energies = np.linspace(0.0, capacity, n_levels)
         full, decoding = _split_table(energies, channel, params)
         assert full.shape == decoding.shape == (n_levels, len(gains))
         for j, energy in enumerate(energies.tolist()):

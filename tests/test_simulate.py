@@ -350,6 +350,32 @@ class TestSimulationConfig:
 
 
 class TestSimulateOriginal:
+    # Whole runs pinned across commits. The first two move the battery:
+    # half_drain on every block, grid_like through repeats between moves.
+    # The third drains on a table whose index 0 is drawn with probability
+    # 5e-10, so its stay at the empty battery never plays every index.
+    @pytest.mark.parametrize(
+        "policy, rare, start, seed, row",
+        [
+            ("half_drain", False, "empty", 7, "7,100000,0.94804035,0.000375825847527"),
+            ("grid_like", False, "full", 7, "7,100000,0.8474229,0.000687009436162"),
+            ("heuristic", True, "empty", 5, "5,100000,0.903499899043,0.000550745834548"),
+        ],
+        ids=["half_drain_from_empty", "grid_like_from_full", "rare_first_state"],
+    )
+    def test_pinned_rows(
+        self, channel200, default_params, policy, rare, start, seed, row
+    ):
+        channel = _rare_first_state() if rare else channel200
+        config = SimulationConfig(
+            blocks=100_000,
+            seed=seed,
+            initial_energy=_start_energy(start, default_params),
+        )
+        play = POLICIES[policy](channel, default_params)
+        result = simulate_original(play, channel, channel, default_params, config)
+        assert result.csv_row() == row
+
     def test_silent_policy_never_succeeds(self, channel2, default_params):
         policy = lambda energy, gain: (1.0, 0.0)  # noqa: E731
         result = simulate_original(
