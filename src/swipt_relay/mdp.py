@@ -122,26 +122,6 @@ class MdpModel:
     def n_states(self) -> int:
         return self.levels.size * self.h_channel.count
 
-    def _check_rule(self, rule: np.ndarray) -> np.ndarray:
-        rule = np.asarray(rule)
-        if rule.dtype.kind not in "iu":
-            raise ValueError(f"rule must hold integer levels, got dtype {rule.dtype}")
-        if rule.shape != (self.n_states,):
-            raise ValueError(f"rule needs one level per state, got shape {rule.shape}")
-        rule = rule.astype(np.intp, copy=False)
-        in_range = (rule >= 0) & (rule < self.levels.size)
-        exists = self._reward_vector(np.where(in_range, rule, 0)) > -np.inf
-        bad = np.flatnonzero(~(in_range & exists))
-        if bad.size:
-            s = int(bad[0])
-            raise ValueError(f"state {s}: column {rule[s]} is not an action")
-        return rule
-
-    def _reward_vector(self, rule: np.ndarray) -> np.ndarray:
-        """Per-state reward of the rule's target levels (unchecked: the
-        public solvers validate a rule once before using it)."""
-        return self.rewards.take(self._row_starts + rule)
-
 
 def build_mdp(
     h_channel: FiniteChannel,
@@ -206,17 +186,18 @@ def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
 
 
 def _level_chain(model: MdpModel, rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-pmf averaged reward of each battery level under a checked
+    """Channel-pmf averaged reward of each battery level under a valid
     rule, and the rule's level-to-level transition matrix."""
     n_levels = model.levels.size
-    mean_reward = model._reward_vector(rule).reshape(n_levels, -1) @ model.h_channel.pmf
+    rewards = model.rewards.take(model._row_starts + rule)
+    mean_reward = rewards.reshape(n_levels, -1) @ model.h_channel.pmf
     edges = model._edge_starts + model.post_of_target[rule]
     transitions = np.bincount(edges, model._state_pmf, minlength=n_levels * n_levels)
     return mean_reward, transitions.reshape(n_levels, n_levels)
 
 
 def _evaluate(model: MdpModel, rule: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain and level values of a checked stationary rule.
+    """Gain and level values of a valid stationary rule.
 
     Solves the unichain average-reward evaluation equations of the
     battery-level chain,
@@ -261,7 +242,7 @@ def _improve(
     Per state, picks the target maximizing its reward column plus the
     level value W of its post-top-up level (the gain would shift every
     candidate equally, so it is not needed), and returns that rule with
-    each state's largest candidate. A checked incumbent target is kept
+    each state's largest candidate. A valid incumbent target is kept
     unless the best candidate beats it by more than a fixed tolerance of
     1e-13, the anti-cycling rule; without an incumbent, ties go to the
     lowest target.
@@ -302,13 +283,21 @@ class PolicyIterationResult:
 def policy_iteration(
     model: MdpModel, max_iterations: int = 10_000
 ) -> PolicyIterationResult:
-    """Average-reward policy iteration from default_initial_rule (checked
-    once): alternate evaluation and improvement until improvement keeps
-    the rule. An improved rule equal to an earlier one, a cycle that exact
-    arithmetic on a unichain model rules out, raises MultichainSuspectedError."""
+    """Average-reward policy iteration from default_initial_rule:
+    alternate evaluation and improvement until improvement keeps the rule.
+    An improved rule equal to an earlier one, a cycle that exact arithmetic
+    on a unichain model rules out, raises MultichainSuspectedError.
+
+    Only the start rule's column 0 is checked. Every later rule is valid by
+    construction: each entry is either an argmax over a row that holds a
+    finite candidate, or the kept incumbent.
+    """
     if not isinstance(max_iterations, numbers.Integral) or max_iterations < 1:
         raise ValueError(f"max_iterations must be an integer >= 1: {max_iterations!r}")
-    rule = model._check_rule(default_initial_rule(model))
+    missing = np.flatnonzero(np.isneginf(model.rewards[:, 0]))
+    if missing.size:
+        raise ValueError(f"state {missing[0]}: column 0 is not an action")
+    rule = default_initial_rule(model)
     gains: list[float] = []
     seen: dict[int, int] = {}  # rule hash -> iteration; a collision only fails a cell
     for iteration in range(1, max_iterations + 1):
@@ -347,9 +336,9 @@ def upper_bound(model: MdpModel, result: PolicyIterationResult) -> float:
     candidate reward + W[post], read off one improvement sweep. The gain is
     returned only when that whole span lies within 1e-12 of it; otherwise
     MultichainSuspectedError is raised. It is a probability, so a gain that
-    rounds above 1 returns 1.
+    rounds above 1 returns 1. The bound holds for any W, so result.rule is
+    not read: a result passes or fails on its gain and bias alone.
     """
-    model._check_rule(result.rule)
     n_levels = model.levels.size
     values = np.asarray(result.bias, dtype=float)
     if values.shape != (n_levels,):

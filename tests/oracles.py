@@ -24,7 +24,8 @@ afresh every block and scores its delivery probability, and the
 discretized simulator, which estimates a rule's gain by accruing each
 block's success probability, as
 simulate_discrete over Python lists and as oracle_simulate_discrete
-indexing the numpy tables block by block.
+indexing the numpy tables block by block, both after check_rule's state
+by state check of the rule.
 """
 
 import functools
@@ -133,6 +134,20 @@ def oracle_post_levels(model):
     it up to."""
     levels = model.levels
     return [round_up_level(float(level), levels, model.exact_up) for level in levels]
+
+
+def check_rule(model, rule):
+    """The rule as intp, once it holds one integer level per state and
+    each state's level is one of its actions, checked state by state."""
+    rule = np.asarray(rule)
+    if rule.dtype.kind not in "iu":
+        raise ValueError(f"rule must hold integer levels, got dtype {rule.dtype}")
+    if rule.shape != (model.n_states,):
+        raise ValueError(f"rule needs one level per state, got shape {rule.shape}")
+    for s, column in enumerate(rule.tolist()):
+        if not (0 <= column < model.levels.size and model.rewards[s, column] > -np.inf):
+            raise ValueError(f"state {s}: column {column} is not an action")
+    return rule.astype(np.intp)
 
 
 def rule_rewards(model, rule):
@@ -586,7 +601,7 @@ def oracle_simulate_original(
 def oracle_simulate_discrete(model, rule, config, *, keep_trace=False):
     """simulate_discrete indexing the numpy reward and post-level tables
     block by block, on channel draws from oracle_sample_channel."""
-    rule = model._check_rule(rule)
+    rule = check_rule(model, rule)
     n_levels = model.levels.size
     n_channels = model.h_channel.count
     reward_table = rule_rewards(model, rule).reshape(n_levels, n_channels)
@@ -632,7 +647,7 @@ def simulate_discrete(
             f"initial_energy {config.initial_energy} exceeds the battery "
             f"capacity {capacity}"
         )
-    rule = model._check_rule(rule)
+    rule = check_rule(model, rule)
     n_levels = model.levels.size
     n_channels = model.h_channel.count
     rewards = rule_rewards(model, rule).reshape(n_levels, n_channels).tolist()

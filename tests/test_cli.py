@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -418,6 +419,66 @@ class TestPinnedMonteCarlo:
             for n_levels in ("5", "9")
         ]
         assert got == want
+
+
+# Output pinned across commits: per command line, its exact stdout, or
+# for a sweep the sha256 of the CSV it writes (its printed gain lines are
+# not pinned, since their last digits follow the platform's LAPACK).
+_BOUND = "n_levels,p_upper_bound\n"
+_SIMULATE = "seed,M,mean,stderr\n"
+_NO_DELIVERY = [
+    "--channel-states", "50", "--source-power", "0.05", "--battery-capacity", "0.02"
+]
+PINNED_OUTPUT = {
+    "simulate": (
+        ["simulate", "--blocks", "100000", "--seed", "7"],
+        _SIMULATE + "7,100000,0.8951872,0.000576166299117\n",
+    ),
+    # a run of many slices
+    "simulate_many_slices": (
+        ["simulate", "--blocks", "20000000", "--seed", "7"],
+        _SIMULATE + "7,20000000,0.8945771765,4.0987775472e-05\n",
+    ),
+    # a run that ends before it has seen every channel state
+    "simulate_unseen_states": (
+        ["simulate", "--channel-states", "1000", "--blocks", "3000", "--seed", "3"],
+        _SIMULATE + "3,3000,0.887798,0.00348830233061\n",
+    ),
+    "bound": (
+        ["bound", "--levels", "5,9,33"],
+        _BOUND + "5,0.981674988405\n9,0.980274999407\n33,0.972899213816\n",
+    ),
+    # grids that build and improve the model over many blocks
+    "bound_many_blocks": (
+        ["bound", "--levels", "65,129"],
+        _BOUND + "65,0.968099701518\n129,0.9643998395\n",
+    ),
+    # full harvesting decodes in some states and the split in the others
+    "bound_mixed_decoding": (
+        ["bound", "--source-power", "4", "--noise-power", "1e-16"]
+        + ["--battery-capacity", "2e-15", "--channel-states", "50", "--levels", "5,9"],
+        _BOUND + "5,0.7\n9,0.7\n",
+    ),
+    # the relay decodes in some empty-battery states but cannot deliver
+    "heuristic_no_delivery": (["heuristic", *_NO_DELIVERY], "0.3324\n"),
+    "bound_no_delivery": (
+        ["bound", *_NO_DELIVERY, "--levels", "5,9,33"],
+        _BOUND + "5,0.456211584\n9,0.419862971049\n33,0.383543282326\n",
+    ),
+    "sweep": (
+        ["sweep", "--blocks", "20000", "--seed", "5"],
+        "c489e08e32fd3a033cbf75f8cbb7adfb84d95639bd8f24ec024a663914822c5b",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, want", PINNED_OUTPUT.values(), ids=PINNED_OUTPUT)
+def test_pinned_output(tmp_path, capsys, args, want):
+    out = tmp_path / "pin.csv"
+    sweep = args[0] == "sweep"
+    assert run_cli(args + ["--out", str(out)] if sweep else args) == 0
+    printed = capsys.readouterr().out
+    assert (hashlib.sha256(out.read_bytes()).hexdigest() if sweep else printed) == want
 
 
 def assert_one_error_line(capsys, args, start):

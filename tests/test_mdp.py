@@ -744,29 +744,17 @@ class TestPolicyImprove:
             upper_bound(model, result)
 
 
-# Every public entry point that takes a rule, called with one.
-_RULE_USERS = {
-    "upper_bound": lambda model, rule: upper_bound(
-        model,
-        PolicyIterationResult(
-            gain=0.0,
-            bias=np.zeros(model.levels.size),
-            rule=rule,
-            iterations=1,
-            gain_history=(0.0,),
-        ),
-    ),
-    "simulate_discrete": lambda model, rule: simulate_discrete(
-        model, rule, SimulationConfig(blocks=10, seed=1)
-    ),
-}
+def _simulate(model, rule):
+    return simulate_discrete(model, rule, SimulationConfig(blocks=10, seed=1))
 
 
 class TestRuleValidation:
-    @pytest.mark.parametrize("caller", sorted(_RULE_USERS))
+    """The discrete simulator's oracle checks the rule it is handed; the
+    package's solvers make every rule they use, so they check none."""
+
     @pytest.mark.parametrize("kind", ["out_of_range", "missing_action"])
     def test_rejects_a_column_that_is_not_an_action(
-        self, channel2, hard_tiny_params, caller, kind
+        self, channel2, hard_tiny_params, kind
     ):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         rule = default_initial_rule(model)
@@ -776,25 +764,29 @@ class TestRuleValidation:
             column = model.rewards.shape[1]
         rule[state] = column
         with pytest.raises(ValueError, match=f"state {state}: column {column} "):
-            _RULE_USERS[caller](model, rule)
+            _simulate(model, rule)
 
-    @pytest.mark.parametrize("caller", sorted(_RULE_USERS))
     @pytest.mark.parametrize("dtype", [float, bool, object])
-    def test_rejects_a_rule_that_is_not_integer(self, default_params, caller, dtype):
+    def test_rejects_a_rule_that_is_not_integer(self, default_params, dtype):
         # 0.7 past the drain rule's target 0 was once truncated back to it
         channel = quantize_equiprobable_exponential(20)
         model = build_mdp(channel, channel, default_params, 5)
         rule = (default_initial_rule(model) + 0.7).astype(dtype)
         with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
-            _RULE_USERS[caller](model, rule)
+            _simulate(model, rule)
+
+    def test_rejects_a_rule_of_the_wrong_shape(self, channel2, default_params):
+        model = build_mdp(channel2, channel2, default_params, 3)
+        rule = default_initial_rule(model)[:-1]
+        with pytest.raises(ValueError, match=r"one level per state, got shape \(5,\)"):
+            _simulate(model, rule)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
     def test_accepts_any_integer_dtype(self, default_params, dtype):
         channel = quantize_equiprobable_exponential(20)
         model = build_mdp(channel, channel, default_params, 5)
-        result = policy_iteration(model)
-        narrow = dataclasses.replace(result, rule=result.rule.astype(dtype))
-        assert upper_bound(model, narrow) == upper_bound(model, result)
+        rule = policy_iteration(model).rule
+        assert _simulate(model, rule.astype(dtype)) == _simulate(model, rule)
 
 
 class TestPolicyIteration:
@@ -828,19 +820,21 @@ class TestPolicyIteration:
         n_rules = int(np.prod([cols.size for cols in action_columns(model)]))
         assert result.iterations <= n_rules
 
-    def test_checks_the_start_rule_once(self, monkeypatch, channel2, hard_tiny_params):
-        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        checked = []
-        real = MdpModel._check_rule
+    def test_start_rule_needs_column_zero(self, monkeypatch, hand_model):
+        # states 1 and 3 cannot drain to level 0; no rule is evaluated
+        layout = [[(0.5, 1), (0.1, 0)], [(0.3, 1)], [(0.1, 0)], [(0.4, 1)]]
+        model = hand_model([0.5, 0.5], 2, layout)
+        evaluated = []
+        real = mdp_module._evaluate
 
-        def counting(self, rule):
-            checked.append(rule)
-            return real(self, rule)
+        def counting(model, rule):
+            evaluated.append(rule)
+            return real(model, rule)
 
-        monkeypatch.setattr(MdpModel, "_check_rule", counting)
-        result = policy_iteration(model)
-        assert result.iterations >= 2
-        assert len(checked) == 1
+        monkeypatch.setattr(mdp_module, "_evaluate", counting)
+        with pytest.raises(ValueError, match=r"^state 1: column 0 is not an action$"):
+            policy_iteration(model)
+        assert evaluated == []
 
     def test_iteration_cap_raises(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
@@ -972,16 +966,38 @@ class TestUpperBound:
             assert not hasattr(swipt_relay, name)
 
     def test_model_has_no_grid_class_or_public_reward_vector(self, hand_model):
-        # the model holds its levels as an array; a rule's rewards are
-        # gathered, unchecked, only inside the solvers
+        # the model holds its levels as an array and checks no rule; a
+        # rule's rewards are gathered only inside the solvers
         import swipt_relay
 
         for module in (mdp_module, swipt_relay):
             assert "BatteryGrid" not in getattr(module, "__all__", ())
             assert not hasattr(module, "BatteryGrid")
         model = hand_model([1.0], 2, [[(0.5, 1)], [(0.5, 0)]])
-        assert not hasattr(model, "reward_vector")
+        for name in ("reward_vector", "check_rule"):
+            assert not hasattr(model, name)
+            assert not hasattr(MdpModel, "_" + name)
         assert not hasattr(model, "grid")
+
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            lambda rule: rule + 0.7,
+            lambda rule: np.full_like(rule, 3),
+            lambda rule: np.full_like(rule, 2),
+            lambda rule: rule[:-1],
+        ],
+        ids=["float", "out_of_range", "missing_action", "wrong_shape"],
+    )
+    def test_certificate_does_not_read_the_rule(
+        self, channel2, hard_tiny_params, swap
+    ):
+        # the bound holds for any level values, so no rule is needed
+        model = build_mdp(channel2, channel2, hard_tiny_params, 3)
+        result = policy_iteration(model)
+        assert np.isneginf(model.rewards[:, 2]).any()
+        swapped = dataclasses.replace(result, rule=swap(result.rule))
+        assert upper_bound(model, swapped).hex() == upper_bound(model, result).hex()
 
     @pytest.mark.parametrize(
         "perturb",
@@ -1005,11 +1021,12 @@ class TestUpperBound:
             upper_bound(model, wrong)
 
     def test_mismatched_channel_rejected(self, channel2, hard_tiny_params):
-        # a result solved over another source-relay alphabet does not fit
+        # a result solved over another source-relay alphabet fails the
+        # certificate on its gain and level values
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
         other = quantize_equiprobable_exponential(3)
         other_model = build_mdp(other, channel2, hard_tiny_params, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(MultichainSuspectedError, match="span"):
             upper_bound(model, policy_iteration(other_model))
 
     def test_nested_grids_tighten_the_bound(self, channel2, hard_tiny_params):
