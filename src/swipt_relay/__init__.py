@@ -15,18 +15,13 @@ import os
 # bits off the core count and avoids 10-20x slower solves in some processes.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .channel import (
-    FiniteChannel,
-    channel_from_table,
-    quantize_equiprobable_exponential,
-)
+from .channel import FiniteChannel, quantize_equiprobable_exponential
 from .mdp import (
     MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
     PolicyIterationResult,
     build_mdp,
-    default_initial_rule,
     policy_iteration,
     upper_bound,
 )

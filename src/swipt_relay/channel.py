@@ -13,14 +13,11 @@ import numpy as np
 
 __all__ = [
     "FiniteChannel",
-    "channel_from_table",
     "quantize_equiprobable_exponential",
 ]
 
-# Construction accepts only pmfs that are normalized to machine accuracy;
-# channel_from_table renormalizes inputs that are off by at most 1e-9.
+# Construction accepts only pmfs that are normalized to machine accuracy.
 _PMF_SUM_EXACT = 1e-12
-_PMF_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +53,8 @@ class FiniteChannel:
         total = float(pmf.sum())
         if not abs(total - 1.0) <= _PMF_SUM_EXACT:
             raise ValueError(
-                f"pmf sums to {total!r}; expected 1 within {_PMF_SUM_EXACT}"
+                f"pmf sums to {total!r}; expected 1 within {_PMF_SUM_EXACT}; "
+                "divide the pmf by its sum"
             )
         gains.flags.writeable = False
         pmf.flags.writeable = False
@@ -88,23 +86,6 @@ class FiniteChannel:
         tail = np.append([self.pmf[k:].sum() for k in range(self.count)], 0.0)
         tail.flags.writeable = False
         return tail
-
-
-def channel_from_table(gains, pmf) -> FiniteChannel:
-    """Validated channel from explicit gain and probability tables.
-
-    The pmf is renormalized when its sum is within 1e-9 of one, and
-    rejected otherwise. All other invariants (ordering, positivity) are
-    enforced as for any FiniteChannel.
-    """
-    gains = np.asarray(gains, dtype=float)
-    pmf = np.asarray(pmf, dtype=float)
-    total = float(pmf.sum())
-    if not abs(total - 1.0) <= _PMF_SUM_TOL:
-        raise ValueError(
-            f"pmf sums to {total!r}; expected 1 within {_PMF_SUM_TOL}"
-        )
-    return FiniteChannel(gains, pmf / total)
 
 
 def quantize_equiprobable_exponential(n_states: int) -> FiniteChannel:

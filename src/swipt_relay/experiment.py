@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from .channel import FiniteChannel, quantize_equiprobable_exponential
 from .mdp import _check_n_levels, build_mdp, policy_iteration, upper_bound
 from .relay import (
+    _PHYSICS,
     SystemParams,
     _received_power,
     heuristic_average_success,
@@ -108,14 +109,7 @@ class ExperimentConfig:
     def system_params(self, sweep_value: float | None = None) -> SystemParams:
         """SystemParams at the scalar operating point, or at one sweep
         point when sweep_value is given."""
-        params = SystemParams(
-            source_power=self.source_power,
-            noise_power=self.noise_power,
-            block_duration=self.block_duration,
-            conversion_efficiency=self.conversion_efficiency,
-            rate=self.rate,
-            battery_capacity=self.battery_capacity,
-        )
+        params = SystemParams(**{name: getattr(self, name) for name in _PHYSICS})
         if sweep_value is None:
             return params
         return replace(params, **{SWEEP_AXES[self.sweep][1]: sweep_value})

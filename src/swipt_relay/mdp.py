@@ -30,7 +30,6 @@ __all__ = [
     "NonConvergenceError",
     "PolicyIterationResult",
     "build_mdp",
-    "default_initial_rule",
     "policy_iteration",
     "upper_bound",
 ]
@@ -263,11 +262,6 @@ def _improve(
     return rule, top
 
 
-def default_initial_rule(model: MdpModel) -> np.ndarray:
-    """Drain-to-empty starting rule: target level 0 in every state."""
-    return np.zeros(model.n_states, dtype=np.intp)
-
-
 @dataclass(frozen=True)
 class PolicyIterationResult:
     """Converged gain, level values (bias, one per battery level, with
@@ -283,8 +277,9 @@ class PolicyIterationResult:
 def policy_iteration(
     model: MdpModel, max_iterations: int = 10_000
 ) -> PolicyIterationResult:
-    """Average-reward policy iteration from default_initial_rule:
-    alternate evaluation and improvement until improvement keeps the rule.
+    """Average-reward policy iteration from the drain-to-empty rule
+    (target level 0 in every state): alternate evaluation and improvement
+    until improvement keeps the rule.
     An improved rule equal to an earlier one, a cycle that exact arithmetic
     on a unichain model rules out, raises MultichainSuspectedError.
 
@@ -297,7 +292,7 @@ def policy_iteration(
     missing = np.flatnonzero(np.isneginf(model.rewards[:, 0]))
     if missing.size:
         raise ValueError(f"state {missing[0]}: column 0 is not an action")
-    rule = default_initial_rule(model)
+    rule = np.zeros(model.n_states, dtype=np.intp)  # drain to empty everywhere
     gains: list[float] = []
     seen: dict[int, int] = {}  # rule hash -> iteration; a collision only fails a cell
     for iteration in range(1, max_iterations + 1):

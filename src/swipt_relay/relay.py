@@ -15,7 +15,7 @@ and a transmit energy. A policy is any callable
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,14 +62,7 @@ class SystemParams:
     delivery_threshold: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in (
-            "source_power",
-            "noise_power",
-            "block_duration",
-            "conversion_efficiency",
-            "rate",
-            "battery_capacity",
-        ):
+        for name in _PHYSICS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -95,6 +88,11 @@ class SystemParams:
             )
         object.__setattr__(self, "threshold_snr", threshold_snr)
         object.__setattr__(self, "delivery_threshold", delivery_threshold)
+
+
+# The six physics inputs in declaration order; the derived thresholds are not
+# init fields.
+_PHYSICS = tuple(f.name for f in fields(SystemParams) if f.init)
 
 
 def _received_power(gain: float, params: SystemParams) -> float:

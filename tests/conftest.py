@@ -1,8 +1,8 @@
 # The package before numpy, so in-process solves run on its one BLAS thread.
 from swipt_relay import (
+    FiniteChannel,
     MdpModel,
     SystemParams,
-    channel_from_table,
     quantize_equiprobable_exponential,
 )
 
@@ -43,7 +43,7 @@ def hard_tiny_params() -> SystemParams:
 
 @pytest.fixture(scope="session")
 def channel1():
-    return channel_from_table([1.0], [1.0])
+    return FiniteChannel([1.0], [1.0])
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +70,7 @@ def hand_model():
 
     def build(pmf, n_levels, layout, capacity=1.0):
         gains = np.arange(1.0, len(pmf) + 1.0)
-        channel = channel_from_table(gains, pmf)
+        channel = FiniteChannel(gains, pmf)
         assert len(layout) == n_levels * channel.count
         rewards = np.full((len(layout), n_levels), -np.inf)
         for s, state_actions in enumerate(layout):

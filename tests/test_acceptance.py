@@ -20,7 +20,6 @@ from swipt_relay import (
     SimulationConfig,
     SystemParams,
     build_mdp,
-    default_initial_rule,
     energy_after_harvest,
     heuristic_average_success,
     make_heuristic_policy,
@@ -257,7 +256,7 @@ def test_closed_form_is_the_drain_rule_gain(channel200):
     for channel, power, battery, n_levels in cells:
         params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
         model = build_mdp(channel, channel, params, n_levels, exact_up=False)
-        gain, _ = _evaluate(model, default_initial_rule(model))
+        gain, _ = _evaluate(model, np.zeros(model.n_states, np.intp))
         closed = heuristic_average_success(channel, channel, params)
         worst = max(worst, abs(gain - closed))
     report(
@@ -276,7 +275,7 @@ def test_certificate_reads_the_improvement_sweep(channel200):
     for power, battery, n_levels in A4_BOUNDS:
         params = SystemParams(power, 0.001, 1.0, 0.5, 1.5, battery)
         model = build_mdp(channel200, channel200, params, n_levels)
-        drain_values = _evaluate(model, default_initial_rule(model))[1]
+        drain_values = _evaluate(model, np.zeros(model.n_states, np.intp))[1]
         for values in (policy_iteration(model).bias, drain_values):
             top = _improve(model, values)[1]
             update = top.reshape(n_levels, -1) @ channel200.pmf - values

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from swipt_relay import (
-    FiniteChannel,
-    channel_from_table,
-    quantize_equiprobable_exponential,
-)
+from swipt_relay import FiniteChannel, quantize_equiprobable_exponential
 
 
 def bin_edges(n: int) -> np.ndarray:
@@ -90,27 +86,31 @@ class TestQuantizer:
         assert ch.max_gain == ch.gains[-1]
 
 
-class TestChannelFromTable:
+class TestFiniteChannel:
     def test_valid_two_state_table(self):
-        ch = channel_from_table([0.5, 1.5], [0.5, 0.5])
+        ch = FiniteChannel([0.5, 1.5], [0.5, 0.5])
         assert ch.max_gain == 1.5
         assert ch.count == 2
 
     def test_rejects_descending_gains(self):
         with pytest.raises(ValueError, match="ascending"):
-            channel_from_table([1.0, 0.5], [0.5, 0.5])
+            FiniteChannel([1.0, 0.5], [0.5, 0.5])
 
     def test_rejects_bad_pmf_sum(self):
         with pytest.raises(ValueError, match="sums to"):
-            channel_from_table([1.0], [0.3])
+            FiniteChannel([1.0], [0.3])
+
+    def test_bad_pmf_sum_says_how_to_fix_it(self):
+        with pytest.raises(ValueError, match="; divide the pmf by its sum$"):
+            FiniteChannel([0.5, 1.5], [1.0, 3.0])
 
     def test_rejects_non_positive_probability(self):
         with pytest.raises(ValueError, match="positive"):
-            channel_from_table([0.5, 1.5], [1.0, 0.0])
+            FiniteChannel([0.5, 1.5], [1.0, 0.0])
 
     def test_rejects_negative_gain(self):
         with pytest.raises(ValueError):
-            channel_from_table([-0.5, 1.5], [0.5, 0.5])
+            FiniteChannel([-0.5, 1.5], [0.5, 0.5])
 
     @pytest.mark.parametrize(
         "gains, pmf",
@@ -122,21 +122,21 @@ class TestChannelFromTable:
             ([1.0, 2.0], [math.inf, 0.5]),
         ],
     )
-    @pytest.mark.parametrize("build", [FiniteChannel, channel_from_table])
-    def test_rejects_non_finite_tables(self, build, gains, pmf):
+    def test_rejects_non_finite_tables(self, gains, pmf):
         with pytest.raises(ValueError):
-            build(gains, pmf)
+            FiniteChannel(gains, pmf)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            channel_from_table([0.5, 1.5], [1.0])
+            FiniteChannel([0.5, 1.5], [1.0])
 
-    def test_renormalizes_tiny_imbalance(self):
-        ch = channel_from_table([0.5, 1.5], [0.5, 0.5 + 4e-10])
-        assert abs(float(ch.pmf.sum()) - 1.0) <= 1e-15
+    def test_rejects_tiny_imbalance(self):
+        # 4e-10 off is beyond the one 1e-12 sum check; nothing renormalizes
+        with pytest.raises(ValueError, match="sums to"):
+            FiniteChannel([0.5, 1.5], [0.5, 0.5 + 4e-10])
 
     def test_arrays_are_read_only(self):
-        ch = channel_from_table([0.5, 1.5], [0.5, 0.5])
+        ch = FiniteChannel([0.5, 1.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             ch.gains[0] = 0.0
         with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ class TestChannelFromTable:
 
 def test_channels_compare_and_hash_by_identity():
     # value equality over ndarray fields raised instead of answering
-    a, b = (channel_from_table([0.5, 2.0], [0.25, 0.75]) for _ in range(2))
+    a, b = (FiniteChannel([0.5, 2.0], [0.25, 0.75]) for _ in range(2))
     assert a == a and a != b
     assert len({a, b, a}) == 2
 
@@ -157,8 +157,8 @@ class TestDeliveryTail:
             quantize_equiprobable_exponential(1),
             quantize_equiprobable_exponential(2),
             quantize_equiprobable_exponential(200),
-            channel_from_table([0.1, 0.7, 2.0, 9.0], [0.05, 0.6, 0.3, 0.05]),
-            channel_from_table(
+            FiniteChannel([0.1, 0.7, 2.0, 9.0], [0.05, 0.6, 0.3, 0.05]),
+            FiniteChannel(
                 np.arange(1.0, 301.0),
                 0.99 ** np.arange(300) / (0.99 ** np.arange(300)).sum(),
             ),

@@ -21,6 +21,7 @@ from swipt_relay import (
 )
 from swipt_relay.cli import build_parser, main
 from swipt_relay.experiment import SWEEP_CSV_HEADER, ExperimentConfig
+from swipt_relay.relay import _PHYSICS
 
 
 def run_cli(args):
@@ -49,6 +50,9 @@ class TestParser:
     def test_parser_is_built_once(self):
         assert cli_module._parser() is cli_module._parser()
         assert build_parser() is not cli_module._parser()
+
+    def test_every_physics_field_has_its_flag_in_order(self):
+        assert tuple(name for name, _ in cli_module._PHYSICS_FLAGS) == _PHYSICS
 
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -84,6 +84,21 @@ class TestExperimentConfig:
         assert point.battery_capacity == 4.0
         assert point.source_power == battery_cfg.source_power
 
+    def test_system_params_takes_each_physics_field_from_its_namesake(self):
+        # six distinct values, so a transposed mapping lands one in the
+        # wrong field
+        physics = dict(
+            source_power=2.0,
+            noise_power=0.002,
+            block_duration=3.0,
+            conversion_efficiency=0.4,
+            rate=1.25,
+            battery_capacity=7.0,
+        )
+        params = ExperimentConfig(**physics).system_params()
+        assert {name: getattr(params, name) for name in physics} == physics
+        assert relay_module._PHYSICS == tuple(physics)
+
 
 class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
+    FiniteChannel,
     MdpModel,
     MultichainSuspectedError,
     NonConvergenceError,
@@ -15,8 +16,6 @@ from swipt_relay import (
     SimulationConfig,
     SystemParams,
     build_mdp,
-    channel_from_table,
-    default_initial_rule,
     energy_after_harvest,
     heuristic_average_success,
     max_ps_ratio,
@@ -162,7 +161,7 @@ class TestEnumerateActions:
 
     def test_hopeless_state_only_full_harvest_zero_reward(self, default_params, channel2):
         hopeless_gain = 0.001
-        h_channel = channel_from_table([hopeless_gain, 1.0], [0.5, 0.5])
+        h_channel = FiniteChannel([hopeless_gain, 1.0], [0.5, 0.5])
         assert not can_succeed(0.0, hopeless_gain, channel2, default_params)
         model = build_mdp(h_channel, channel2, default_params, 3)
         actions = model_actions(model, 0)
@@ -171,7 +170,7 @@ class TestEnumerateActions:
 
     def test_saturated_harvest_reaches_every_level(self, default_params, channel2):
         # from a full battery both branches saturate at capacity
-        h_channel = channel_from_table([1.0, 2.0], [0.5, 0.5])
+        h_channel = FiniteChannel([1.0, 2.0], [0.5, 0.5])
         args = (h_channel, channel2, default_params, 4)
         model = build_mdp(*args)
         state = 3 * h_channel.count
@@ -186,8 +185,8 @@ class TestEnumerateActions:
         params = SystemParams(4.8, 0.001, 1.0, 0.5, 1.5, 2.0)
         gain = 1.0
         assert energy_after_harvest(0.0, gain, 1.0, params) == pytest.approx(1.2)
-        g_channel = channel_from_table([0.5, 1.5], [0.5, 0.5])
-        h_channel = channel_from_table([gain], [1.0])
+        g_channel = FiniteChannel([0.5, 1.5], [0.5, 0.5])
+        h_channel = FiniteChannel([gain], [1.0])
         model = build_mdp(h_channel, g_channel, params, 3)
         actions = model_actions(model, 0)
         # full harvest reaches levels 0 and 1 (columns 0 and 1), not 2
@@ -337,7 +336,7 @@ class TestEnumerateActions:
     @settings(max_examples=300, deadline=None)
     def test_delivery_table_is_exact(self, weights, scale, low, noise_power, rate):
         gains = np.concatenate([low, scale * np.cumsum(weights)])
-        channel = channel_from_table(gains, np.full(gains.size, 1.0 / gains.size))
+        channel = FiniteChannel(gains, np.full(gains.size, 1.0 / gains.size))
         params = SystemParams(1.0, noise_power, 1.0, 0.5, rate, 10.0)
         delivery = relay_module._delivery_table(channel, params.delivery_threshold)
         assert np.all(delivery[1:] >= delivery[:-1])
@@ -361,7 +360,7 @@ class TestEnumerateActions:
 def _random_channel(weights, scale):
     """Ascending gains from the running sum of the weights, pmf from them."""
     weights = np.asarray(weights)
-    return channel_from_table(scale * np.cumsum(weights), weights / weights.sum())
+    return FiniteChannel(scale * np.cumsum(weights), weights / weights.sum())
 
 
 class TestBuildMdp:
@@ -454,7 +453,7 @@ class TestBuildMdp:
                 [0.0, 0.0, f1, f2],
             ]
         )
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         assert np.array_equal(state_transition_matrix(model, rule), expected)
         _, levels = mdp_module._level_chain(model, rule)
         assert np.array_equal(levels, [[0.0, 1.0], [0.0, 1.0]])
@@ -479,7 +478,7 @@ class TestBuildMdp:
 
     def test_rows_sum_to_one(self, default_params, channel200):
         model = build_mdp(channel200, channel200, default_params, 3)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         matrix = state_transition_matrix(model, rule)
         assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-12
         assert np.all((matrix != 0).sum(axis=1) == channel200.count)
@@ -489,7 +488,7 @@ class TestBuildMdp:
     def test_flat_index_convention(self, default_params, channel2):
         # state (level j, channel i) sits at flat index j * C + i; only the
         # second channel state can decode
-        h_channel = channel_from_table([0.001, 1.0], [0.5, 0.5])
+        h_channel = FiniteChannel([0.001, 1.0], [0.5, 0.5])
         model = build_mdp(h_channel, channel2, default_params, 3)
         branches = two_branch_rewards(h_channel, channel2, default_params, 3)
         levels = model.levels
@@ -598,7 +597,7 @@ class TestPolicyEvaluate:
 
     def test_residual_is_small(self, default_params, channel200):
         model = build_mdp(channel200, channel200, default_params, 5)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         gain, values = mdp_module._evaluate(model, rule)
         assert values.shape == (5,)
         assert values[0] == 0.0
@@ -636,7 +635,7 @@ class TestPolicyEvaluate:
         channel = quantize_equiprobable_exponential(n_states)
         model = build_mdp(channel, channel, params, n_levels, exact_up=exact_up)
         rng = np.random.default_rng(n_states * 100 + n_levels)
-        rules = [default_initial_rule(model), policy_iteration(model).rule]
+        rules = [np.zeros(model.n_states, np.intp), policy_iteration(model).rule]
         columns = action_columns(model)
         for _ in range(12):
             picks = rng.integers([cols.size for cols in columns])
@@ -757,7 +756,7 @@ class TestRuleValidation:
         self, channel2, hard_tiny_params, kind
     ):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         missing = np.argwhere(np.isneginf(model.rewards))
         state, column = (int(v) for v in missing[-1])
         if kind == "out_of_range":
@@ -771,13 +770,13 @@ class TestRuleValidation:
         # 0.7 past the drain rule's target 0 was once truncated back to it
         channel = quantize_equiprobable_exponential(20)
         model = build_mdp(channel, channel, default_params, 5)
-        rule = (default_initial_rule(model) + 0.7).astype(dtype)
+        rule = (np.zeros(model.n_states, np.intp) + 0.7).astype(dtype)
         with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
             _simulate(model, rule)
 
     def test_rejects_a_rule_of_the_wrong_shape(self, channel2, default_params):
         model = build_mdp(channel2, channel2, default_params, 3)
-        rule = default_initial_rule(model)[:-1]
+        rule = np.zeros(model.n_states, np.intp)[:-1]
         with pytest.raises(ValueError, match=r"one level per state, got shape \(5,\)"):
             _simulate(model, rule)
 
@@ -870,7 +869,9 @@ class TestPolicyIteration:
 
     def test_default_initial_rule_drains(self, channel2, default_params):
         model = build_mdp(channel2, channel2, default_params, 3)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
+        first_gain = mdp_module._evaluate(model, rule)[0]
+        assert policy_iteration(model).gain_history[0] == first_gain
         for s, column in enumerate(rule):
             position = action_columns(model)[s].tolist().index(column)
             action = model_actions(model, s)[position]
@@ -978,6 +979,20 @@ class TestUpperBound:
             assert not hasattr(model, name)
             assert not hasattr(MdpModel, "_" + name)
         assert not hasattr(model, "grid")
+
+    def test_no_second_channel_constructor_or_start_rule_export(self):
+        # FiniteChannel is the one channel constructor, and policy
+        # iteration starts from np.zeros itself
+        import importlib
+
+        submodules = ("channel", "cli", "experiment", "mdp", "relay", "simulate")
+        modules = [importlib.import_module("swipt_relay")] + [
+            importlib.import_module(f"swipt_relay.{name}") for name in submodules
+        ]
+        for name in ("channel_from_table", "default_initial_rule"):
+            for module in modules:
+                assert name not in getattr(module, "__all__", ())
+                assert not hasattr(module, name)
 
     @pytest.mark.parametrize(
         "swap",

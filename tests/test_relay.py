@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swipt_relay import (
+    FiniteChannel,
     InfeasibleActionError,
     SystemParams,
     apply_action,
-    channel_from_table,
     energy_after_harvest,
     heuristic_average_success,
     heuristic_rule,
@@ -36,7 +36,7 @@ DEAF_PARAMS = SystemParams(
 
 
 def two_point_channel():
-    return channel_from_table([0.5, 1.5], [0.5, 0.5])
+    return FiniteChannel([0.5, 1.5], [0.5, 0.5])
 
 
 class TestSystemParams:
@@ -67,7 +67,7 @@ class TestSystemParams:
             battery_capacity=10.0,
         )
         kwargs[field] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} "):
             SystemParams(**kwargs)
 
     def test_rejects_rate_whose_threshold_overflows(self):
@@ -117,7 +117,7 @@ class TestSnrs:
 
     def test_destination_snr_inverts_at_threshold(self, default_params):
         # u g = T sigma^2 g_t exactly (a power-of-two gain keeps u exact)
-        channel = channel_from_table([0.5, 4.0], [0.5, 0.5])
+        channel = FiniteChannel([0.5, 4.0], [0.5, 0.5])
         u = default_params.delivery_threshold / 4.0
         assert delivery_success_prob(u, channel, default_params) == 0.5
         below = float(np.nextafter(u, 0.0))
@@ -377,7 +377,7 @@ class TestHeuristic:
     def test_rule_matches_the_can_succeed_reference(self, frac, gain, g_max, physics):
         source_power, noise_power, capacity = physics
         params = SystemParams(source_power, noise_power, 1.0, 0.5, 1.5, capacity)
-        g_channel = channel_from_table([0.5 * g_max, g_max], [0.5, 0.5])
+        g_channel = FiniteChannel([0.5 * g_max, g_max], [0.5, 0.5])
         energy = frac * capacity
         got = heuristic_rule(energy, gain, g_channel, params)
         assert got == oracle_heuristic_rule(energy, gain, g_channel, params)
@@ -387,7 +387,7 @@ class TestHeuristic:
         assert heuristic_average_success(channel2, channel2, DEAF_PARAMS) == 0.0
 
     def test_degenerate_single_state_average(self, default_params):
-        single = channel_from_table([1.0], [1.0])
+        single = FiniteChannel([1.0], [1.0])
         ratio, spend = heuristic_rule(0.0, 1.0, single, default_params)
         expected = success_prob(0.0, 1.0, ratio, spend, single, default_params)
         assert heuristic_average_success(single, single, default_params) == expected
@@ -479,7 +479,7 @@ def _boundary_channel(params, gain):
         g = np.nextafter(g, 0.0)
     below = np.nextafter(g, 0.0)
     assert below * spend < threshold <= g * spend
-    return channel_from_table([below, g, 2.0 * g], [0.25, 0.5, 0.25])
+    return FiniteChannel([below, g, 2.0 * g], [0.25, 0.5, 0.25])
 
 
 class TestHeuristicClosedForm:
@@ -490,8 +490,8 @@ class TestHeuristicClosedForm:
         [
             (two_point_channel(), two_point_channel(), DEAF_PARAMS),
             (
-                channel_from_table([1.0], [1.0]),
-                channel_from_table([1.0], [1.0]),
+                FiniteChannel([1.0], [1.0]),
+                FiniteChannel([1.0], [1.0]),
                 SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0),
             ),
             # the largest decodable ratio rounds to 1 at every gain
@@ -502,7 +502,7 @@ class TestHeuristicClosedForm:
             ),
             # drain energy times a relay-destination gain at the threshold
             (
-                channel_from_table([0.3, 1.0], [0.5, 0.5]),
+                FiniteChannel([0.3, 1.0], [0.5, 0.5]),
                 _boundary_channel(SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0), 1.0),
                 SystemParams(1.0, 0.001, 1.0, 0.5, 1.5, 10.0),
             ),
@@ -554,7 +554,7 @@ class TestHeuristicClosedForm:
         def table(weights, scale):
             # ascending gains from the running sum of the weights
             gains = scale * np.cumsum(weights)
-            return channel_from_table(gains, np.asarray(weights) / sum(weights))
+            return FiniteChannel(gains, np.asarray(weights) / sum(weights))
 
         h_channel, g_channel = table(h_weights, h_scale), table(g_weights, g_scale)
         params = SystemParams(
@@ -633,7 +633,7 @@ class TestSplitTable:
         capacity,
         n_levels,
     ):
-        channel = channel_from_table(gains, np.full(len(gains), 1.0 / len(gains)))
+        channel = FiniteChannel(gains, np.full(len(gains), 1.0 / len(gains)))
         params = SystemParams(
             source_power, noise_power, block_duration, efficiency, rate, capacity
         )

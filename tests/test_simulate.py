@@ -16,13 +16,12 @@ from oracles import (
     simulate_discrete,
 )
 from swipt_relay import (
+    FiniteChannel,
     InfeasibleActionError,
     SimulationConfig,
     SimulationResult,
     apply_action,
     build_mdp,
-    channel_from_table,
-    default_initial_rule,
     energy_after_harvest,
     heuristic_average_success,
     make_heuristic_policy,
@@ -170,7 +169,7 @@ def _table(weights):
     """Channel with gains 1..C and a pmf proportional to weights."""
     weights = np.asarray(weights, dtype=float)
     gains = np.arange(1.0, weights.size + 1.0)
-    return channel_from_table(gains, weights / weights.sum())
+    return FiniteChannel(gains, weights / weights.sum())
 
 
 def _rare_first_state():
@@ -179,7 +178,7 @@ def _rare_first_state():
     weights = np.ones(200)
     weights[0] = 1e-7
     gains = quantize_equiprobable_exponential(200).gains
-    return channel_from_table(gains, weights / weights.sum())
+    return FiniteChannel(gains, weights / weights.sum())
 
 
 def _crowded(count, heavy):
@@ -297,12 +296,12 @@ class TestSampleChannel:
         assert np.array_equal(tables[3], crowded)
 
     def test_single_state_always_zero(self):
-        channel = channel_from_table([1.0], [1.0])
+        channel = FiniteChannel([1.0], [1.0])
         rng = np.random.default_rng(0)
         assert not sample_channel(channel, rng, 100).any()
 
     def test_two_state_frequency_band(self):
-        channel = channel_from_table([0.5, 1.5], [0.5, 0.5])
+        channel = FiniteChannel([0.5, 1.5], [0.5, 0.5])
         rng = np.random.default_rng(314159)
         draws = 1_000_000
         ones = int(sample_channel(channel, rng, draws).sum())
@@ -312,7 +311,7 @@ class TestSampleChannel:
         assert abs(float(np.cumsum(channel200.pmf)[-1]) - 1.0) <= 1e-12
 
     def test_respects_skewed_pmf(self):
-        channel = channel_from_table([0.5, 1.5], [0.9, 0.1])
+        channel = FiniteChannel([0.5, 1.5], [0.9, 0.1])
         rng = np.random.default_rng(7)
         draws = 200_000
         ones = int(sample_channel(channel, rng, draws).sum())
@@ -857,7 +856,7 @@ class TestSimulateOriginalMatchesOracle:
         "make_channel, make_policy, blocks, kinds_played",
         [
             (
-                lambda: channel_from_table([0.5, 1.0], [0.5, 0.5]),
+                lambda: FiniteChannel([0.5, 1.0], [0.5, 0.5]),
                 _transmit_the_threshold,
                 2000,
                 {"exact"},
@@ -995,7 +994,7 @@ class TestSimulateDiscrete:
     def test_all_zero_rewards_average_exactly_zero(self, channel2):
         deaf = SystemParams(1.0, 10.0, 1.0, 0.5, 1.5, 10.0)
         model = build_mdp(channel2, channel2, deaf, 3)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         sim = simulate_discrete(model, rule, SimulationConfig(blocks=5000, seed=8))
         assert sim.mean == 0.0
 
@@ -1009,9 +1008,9 @@ class TestSimulateDiscrete:
         assert sim.mean == 0.375
 
     def test_single_state_alphabet_matches_gain(self, default_params):
-        single = channel_from_table([1.0], [1.0])
+        single = FiniteChannel([1.0], [1.0])
         model = build_mdp(single, single, default_params, 2)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         gain, _ = _evaluate(model, rule)
         sim = simulate_discrete(model, rule, SimulationConfig(blocks=1000, seed=3))
         # one channel state: after the first block the chain is constant
@@ -1019,7 +1018,7 @@ class TestSimulateDiscrete:
 
     def test_same_seed_is_bit_identical(self, channel2, hard_tiny_params):
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        rule = default_initial_rule(model)
+        rule = np.zeros(model.n_states, np.intp)
         config = SimulationConfig(blocks=3000, seed=21)
         a = simulate_discrete(model, rule, config, keep_trace=True)
         b = simulate_discrete(model, rule, config, keep_trace=True)
@@ -1053,7 +1052,7 @@ class TestSimulateDiscreteMatchesOracle:
         if rule_name == "optimal":
             rule = policy_iteration(model).rule
         else:
-            rule = default_initial_rule(model)
+            rule = np.zeros(model.n_states, np.intp)
         config = SimulationConfig(
             blocks=20_000, seed=seed, initial_energy=_start_energy(start, params)
         )
@@ -1066,7 +1065,7 @@ class TestSimulateDiscreteMatchesOracle:
     def test_means_are_python_floats(self, channel2, hard_tiny_params):
         config = SimulationConfig(blocks=500, seed=4)
         model = build_mdp(channel2, channel2, hard_tiny_params, 3)
-        discrete = simulate_discrete(model, default_initial_rule(model), config)
+        discrete = simulate_discrete(model, np.zeros(model.n_states, np.intp), config)
         original = simulate_original(
             make_heuristic_policy(channel2, hard_tiny_params),
             channel2, channel2, hard_tiny_params, config,
