@@ -15,20 +15,16 @@ from .experiment import (
     CONFIG_PARSERS,
     SWEEP_AXES,
     ExperimentConfig,
+    _simulate_heuristic,
+    _solve_bound,
     parse_config,
     report_gains,
     rows_to_csv,
     run_sweep,
 )
-from .mdp import (
-    MultichainSuspectedError,
-    NonConvergenceError,
-    build_mdp,
-    policy_iteration,
-    upper_bound,
-)
-from .relay import heuristic_average_success, make_heuristic_policy
-from .simulate import RESULT_CSV_HEADER, SimulationConfig, simulate_original
+from .mdp import MultichainSuspectedError, NonConvergenceError
+from .relay import heuristic_average_success
+from .simulate import RESULT_CSV_HEADER
 
 __all__ = ["main"]
 
@@ -160,8 +156,7 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _cmd_channel(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_channel(args: argparse.Namespace, config: ExperimentConfig) -> int:
     channel, _ = config.channels()
     lines = ["index,gain,probability"]
     for i, (gain, prob) in enumerate(zip(channel.gains, channel.pmf)):
@@ -170,45 +165,31 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_heuristic(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    h_channel, g_channel = config.channels()
-    value = heuristic_average_success(h_channel, g_channel, config.system_params())
+def _cmd_heuristic(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    value = heuristic_average_success(*config.channels(), config.system_params())
     print(format(value, ".12g"))
     return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    h_channel, g_channel = config.channels()
-    params = config.system_params()
+def _cmd_bound(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    channels, params = config.channels(), config.system_params()
     header = "n_levels,p_upper_bound\n"  # printed with the first bound
     for n_levels in config.n_levels:
-        model = build_mdp(h_channel, g_channel, params, n_levels)
-        result = policy_iteration(model)
-        bound = upper_bound(model, result)
+        bound = _solve_bound(channels, params, n_levels)
         print(f"{header}{n_levels},{bound:.12g}")
         header = ""
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    h_channel, g_channel = config.channels()
-    params = config.system_params()
-    result = simulate_original(
-        make_heuristic_policy(g_channel, params),
-        h_channel,
-        g_channel,
-        params,
-        SimulationConfig(blocks=config.blocks, seed=config.seed),
+def _cmd_simulate(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    result = _simulate_heuristic(
+        config.channels(), config.system_params(), config.blocks, config.seed
     )
     _write_text(args.out_path, RESULT_CSV_HEADER + "\n" + result.csv_row() + "\n")
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
     rows = run_sweep(config)
     _write_text(config.out, rows_to_csv(rows))
     for row in rows:
@@ -239,7 +220,7 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _config_from_args(args))
     except (
         ValueError, OSError, MultichainSuspectedError, NonConvergenceError,
         BrokenExecutor,  # a sweep worker died, e.g. killed for memory

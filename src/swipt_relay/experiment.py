@@ -153,21 +153,30 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _solve_bound(channels, params: SystemParams, n_levels: int) -> float:
+    """One grid's upper bound (build, solve, certify), for `bound` and each cell."""
+    model = build_mdp(*channels, params, n_levels)
+    return upper_bound(model, policy_iteration(model))
+
+
+def _simulate_heuristic(channels, params: SystemParams, blocks: int, seed: int):
+    """The draining heuristic's Monte Carlo, for `simulate` and each sweep point."""
+    h_channel, g_channel = channels
+    policy = make_heuristic_policy(g_channel, params)
+    return simulate_original(
+        policy, h_channel, g_channel, params, SimulationConfig(blocks, seed)
+    )
+
+
 def _sweep_point(config: ExperimentConfig, channels, index: int) -> list[SweepRow]:
     """All rows of one sweep value (shared heuristic, one bound per
-    n_levels). Runs inside a worker when a pool is used."""
+    n_levels). Runs inside a worker when a pool is used; point i
+    simulates with seed + i."""
     value = config.sweep_values[index]
-    h_channel, g_channel = channels
     params = config.system_params(value)
     try:
-        analytic = heuristic_average_success(h_channel, g_channel, params)
-        sim = simulate_original(
-            make_heuristic_policy(g_channel, params),
-            h_channel,
-            g_channel,
-            params,
-            SimulationConfig(blocks=config.blocks, seed=config.seed + index),
-        )
+        analytic = heuristic_average_success(*channels, params)
+        sim = _simulate_heuristic(channels, params, config.blocks, config.seed + index)
         heuristic, failure = (analytic, sim.mean, sim.stderr), None
     except Exception as exc:  # noqa: BLE001 - the rows record the failure
         heuristic, failure = (float("nan"),) * 3, exc
@@ -176,8 +185,7 @@ def _sweep_point(config: ExperimentConfig, channels, index: int) -> list[SweepRo
         bound, error = float("nan"), failure
         if failure is None:
             try:
-                model = build_mdp(h_channel, g_channel, params, n_levels)
-                bound = upper_bound(model, policy_iteration(model))
+                bound = _solve_bound(channels, params, n_levels)
             except Exception as exc:  # noqa: BLE001
                 error = exc
         rows.append(

@@ -126,6 +126,13 @@ class TestFiniteChannel:
         with pytest.raises(ValueError):
             FiniteChannel(gains, pmf)
 
+    @pytest.mark.parametrize(
+        "gains", [[], [[0.5, 1.5]], 0.5], ids=["empty", "2d", "0d"]
+    )
+    def test_rejects_gains_that_are_not_a_non_empty_vector(self, gains):
+        with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+            FiniteChannel(gains, [1.0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
             FiniteChannel([0.5, 1.5], [1.0])

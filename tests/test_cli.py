@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -122,7 +123,7 @@ class TestBoundCommand:
         def huge_build(*args, **kwargs):
             raise MemoryError("Unable to allocate 298. GiB for an array")
 
-        monkeypatch.setattr(cli_module, "build_mdp", huge_build)
+        monkeypatch.setattr(experiment_module, "build_mdp", huge_build)
         assert run_cli(["bound", "--levels", "100000"]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
@@ -135,7 +136,7 @@ class TestBoundCommand:
         def failing_solver(*args, **kwargs):
             raise error("policy iteration failed")
 
-        monkeypatch.setattr(cli_module, "policy_iteration", failing_solver)
+        monkeypatch.setattr(experiment_module, "policy_iteration", failing_solver)
         assert run_cli(["bound", "--levels", "5", "--channel-states", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: policy iteration failed\n"
@@ -287,6 +288,32 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "synthetic failure" in err
         assert "failed" in out.read_text(encoding="utf-8")
+
+    def test_failed_heuristic_fails_only_its_rows(self, tmp_path, capsys, monkeypatch):
+        simulate = experiment_module._simulate_heuristic
+
+        def fails_at_four(channels, params, blocks, seed):
+            if params.battery_capacity == 4.0:
+                raise RuntimeError("synthetic heuristic failure")
+            return simulate(channels, params, blocks, seed)
+
+        monkeypatch.setattr(experiment_module, "_simulate_heuristic", fails_at_four)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(SWEEP_ARGS + ["--levels", "3,5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep_value=4 n_levels={n}: synthetic heuristic failure" for n in (3, 5)
+        ]
+        with out.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(row["sweep_value"], row["status"]) for row in rows] == [
+            ("2", "ok"), ("2", "ok"), ("4", "failed"), ("4", "failed")
+        ]
+        columns = ("p_heuristic_analytic", "p_heuristic_sim")
+        columns += ("p_heuristic_sim_stderr", "p_upper_bound")
+        for row in rows:
+            values = [float(row[column]) for column in columns]
+            failed = row["status"] == "failed"
+            assert all(math.isnan(v) if failed else math.isfinite(v) for v in values)
 
     def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # what a pool reports when a worker is killed, e.g. for memory; the
@@ -485,6 +512,32 @@ def test_pinned_output(tmp_path, capsys, args, want):
     assert (hashlib.sha256(out.read_bytes()).hexdigest() if sweep else printed) == want
 
 
+def test_sweep_cell_prints_what_the_point_commands_print(tmp_path, capsys):
+    # the default operating point is B = 10, point 1 of this sweep, whose
+    # Monte Carlo runs with seed 5 + 1
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--battery-sweep", "4,10", "--blocks", "2000", "--seed", "5"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    printed = []
+    simulate = ["simulate", "--blocks", "2000", "--seed", "6"]
+    for command in (["bound"], ["heuristic"], simulate):
+        assert run_cli(command) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed == [
+        _BOUND + "5,0.981674988405\n9,0.980274999407\n",
+        "0.894525\n",
+        _SIMULATE + "6,2000,0.902265,0.00383108972901\n",
+    ]
+    heuristic = printed[1].strip()
+    mean, stderr = printed[2].splitlines()[1].split(",")[2:]
+    bounds = (line.split(",") for line in printed[0].splitlines()[1:])
+    assert out.read_text(encoding="utf-8").splitlines()[-2:] == [
+        f"battery,10,{n_levels},{heuristic},{mean},{stderr},{bound},ok"
+        for n_levels, bound in bounds
+    ]
+
+
 def assert_one_error_line(capsys, args, start):
     """The command exits 2 with one `error:` line; returns its stdout."""
     assert run_cli(args) == 2
@@ -500,9 +553,10 @@ def no_stage_runs(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("no stage may run")
 
-    for name in ("build_mdp", "heuristic_average_success", "simulate_original"):
-        monkeypatch.setattr(cli_module, name, no_work)
+    for name in ("build_mdp", "simulate_original"):
         monkeypatch.setattr(experiment_module, name, no_work)
+    for module in (cli_module, experiment_module):
+        monkeypatch.setattr(module, "heuristic_average_success", no_work)
 
 
 # a block so long that the harvest overflows, at a finite delivery threshold
@@ -621,6 +675,17 @@ class TestOverflowingPhysics:
         assert not out.exists()
 
 
+def test_module_entry_point_runs_the_cli(capsys):
+    args = ["bound", "--levels", "5", "--channel-states", "20"]
+    assert run_cli(args) == 0
+    done = run_fresh("-m", "swipt_relay", *args)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == capsys.readouterr().out
+    bad = run_fresh("-m", "swipt_relay", "bound", "--levels", "x")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
+
 def test_bound_runs_without_scipy():
     """numpy is the only runtime dependency: a fresh interpreter that
     imports the CLI and solves a bound never loads scipy."""
@@ -631,7 +696,7 @@ def test_bound_runs_without_scipy():
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "print(status, *loaded, file=sys.stderr)\n"
     )
-    done = run_fresh(script)
+    done = run_fresh("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("n_levels,p_upper_bound\n5,")
     assert done.stderr.split() == ["0"]
@@ -653,7 +718,7 @@ def test_random_module_loads_only_for_simulation():
         "):\n"
         "    print(main(argv), 'numpy.random' in sys.modules, file=sys.stderr)\n"
     )
-    done = run_fresh(script)
+    done = run_fresh("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stderr.split() == ["0", "False"] * 3 + ["0", "True"]
     assert done.stdout.endswith(
@@ -670,7 +735,7 @@ def test_import_pins_one_blas_thread_unless_the_caller_set_one(setting, kept):
         "import swipt_relay\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
-    done = run_fresh(script, env=blas_env(setting))
+    done = run_fresh("-c", script, env=blas_env(setting))
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{kept}\n"
 
@@ -699,7 +764,7 @@ def test_loaded_openblas_runs_one_thread():
     )
     if not Path("/proc/self/maps").is_file():
         pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
-    done = run_fresh(script, env=blas_env(None))
+    done = run_fresh("-c", script, env=blas_env(None))
     assert done.returncode == 0, done.stderr
     if not done.stdout:
         pytest.skip("the loaded BLAS exports no OpenBLAS thread getter")
@@ -718,7 +783,7 @@ def test_bound_bits_do_not_follow_the_core_count():
     )
     bits = []
     for setting in (None, "1"):
-        done = run_fresh(script, env=blas_env(setting))
+        done = run_fresh("-c", script, env=blas_env(setting))
         assert done.returncode == 0, done.stderr
         bits.append(done.stdout)
     assert bits[0] == bits[1]
@@ -733,14 +798,15 @@ def blas_env(setting: str | None) -> dict:
     return env
 
 
-def run_fresh(script: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    """Run a Python script in a fresh interpreter that imports the package
-    from this source tree, in `env` (default: this process's environment)."""
+def run_fresh(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the arguments `argv` (a `-c` script or a
+    `-m` module), importing the package from this source tree, in `env`
+    (default: this process's environment)."""
     env = os.environ if env is None else env
     src = str(Path(cli_module.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *argv],
         env={**env, "PYTHONPATH": path},
         capture_output=True,
         text=True,
